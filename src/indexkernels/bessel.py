@@ -178,6 +178,15 @@ def bessel_k_real(nu, x):
     return v
 
 
+def _checked(res, route, tau):
+    # runs on cache hits too: a cached value obeys the threshold in force
+    # at call time, not the one it was computed under
+    if res.rel_error > config.get().precision_loss_threshold:
+        raise PrecisionLossError("%s precision loss (tau=%s)" % (route, tau),
+                                 value=res.value, rel_error=res.rel_error)
+    return res
+
+
 _kq_cache = {}
 
 
@@ -191,10 +200,10 @@ def k_itau_quad(tau, x):
         raise DomainError("k_itau_quad requires x > 0")
     if tau < 0:
         tau = -tau  # even in tau
-    key = (str(tau), str(x), mp.dps)
+    key = (tau, x, mp.prec)
     hit = _kq_cache.get(key)
     if hit is not None:
-        return hit
+        return _checked(hit, "k_itau_quad", tau)
     T = _cosh_cutoff(x)
     v, qerr = quad(lambda t: exp(-x * cosh(t)) * cos(tau * t), [0, T],
                    error=True, maxdegree=9)
@@ -204,11 +213,8 @@ def k_itau_quad(tau, x):
     rel = abs_err / abs(v) if v != 0 else mpf(1)
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=(v != 0 and k0 / abs(v) > mpf("1e6")))
-    if rel > config.get().precision_loss_threshold:
-        raise PrecisionLossError("k_itau_quad precision loss (tau=%s)" % tau,
-                                 value=v, rel_error=rel)
     _kq_cache[key] = res
-    return res
+    return _checked(res, "k_itau_quad", tau)
 
 
 _ks_cache = {}
@@ -226,15 +232,15 @@ def k_itau_series(tau, x, ctl=None):
     x = mpf(x)
     if x <= 0 or tau <= 0:
         raise DomainError("k_itau_series requires x > 0, tau > 0")
-    key = (str(tau), str(x), mp.dps)
-    hit = _ks_cache.get(key)
-    if hit is not None:
-        return hit
     base = ctl or default_ctl()
     # sum the I-series to full working precision; the config tolerance is
     # meant for standalone series, not for this cancellation-prone pair
     ctl = SeriesControl(rel_tol=min(base.rel_tol, 10.0 ** (-mp.dps)),
                         max_terms=base.max_terms)
+    key = (tau, x, mp.prec, ctl.rel_tol, ctl.max_terms)
+    hit = _ks_cache.get(key)
+    if hit is not None:
+        return _checked(hit, "k_itau_series", tau)
     ip = bessel_i(1j * tau, x, ctl)
     im = bessel_i(-1j * tau, x, ctl)
     assembled = pi * (im - ip) / (2j * sinh(pi * tau))
@@ -245,11 +251,8 @@ def k_itau_series(tau, x, ctl=None):
     cancellation = (mag > 0 and resid > mpf("1e-15") * mag) or canc_ratio > mpf("1e6")
     rel = _eps() * (exp(pi * tau) + canc_ratio)
     res = KernelValue(value=v, rel_error=rel, cancellation=cancellation)
-    if rel > config.get().precision_loss_threshold:
-        raise PrecisionLossError("k_itau_series precision loss (tau=%s)" % tau,
-                                 value=v, rel_error=rel)
     _ks_cache[key] = res
-    return res
+    return _checked(res, "k_itau_series", tau)
 
 
 def series_safe_x(index):

@@ -193,7 +193,10 @@ def _geom_grid(lo, hi, count):
     lo = mpf(lo)
     hi = mpf(hi)
     step = (log(hi) - log(lo)) / (count - 1)
-    return [exp(log(lo) + k * step) for k in range(count)]
+    # exact endpoints: grids that meet at a point evaluate the same x,
+    # which the exactly keyed K caches then share
+    inner = [exp(log(lo) + k * step) for k in range(1, count - 1)]
+    return [lo] + inner + [hi]
 
 
 def _lin_grid(lo, hi, count):

@@ -484,7 +484,13 @@ def _kl_asymptotic(tau, x, N=2):
 
 def eval(point, route):
     """Evaluate a kernel point by the named route, with an error estimate
-    and a cancellation flag attached."""
+    and a cancellation flag attached.
+
+    The mehler-fock quadrature route integrates P^2 times its gamma weight
+    (mehler_fock_sq), which fixes only |P|; it takes the sign from the
+    series route (conical_p), which costs milliseconds against the
+    seconds of the quadrature.
+    """
     p = point
     k = p.kernel
     if k == "kl":
@@ -547,7 +553,10 @@ def eval(point, route):
         if route == "quadrature":
             sq = mehler_fock_sq(p.mu, p.tau, p.x)
             g = exp(2 * ln_gamma(p.mu + mpf(1) / 2 + 1j * p.tau).real)
-            return EvalResult(sqrt(sq / g), route, mpf("1e-10"), False)
+            v = sqrt(sq / g)
+            if conical_p(p.mu, p.tau, sqrt(1 + 4 * p.x ** 2)) < 0:
+                v = -v
+            return EvalResult(v, route, mpf("1e-10"), False)
     elif k == "olevskii":
         if route == "series":
             v = olevskii_direct(p.mu, p.nu, p.tau, p.x)

@@ -5,6 +5,7 @@ digits, see config.Config.dps) so that later kernel assemblies can resolve
 terms of size exp(-pi*tau/2) inside quantities of size 1.
 """
 
+import functools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workdps
@@ -53,8 +54,20 @@ def ln_gamma(z):
     Argument recurrence pushes Re z up until the Stirling series converges
     below working precision; the Binet-integral route (gamma_via_binet)
     stays available as an independent cross-check.
+
+    Values are memoized on (z rounded to working precision, mp.prec): the
+    Gamma factors of a grid sweep depend on tau or on fixed parameters,
+    not on x, so most calls repeat an earlier argument.  The cached body
+    is the same arithmetic, so a hit is bit-identical to a fresh call.
+    Errors are raised on every call and never cached.
     """
-    z = mpc(z)
+    return _ln_gamma_memo(mpc(z), mp.prec)
+
+
+@functools.lru_cache(maxsize=1024)
+def _ln_gamma_memo(z, prec):
+    # prec is part of the key only: the body reads mp.dps, which is a
+    # function of mp.prec
     if z == 0 or _is_nonpositive_int(z):
         raise PoleError("log-gamma pole at nonpositive integer %s" % z)
     if z.imag == 0 and z.real < 0:

@@ -3,6 +3,8 @@
 Pinned values computed with mpmath at dps=60.
 """
 
+from dataclasses import replace
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,9 @@ from mpmath import mp, mpf, mpc
 from indexkernels import config
 from indexkernels.bessel import (bessel_i, bessel_j, bessel_k_real, k_index,
                                  k_itau_quad, k_itau_series, series_safe_x)
-from indexkernels.errors import OverflowGuardError, PrecisionLossError
+from indexkernels.errors import (NonconvergenceError, OverflowGuardError,
+                                 PrecisionLossError)
+from indexkernels.special import SeriesControl
 
 mp.dps = config.get().dps
 
@@ -107,6 +111,26 @@ class TestImaginaryOrderK:
         # at tau = 200 the e^{pi tau} cancellation model forces a refusal
         with pytest.raises(PrecisionLossError):
             k_itau_series(mpf(200), mpf(1))
+
+    def test_cache_hit_obeys_current_threshold(self):
+        tau, x = mpf(8), mpf(3)
+        k_itau_series(tau, x)
+        k_itau_quad(tau, x)
+        saved = config.get()
+        config.set_active(replace(saved, precision_loss_threshold=1e-40))
+        try:
+            with pytest.raises(PrecisionLossError):
+                k_itau_series(tau, x)
+            with pytest.raises(PrecisionLossError):
+                k_itau_quad(tau, x)
+        finally:
+            config.set_active(saved)
+
+    def test_series_cache_keys_on_control(self):
+        tau, x = mpf(3), mpf("1.5")
+        k_itau_series(tau, x)
+        with pytest.raises(NonconvergenceError):
+            k_itau_series(tau, x, SeriesControl(max_terms=3))
 
     def test_values_are_real_type(self):
         v = k_itau_series(mpf(3), mpf("0.4")).value

@@ -8,9 +8,9 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from indexkernels import config
-from indexkernels.bounds import (BOUND_IDS, bound_binet_rhs, bound_kl_rhs,
-                                 bound_product_rhs, evaluate_bound,
-                                 fit_lebedev_constants)
+from indexkernels.bounds import (BOUND_IDS, _geom_grid, bound_binet_rhs,
+                                 bound_kl_rhs, bound_product_rhs,
+                                 evaluate_bound, fit_lebedev_constants)
 from indexkernels.errors import DomainError
 
 mp.dps = config.get().dps
@@ -98,6 +98,16 @@ class TestFit:
     def test_bad_domain(self):
         with pytest.raises(DomainError):
             fit_lebedev_constants(T=0)
+
+    def test_x_grids_meet_exactly_at_T(self):
+        # the A and B grids share the x = T column, and the K caches are
+        # keyed on exact values, so both must hold the same mpf there
+        with mpmath.workdps(25):
+            T = mpf("1.023")
+            a = _geom_grid(mpf("1e-3"), T, 16)
+            b = _geom_grid(T, 20, 16)
+            assert a[0] == mpf("1e-3") and a[-1] == T == b[0]
+            assert b[-1] == 20
 
     def test_ids_registry(self):
         assert set(BOUND_IDS) == {"kl", "mehler-fock", "product",

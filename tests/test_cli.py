@@ -116,6 +116,15 @@ class TestCrossover:
         line = [l for l in out.splitlines() if l.startswith("tau_star")][0]
         assert float(line.split("=")[1]) == 2.0
 
+    def test_stdout_deterministic(self, capsys):
+        argv = ["crossover", "--kernel", "kl", "--x", "1", "--tol", "10",
+                "--grid", "tau=2:6:1"]
+        code1, out1, err1 = run(argv, capsys)
+        code2, out2, _ = run(argv, capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert "direct_time_s" in err1 and "direct_time_s" not in out1
+
     def test_unreachable_tolerance(self, capsys):
         code, _, err = run(["crossover", "--kernel", "kl", "--x", "1",
                             "--tol", "1e-35", "--grid", "tau=2:6:1"], capsys)

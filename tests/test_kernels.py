@@ -213,9 +213,13 @@ class TestDispatch:
                    eval(p, "quadrature").value) < mpf("1e-10")
 
     def test_routes_agree_mehler_fock(self):
-        p = KernelPoint(kernel="mehler-fock", x="0.5", tau=2, mu="0.4")
-        assert rel(eval(p, "series").value,
-                   eval(p, "quadrature").value) < mpf("1e-8")
+        # the second point has P = -0.0558158...: the quadrature route
+        # must return the signed value, not |P|
+        for mu, x, tau in (("0.4", "0.5", 2), ("0.7", "0.8", 3)):
+            p = KernelPoint(kernel="mehler-fock", x=x, tau=tau, mu=mu)
+            q = eval(p, "quadrature").value
+            assert rel(eval(p, "series").value, q) < mpf("1e-8")
+        assert abs(q - mpf("-0.0558158")) < mpf("1e-7")
 
     def test_routes_agree_olevskii(self):
         p = KernelPoint(kernel="olevskii", x="0.5", tau=1, mu="1.3", nu="0.2")

@@ -11,9 +11,9 @@ from mpmath import mp, mpf, mpc
 
 from indexkernels import config
 from indexkernels.errors import DomainError, PoleError
-from indexkernels.special import (binet_r, gamma_c, gamma_via_binet, hyp1f1,
-                                  hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,
-                                  pochhammer)
+from indexkernels.special import (_ln_gamma_memo, binet_r, gamma_c,
+                                  gamma_via_binet, hyp1f1, hyp1f2, hyp2f1,
+                                  hyp2f1_term2, ln_gamma, pochhammer)
 
 mp.dps = config.get().dps
 
@@ -61,6 +61,35 @@ class TestLnGamma:
             gamma_c(0)
         with pytest.raises(PoleError):
             gamma_c(-3)
+
+
+class TestLnGammaMemo:
+    POINTS = (mpc(1, 3), mpc(1, -3), mpc("0.3", "7.5"), mpc("0.3", "-7.5"),
+              mpf("0.5"), mpf("3.7"), mpf(12))
+
+    def test_bit_identical_to_uncached_body(self):
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for z in self.POINTS:
+                    z = mpc(z)
+                    ref = _ln_gamma_memo.__wrapped__(z, mp.prec)
+                    for _ in range(2):  # a miss or hit, then a hit
+                        assert ln_gamma(z)._mpc_ == ref._mpc_
+
+    def test_precision_is_part_of_the_key(self):
+        z = mpc("1.25", "3.5")  # exact in binary at both precisions
+        with mpmath.workdps(40):
+            ln_gamma(z)
+        with mpmath.workdps(60):
+            # a hit on the dps-40 entry would be off by ~1e-40
+            assert rel(ln_gamma(z), mpmath.loggamma(z)) < mpf("1e-55")
+
+    def test_poles_raise_every_time(self):
+        size = _ln_gamma_memo.cache_info().currsize
+        for z in (0, -2, 0, -2):
+            with pytest.raises(PoleError):
+                ln_gamma(z)
+        assert _ln_gamma_memo.cache_info().currsize == size
 
 
 class TestBinet:
