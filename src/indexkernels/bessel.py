@@ -4,8 +4,8 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 
 * k_itau_quad  -- the cosine integral int_0^inf exp(-x cosh t) cos(tau t) dt
   (oracle route; standard representation, external to the kernel algebra),
-* k_itau_series -- pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) built
-  from the ascending I-series.
+* k_itau_series -- -pi Im I_{i tau}(x) / sinh(pi tau), from one ascending
+  I-series: for real x, I_{-i tau}(x) is the conjugate of I_{i tau}(x).
 
 Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
 series / large-argument expansion.
@@ -28,9 +28,6 @@ class KernelValue:
     value: object            # mpf
     rel_error: object        # mpf, >= 0
     cancellation: bool = False
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _eps():
@@ -67,13 +64,14 @@ def bessel_i(nu, x, ctl=None):
     term = c0
     s = c0
     q = (x / 2) ** 2
+    tol = mpf(ctl.rel_tol)
     prev_mag = abs(term)
     streak = 0
     for k in range(1, ctl.max_terms + 1):
         term = term * q / (k * (k + nu))
         s += term
         mag = abs(term)
-        if mag < mpf(ctl.rel_tol) * abs(s) and mag <= prev_mag:
+        if mag < tol * abs(s) and mag <= prev_mag:
             streak += 1
             if streak >= 3:
                 return s
@@ -121,10 +119,11 @@ def bessel_j(nu, x, ctl=None, with_error=False):
         term = c0
         s = c0
         q = (x / 2) ** 2
+        tol, eps = mpf(ctl.rel_tol), _eps()
         for k in range(1, ctl.max_terms + 1):
             term = -term * q / (k * (k + nu))
             s += term
-            if abs(term) < mpf(ctl.rel_tol) * max(abs(s), _eps()):
+            if abs(term) < tol * max(abs(s), eps):
                 break
         return (s, abs(term)) if with_error else s
 
@@ -221,13 +220,16 @@ _ks_cache = {}
 
 
 def k_itau_series(tau, x, ctl=None):
-    """K_{i tau}(x) assembled from the ascending I-series at orders
-    +-i tau via pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)).
+    """K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau), from one
+    ascending I-series.
 
-    The subtraction cancels roughly e^{2x - pi tau} of the I magnitude,
-    so the route degrades at large argument; the error model tracks both
-    that ratio and the intrinsic exp(pi tau) index growth, and the call
-    raises once the configured loss threshold is crossed."""
+    This is pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) with
+    I_{-i tau}(x) = conj I_{i tau}(x) for real x, so the second series
+    is never summed.  Im I is roughly e^{pi tau - 2x} of |I| (the
+    subtraction's cancellation), so the route degrades at large
+    argument; the error model tracks both the ratio |I| / |Im I| and the
+    intrinsic exp(pi tau) index growth, and the call raises once the
+    configured loss threshold is crossed."""
     tau = mpf(tau)
     x = mpf(x)
     if x <= 0 or tau <= 0:
@@ -241,16 +243,12 @@ def k_itau_series(tau, x, ctl=None):
     hit = _ks_cache.get(key)
     if hit is not None:
         return _checked(hit, "k_itau_series", tau)
-    ip = bessel_i(1j * tau, x, ctl)
-    im = bessel_i(-1j * tau, x, ctl)
-    assembled = pi * (im - ip) / (2j * sinh(pi * tau))
-    v = assembled.real
-    resid = abs(assembled.imag)
-    mag = abs(assembled)
-    canc_ratio = (abs(ip) + abs(im)) / abs(im - ip) if im != ip else mpf("1e30")
-    cancellation = (mag > 0 and resid > mpf("1e-15") * mag) or canc_ratio > mpf("1e6")
+    i_tau = bessel_i(1j * tau, x, ctl)
+    v = -pi * i_tau.imag / sinh(pi * tau)
+    canc_ratio = abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0 else mpf("1e30")
     rel = _eps() * (exp(pi * tau) + canc_ratio)
-    res = KernelValue(value=v, rel_error=rel, cancellation=cancellation)
+    res = KernelValue(value=v, rel_error=rel,
+                      cancellation=canc_ratio > mpf("1e6"))
     _ks_cache[key] = res
     return _checked(res, "k_itau_series", tau)
 

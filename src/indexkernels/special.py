@@ -86,6 +86,7 @@ def _ln_gamma_memo(z, prec):
     w2 = w * w
     p = w
     prev = None
+    eps = _eps()
     for n in range(1, 200):
         term = bernoulli(2 * n) / ((2 * n) * (2 * n - 1) * p)
         mag = abs(term)
@@ -93,7 +94,7 @@ def _ln_gamma_memo(z, prec):
             break  # asymptotic series bottomed out
         s += term
         prev = mag
-        if mag < _eps() * abs(s):
+        if mag < eps * abs(s):
             break
         p *= w2
     return s - corr
@@ -113,10 +114,11 @@ def _binet_h_series(t):
     s = mpf(0)
     t2 = t * t
     p = mpf(1) if t.imag == 0 else mpc(1)
+    eps = _eps()
     for n in range(1, 80):
         term = bernoulli(2 * n) / factorial(2 * n) * p
         s += term
-        if abs(term) < _eps() * abs(s):
+        if abs(term) < eps * abs(s):
             break
         p *= t2
     return s
@@ -188,6 +190,7 @@ def _series_sum(nums, dens, z, ctl):
     s = mpc(1)
     max_mag = mpf(1)
     prev_mag = mpf(1)
+    tol = mpf(ctl.rel_tol, prec=53)  # the float exactly, at any mp.prec
     streak = 0
     for k in range(ctl.max_terms):
         num = mpc(z)
@@ -201,7 +204,7 @@ def _series_sum(nums, dens, z, ctl):
         mag = abs(term)
         if mag > max_mag:
             max_mag = mag
-        if mag < ctl.rel_tol * abs(s) and mag <= prev_mag:
+        if mag < tol * abs(s) and mag <= prev_mag:
             streak += 1
             if streak >= 3:
                 return s, max_mag, k + 1
@@ -237,23 +240,18 @@ def hyp1f2(a, b1, b2, z, ctl=None):
     return _series_adaptive([mpc(a)], [mpc(b1), mpc(b2)], mpc(z), ctl)
 
 
-def hyp1f1(a, b, z, ctl=None, info=None):
+def hyp1f1(a, b, z, ctl=None):
     """Kummer 1F1(a; b; z) with the cancellation-guarded Kummer transform.
 
     For Re z < 0 with |z| > |b - a| the transform
-    1F1(a;b;z) = e^z 1F1(b-a; b; -z) is applied; `info`, if given a dict,
-    records which branch ran.
+    1F1(a;b;z) = e^z 1F1(b-a; b; -z) is applied.
     """
     ctl = ctl or default_ctl()
     a, b, z = mpc(a), mpc(b), mpc(z)
     if _is_nonpositive_int(b):
         raise PoleError("1F1 lower parameter at a nonpositive integer")
     if z.real < 0 and abs(z) > abs(b - a):
-        if info is not None:
-            info["branch"] = "kummer-transform"
         return exp(z) * _series_adaptive([b - a], [b], -z, ctl)
-    if info is not None:
-        info["branch"] = "direct"
     return _series_adaptive([a], [b], z, ctl)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import config
+from indexkernels import bessel, config
 from indexkernels.bessel import (bessel_i, bessel_j, bessel_k_real, k_index,
                                  k_itau_quad, k_itau_series, series_safe_x)
 from indexkernels.errors import (NonconvergenceError, OverflowGuardError,
@@ -42,9 +42,19 @@ class TestBesselI:
                    I_COMPLEX) < mpf("1e-28")
 
     def test_conjugate_symmetry(self):
-        v = bessel_i(mpc(0, 2), mpf("0.7"))
-        w = bessel_i(mpc(0, -2), mpf("0.7"))
-        assert rel(v, w.conjugate()) < mpf("1e-33")
+        # exact, not merely close: k_itau_series relies on it to sum one
+        # series in place of two
+        saved = mp.dps
+        try:
+            for dps in (25, 40, 60):
+                mp.dps = dps
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                for tau in (mpf("0.3"), mpf(2), mpf(9)):
+                    for x in (mpf("0.05"), mpf("0.7"), mpf(12), mpf(24)):
+                        assert bessel_i(-1j * tau, x, ctl) == \
+                            bessel_i(1j * tau, x, ctl).conjugate()
+        finally:
+            mp.dps = saved
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10),
@@ -81,6 +91,26 @@ class TestBesselKReal:
     def test_overflow_guard(self):
         with pytest.raises(OverflowGuardError):
             bessel_k_real(mpf(0), mpf(800))
+
+
+def _two_series_k(tau, x):
+    # the series route as it was before it used conjugate symmetry: both
+    # I-series summed and the difference assembled in complex arithmetic
+    cfg = config.get()
+    ctl = SeriesControl(rel_tol=min(cfg.rel_tol, 10.0 ** (-mp.dps)),
+                        max_terms=cfg.max_terms)
+    ip = bessel_i(1j * tau, x, ctl)
+    im = bessel_i(-1j * tau, x, ctl)
+    assembled = mpmath.pi * (im - ip) / (2j * mpmath.sinh(mpmath.pi * tau))
+    v = assembled.real
+    resid = abs(assembled.imag)
+    mag = abs(assembled)
+    canc_ratio = (abs(ip) + abs(im)) / abs(im - ip) if im != ip else mpf("1e30")
+    cancellation = ((mag > 0 and resid > mpf("1e-15") * mag)
+                    or canc_ratio > mpf("1e6"))
+    rel_error = mpf(10) ** (-mp.dps) * (mpmath.exp(mpmath.pi * tau)
+                                        + canc_ratio)
+    return v, rel_error, cancellation
 
 
 class TestImaginaryOrderK:
@@ -135,6 +165,36 @@ class TestImaginaryOrderK:
     def test_values_are_real_type(self):
         v = k_itau_series(mpf(3), mpf("0.4")).value
         assert isinstance(v, mpf)
+
+    def test_matches_two_series_assembly(self):
+        # the conjugate is exact, so only the assembly can differ: one
+        # real division rounds once where the complex one rounded twice,
+        # and at near-ties, e.g. (0.97, 0.3) at dps 40, the two values
+        # differ in the last place; the error model must not differ
+        points = [(tau, x)
+                  for tau in (mpf("0.3"), mpf(1), mpf("2.5"), mpf(9))
+                  for x in (mpf("0.05"), mpf("1.7"), mpf(12))]
+        points += [(mpf("0.97"), mpf("0.3")), (mpf(1), mpf("7.5")),
+                   (mpf(1), mpf("8.5"))]
+        saved_dps, saved_cache = mp.dps, dict(bessel._ks_cache)
+        bessel._ks_cache.clear()
+        try:
+            for dps in (25, 40, 60):
+                mp.dps = dps
+                for tau, x in points:
+                    r = k_itau_series(tau, x)
+                    v, rel_error, cancellation = _two_series_k(tau, x)
+                    assert (r.rel_error, r.cancellation) == \
+                        (rel_error, cancellation)
+                    assert abs(r.value - v) <= abs(v) * mpf(2) ** (1 - mp.prec)
+            # at tau = 1 the ratio |I| / |Im I| crosses the flag's 1e6
+            # between x = 7.5 (3.4e5) and x = 8.5 (2.4e6)
+            assert not k_itau_series(mpf(1), mpf("7.5")).cancellation
+            assert k_itau_series(mpf(1), mpf("8.5")).cancellation
+        finally:
+            mp.dps = saved_dps
+            bessel._ks_cache.clear()
+            bessel._ks_cache.update(saved_cache)
 
 
 class TestKIndexRouting:
