@@ -9,8 +9,17 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 
 Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
 series / large-argument expansion.
+
+The series coefficients depend only on the order, so each is computed once
+per (order, mp.prec) and kept in a bounded memo (lru_cache, as for
+special.ln_gamma): the ascending I and J tables grow on demand by their
+recurrence, so a value never depends on which argument came first, and
+every series is summed against its table with a real running power of the
+argument.  The memos share mp's global precision, so, like mpmath itself,
+they assume one thread.
 """
 
+import functools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
@@ -19,7 +28,10 @@ from mpmath import acosh, cos, cosh, exp, log, pi, quad, sin, sinh, sqrt
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
                      PrecisionLossError)
-from .special import SeriesControl, default_ctl, ln_gamma
+from .special import SeriesControl, _eps, default_ctl, ln_gamma
+
+_CANC_FLAG = mpf(10 ** 6)
+_NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
 
 
 @dataclass
@@ -28,10 +40,6 @@ class KernelValue:
     value: object            # mpf
     rel_error: object        # mpf, >= 0
     cancellation: bool = False
-
-
-def _eps():
-    return mpf(10) ** (-mp.dps)
 
 
 def bessel_i(nu, x, ctl=None):
@@ -61,46 +69,71 @@ def bessel_i(nu, x, ctl=None):
         c0 = -exp(nu * log(x / 2) + ln_gamma(-nu)) * mp.sinpi(nu.real) / pi
     else:
         c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1))
-    term = c0
-    s = c0
+    # I_nu = c0 sum_k a_k q^k; the c0 scale cancels from the relative test
+    a, mags = _i_table(nu, mp.prec)
     q = (x / 2) ** 2
     tol = mpf(ctl.rel_tol)
-    prev_mag = abs(term)
+    p = s = prev_mag = mpf(1)
     streak = 0
     for k in range(1, ctl.max_terms + 1):
-        term = term * q / (k * (k + nu))
-        s += term
-        mag = abs(term)
-        if mag < tol * abs(s) and mag <= prev_mag:
+        if k == len(a):
+            a.append(a[-1] / (k * (k + nu)))
+            mags.append(abs(a[-1]))
+        p *= q
+        s += a[k] * p
+        mag = mags[k] * p
+        # |s| <= |Re s| + |Im s|: the cheap bound rules most terms out
+        # before the hypot
+        if (mag <= prev_mag and mag < tol * (abs(s.real) + abs(s.imag))
+                and mag < tol * abs(s)):
             streak += 1
             if streak >= 3:
-                return s
+                return c0 * s
         else:
             streak = 0
         prev_mag = mag
-    raise NonconvergenceError("bessel_i series stalled", partial=s,
-                              tail_estimate=abs(term))
+    raise NonconvergenceError("bessel_i series stalled", partial=c0 * s,
+                              tail_estimate=abs(c0) * mag)
 
 
-def asymptotic_coeff(nu, n_max):
-    """Large-argument coefficients a_n(nu) of the J/H expansions.
+@functools.lru_cache(maxsize=128)
+def _i_table(nu, prec):
+    # a_k = prod_{j<=k} 1 / (j (j + nu)) and |a_k|, extended by bessel_i
+    return [mpc(1)], [mpf(1)]
 
-    Computed by the pole-free recurrence a_n = a_{n-1} (4 nu^2 - (2n-1)^2)
-    / (8 n), equivalent to the gamma-product form
+
+@functools.lru_cache(maxsize=128)
+def _j_table(nu, prec):
+    # (-1)^k prod_{j<=k} 1 / (j (j + nu)), extended by bessel_j, and
+    # 1 / Gamma(nu + 1)
+    return [mpf(1)], exp(-ln_gamma(nu + 1).real)
+
+
+def asymptotic_table(nu):
+    """Signed large-argument coefficients (-1)^floor(n/2) a_n(nu) of the
+    J/H expansions, n = 0..40, memoized per (nu, mp.prec).
+
+    a_n comes from the pole-free recurrence a_n = a_{n-1} (4 nu^2 -
+    (2n-1)^2) / (8 n), equivalent to the gamma-product form
     (-1)^n cos(pi nu) Gamma(n+1/2+nu) Gamma(n+1/2-nu) / (2^n n! pi).
     """
-    nu = mpf(nu)
-    coeffs = [mpf(1)]
-    for n in range(1, n_max):
-        coeffs.append(coeffs[-1] * (4 * nu ** 2 - (2 * n - 1) ** 2) / (8 * n))
-    return coeffs
+    return _asymptotic_memo(mpf(nu), mp.prec)
+
+
+@functools.lru_cache(maxsize=128)
+def _asymptotic_memo(nu, prec):
+    a = [mpf(1)]
+    for n in range(1, 41):
+        a.append(a[-1] * (4 * nu ** 2 - (2 * n - 1) ** 2) / (8 * n))
+    return tuple(c if n % 4 < 2 else -c for n, c in enumerate(a))
 
 
 def bessel_j(nu, x, ctl=None, with_error=False):
     """J_nu(x) for real nu > -1, x >= 0.
 
     Ascending series for x <= 20 + nu^2/2; beyond that the two-sum
-    asymptotic form truncated at its smallest term, whose magnitude is the
+    asymptotic form truncated at its smallest term or after 40 terms,
+    whichever comes first; the first omitted term's magnitude is the
     returned error estimate.
     """
     ctl = ctl or default_ctl()
@@ -115,39 +148,42 @@ def bessel_j(nu, x, ctl=None, with_error=False):
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1)).real
-        term = c0
-        s = c0
+        # J_nu = c0 sum_k b_k q^k, the absolute floor eps scaled by 1/c0
+        b, inv_gamma = _j_table(nu, mp.prec)
+        c0 = (x / 2) ** nu * inv_gamma
         q = (x / 2) ** 2
-        tol, eps = mpf(ctl.rel_tol), _eps()
+        tol, floor = mpf(ctl.rel_tol), _eps() / c0
+        p = s = mpf(1)
         for k in range(1, ctl.max_terms + 1):
-            term = -term * q / (k * (k + nu))
-            s += term
-            if abs(term) < tol * max(abs(s), eps):
+            if k == len(b):
+                b.append(-b[-1] / (k * (k + nu)))
+            p *= q
+            t = b[k] * p
+            s += t
+            if abs(t) < tol * max(abs(s), floor):
                 break
-        return (s, abs(term)) if with_error else s
+        return (c0 * s, c0 * abs(t)) if with_error else c0 * s
 
-    # asymptotic branch
-    coeffs = asymptotic_coeff(nu, 40)
+    # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum
+    c = asymptotic_table(nu)
     omega = x - pi * nu / 2 - pi / 4
-    s_cos = mpf(0)
-    s_sin = mpf(0)
+    sums = [mpf(0), mpf(0)]
+    r = mpf(1)
+    inv_x = 1 / x
     prev = None
-    first_omitted = mpf(0)
-    for n, a_n in enumerate(coeffs):
-        t = a_n / x ** n
-        if prev is not None and abs(t) >= prev:
-            first_omitted = abs(t)
-            break
-        if n % 2 == 0:
-            s_cos += (-1) ** (n // 2) * t
-        else:
-            s_sin += (-1) ** ((n - 1) // 2) * t
-        prev = abs(t)
+    for n in range(40):
+        t = c[n] * r
+        mag = abs(t)
+        if prev is not None and mag >= prev:
+            break  # the expansion bottomed out; mag is the first omitted
+        sums[n % 2] += t
+        prev = mag
+        r *= inv_x
+    else:
+        mag = abs(c[40]) * r  # the coefficients ran out first
     amp = sqrt(2 / (pi * x))
-    v = amp * (cos(omega) * s_cos - sin(omega) * s_sin)
-    err = amp * first_omitted
-    return (v, err) if with_error else v
+    v = amp * (cos(omega) * sums[0] - sin(omega) * sums[1])
+    return (v, amp * mag) if with_error else v
 
 
 def _cosh_cutoff(x):
@@ -211,7 +247,7 @@ def k_itau_quad(tau, x):
     abs_err = qerr + _eps() * k0
     rel = abs_err / abs(v) if v != 0 else mpf(1)
     res = KernelValue(value=v, rel_error=rel,
-                      cancellation=(v != 0 and k0 / abs(v) > mpf("1e6")))
+                      cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
     _kq_cache[key] = res
     return _checked(res, "k_itau_quad", tau)
 
@@ -245,10 +281,11 @@ def k_itau_series(tau, x, ctl=None):
         return _checked(hit, "k_itau_series", tau)
     i_tau = bessel_i(1j * tau, x, ctl)
     v = -pi * i_tau.imag / sinh(pi * tau)
-    canc_ratio = abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0 else mpf("1e30")
+    canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
+                  else _NO_IMAG_RATIO)
     rel = _eps() * (exp(pi * tau) + canc_ratio)
     res = KernelValue(value=v, rel_error=rel,
-                      cancellation=canc_ratio > mpf("1e6"))
+                      cancellation=canc_ratio > _CANC_FLAG)
     _ks_cache[key] = res
     return _checked(res, "k_itau_series", tau)
 

@@ -20,7 +20,7 @@ from mpmath import (asinh, cos, exp, factorial, inf, log, pi, quad, re,
                     sinh, sqrt)
 
 from . import config
-from .bessel import asymptotic_coeff, bessel_j, k_index, series_safe_x
+from .bessel import asymptotic_table, bessel_j, k_index, series_safe_x
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .special import ln_gamma
 
@@ -192,11 +192,17 @@ def mehler_fock_sq(mu, tau, x, maxdegree=6):
 
 
 def _hankel0_asym(w):
-    # large-argument H_0^(1); valid here with Im w > 0 heading to decay
-    s = mpc(0)
-    for n, a_n in enumerate(asymptotic_coeff(mpf(0), 12)):
-        s += a_n * (1j / w) ** n
-    return sqrt(2 / (pi * w)) * exp(1j * (w - pi / 4)) * s
+    # large-argument H_0^(1) = sqrt(2/(pi w)) e^{i(w - pi/4)} (P + i Q), P
+    # and Q the even and odd parts of sum_{n<12} c_n w^{-n} over the signed
+    # table; valid here with Im w > 0 heading to decay
+    c = asymptotic_table(0)
+    pq = [mpc(0), mpc(0)]
+    r = mpc(1)
+    inv_w = 1 / w
+    for n in range(12):
+        pq[n % 2] += c[n] * r
+        r *= inv_w
+    return sqrt(2 / (pi * w)) * exp(1j * (w - pi / 4)) * (pq[0] + 1j * pq[1])
 
 
 def product_kernel_quad(tau, x, maxdegree=6):
@@ -236,8 +242,7 @@ def product_kernel_quad(tau, x, maxdegree=6):
     tail, err_t = quad(tail_ray, [0, inf], error=True, maxdegree=maxdegree)
     v = 2 * (head + re(1j * tail))
     # Hankel truncation floor: first omitted asymptotic term at the corner
-    a12 = asymptotic_coeff(mpf(0), 13)[-1]
-    trunc = abs(a12) / (2 * x * U) ** 12
+    trunc = abs(asymptotic_table(0)[12]) / (2 * x * U) ** 12
     return QuadResult(v, 2 * (err_h + abs(err_t)) + trunc, box[0])
 
 

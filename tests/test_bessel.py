@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from indexkernels import bessel, config
-from indexkernels.bessel import (bessel_i, bessel_j, bessel_k_real, k_index,
-                                 k_itau_quad, k_itau_series, series_safe_x)
+from indexkernels.bessel import (asymptotic_table, bessel_i, bessel_j,
+                                 bessel_k_real, k_index, k_itau_quad,
+                                 k_itau_series, series_safe_x)
 from indexkernels.errors import (NonconvergenceError, OverflowGuardError,
                                  PrecisionLossError)
+from indexkernels.quadrature import _hankel0_asym
 from indexkernels.special import SeriesControl
 
 mp.dps = config.get().dps
@@ -76,6 +78,76 @@ class TestBesselJ:
         v, err = bessel_j(mpf("0.5"), mpf(30), with_error=True)
         ref = mpmath.besselj(mpf("0.5"), mpf(30))
         assert abs(v - ref) <= err + mpf("1e-35")
+
+    def test_error_estimate_when_coefficients_run_out(self):
+        # beyond x ~ 20 the 40 asymptotic terms still decrease when they
+        # run out; the estimate is then the 41st term, not 0
+        for nu, x in ((0, 21), (0.7, 30), (1.3, 50), (0, 40), (1, 25),
+                      (3, 35), (5, 60)):
+            v, err = bessel_j(mpf(nu), mpf(x), with_error=True)
+            with mpmath.workdps(mp.dps + 20):
+                ref = mpmath.besselj(mpf(nu), mpf(x))
+            assert abs(v - ref) <= err
+
+
+class TestCoefficientTables:
+    def test_call_order_independent(self):
+        tau, nu = mpf("1.7"), mpf("1.3")
+        xs = [mpf(k) / 4 for k in range(1, 120, 7)]
+
+        def sweep(order):
+            bessel._i_table.cache_clear()
+            bessel._j_table.cache_clear()
+            return [(bessel_i(1j * tau, x), bessel_j(nu, x)) for x in order]
+
+        assert sweep(xs) == sweep(xs[::-1])[::-1]
+
+    def test_keyed_on_precision(self):
+        saved = mp.dps
+        try:
+            for dps in (40, 60):
+                mp.dps = dps
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                vi = bessel_i(mpc("0.5", "2.5"), mpf(3), ctl)
+                vj = bessel_j(mpf("0.7"), mpf(3), ctl)
+            with mpmath.workdps(80):
+                ri = mpmath.besseli(mpc("0.5", "2.5"), 3)
+                rj = mpmath.besselj(mpf("0.7"), 3)
+            assert rel(vi, ri) < mpf("1e-55")
+            assert rel(vj, rj) < mpf("1e-55")
+        finally:
+            mp.dps = saved
+
+    def test_memos_bounded(self):
+        for memo in (bessel._i_table, bessel._j_table,
+                     bessel._asymptotic_memo):
+            assert memo.cache_info().maxsize is not None
+
+    def test_j_and_h0_across_switch(self):
+        saved = mp.dps
+        try:
+            # not below dps 40: the ascending estimate leaves out the
+            # cancellation loss near x = 20 (at dps 25 it is ~1e6 short)
+            for dps in (40, 60):
+                mp.dps = dps
+                for nu in (mpf(0), mpf("0.7"), mpf("1.3"), mpf(4)):
+                    switch = 20 + nu ** 2 / 2
+                    for x in (switch - mpf("0.1"), switch + mpf("0.1")):
+                        v, err = bessel_j(nu, x, with_error=True)
+                        with mpmath.workdps(dps + 20):
+                            ref = mpmath.besselj(nu, x)
+                        assert abs(v - ref) <= err
+                # H_0 sums 12 terms; the 13th bounds the truncation
+                c12 = abs(asymptotic_table(0)[12])
+                for w in (mpc(19), mpc(21), mpc(25, 2), mpc(40, 10)):
+                    h = _hankel0_asym(w)
+                    with mpmath.workdps(dps + 20):
+                        ref = mpmath.hankel1(0, w)
+                    amp = abs(mpmath.sqrt(2 / (mpmath.pi * w))
+                              * mpmath.exp(1j * w))
+                    assert abs(h - ref) <= amp * c12 / abs(w) ** 12
+        finally:
+            mp.dps = saved
 
 
 class TestBesselKReal:
