@@ -32,6 +32,9 @@ from .special import SeriesControl, _eps, default_ctl, ln_gamma
 
 _CANC_FLAG = mpf(10 ** 6)
 _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
+# eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
+# exp(-ln_gamma), the reduced phase) round to tens of them
+_ROUNDING = 10
 
 
 @dataclass
@@ -133,8 +136,10 @@ def bessel_j(nu, x, ctl=None, with_error=False):
 
     Ascending series for x <= 20 + nu^2/2; beyond that the two-sum
     asymptotic form truncated at its smallest term or after 40 terms,
-    whichever comes first; the first omitted term's magnitude is the
-    returned error estimate.
+    whichever comes first.  The returned error estimate is the first
+    omitted term's magnitude plus a rounding floor: eps times the largest
+    ascending term, or eps (1 + x) times the asymptotic terms' sum, which
+    covers the reduction of the phase x - pi nu / 2 - pi / 4.
     """
     ctl = ctl or default_ctl()
     nu = mpf(nu)
@@ -153,22 +158,29 @@ def bessel_j(nu, x, ctl=None, with_error=False):
         c0 = (x / 2) ** nu * inv_gamma
         q = (x / 2) ** 2
         tol, floor = mpf(ctl.rel_tol), _eps() / c0
-        p = s = mpf(1)
+        p = s = big = mpf(1)
         for k in range(1, ctl.max_terms + 1):
             if k == len(b):
                 b.append(-b[-1] / (k * (k + nu)))
             p *= q
             t = b[k] * p
             s += t
-            if abs(t) < tol * max(abs(s), floor):
+            mag = abs(t)
+            if mag > big:
+                big = mag
+            if mag < tol * max(abs(s), floor):
                 break
-        return (c0 * s, c0 * abs(t)) if with_error else c0 * s
+        if not with_error:
+            return c0 * s
+        # truncation plus the rounding floor of the alternating sum, which
+        # loses log10(big / |s|) digits near the switch
+        return c0 * s, c0 * (mag + _ROUNDING * _eps() * big)
 
     # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum
     c = asymptotic_table(nu)
     omega = x - pi * nu / 2 - pi / 4
     sums = [mpf(0), mpf(0)]
-    r = mpf(1)
+    r, total = mpf(1), mpf(0)
     inv_x = 1 / x
     prev = None
     for n in range(40):
@@ -177,13 +189,18 @@ def bessel_j(nu, x, ctl=None, with_error=False):
         if prev is not None and mag >= prev:
             break  # the expansion bottomed out; mag is the first omitted
         sums[n % 2] += t
+        total += mag
         prev = mag
         r *= inv_x
     else:
         mag = abs(c[40]) * r  # the coefficients ran out first
     amp = sqrt(2 / (pi * x))
     v = amp * (cos(omega) * sums[0] - sin(omega) * sums[1])
-    return (v, amp * mag) if with_error else v
+    if not with_error:
+        return v
+    # truncation plus rounding, dominated by the phase omega, whose
+    # absolute error grows like eps * x
+    return v, amp * (mag + _ROUNDING * _eps() * (1 + x) * total)
 
 
 def _cosh_cutoff(x):
@@ -222,6 +239,18 @@ def _checked(res, route, tau):
     return res
 
 
+# The K caches are plain dicts (insertion-ordered) holding at most
+# _K_CACHE_MAX entries; past that the oldest entry is evicted.  The cap is
+# above what any benchmark workload stores (2,604 on route-crosscheck).
+_K_CACHE_MAX = 4096
+
+
+def _cache_put(cache, key, res):
+    if len(cache) >= _K_CACHE_MAX:
+        del cache[next(iter(cache))]
+    cache[key] = res
+
+
 _kq_cache = {}
 
 
@@ -248,7 +277,7 @@ def k_itau_quad(tau, x):
     rel = abs_err / abs(v) if v != 0 else mpf(1)
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
-    _kq_cache[key] = res
+    _cache_put(_kq_cache, key, res)
     return _checked(res, "k_itau_quad", tau)
 
 
@@ -286,7 +315,7 @@ def k_itau_series(tau, x, ctl=None):
     rel = _eps() * (exp(pi * tau) + canc_ratio)
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=canc_ratio > _CANC_FLAG)
-    _ks_cache[key] = res
+    _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau)
 
 

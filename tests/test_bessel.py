@@ -79,6 +79,22 @@ class TestBesselJ:
         ref = mpmath.besselj(mpf("0.5"), mpf(30))
         assert abs(v - ref) <= err + mpf("1e-35")
 
+    def test_error_estimate_covers_rounding(self):
+        # near the x = 20 + nu^2/2 switch the alternating ascending sum
+        # loses digits, and far out the phase reduction does; the estimate
+        # must cover both and stay within 1e6 of the actual error.  At
+        # small x the prefactor's rounding dominates.
+        for dps in (25, 40):
+            with mpmath.workdps(dps):
+                for nu in range(6):
+                    for x in (1.6, 2.3, 3.4, 19, 19.9, 20.5, 25, 32.4, 40,
+                              80, 120, 200):
+                        v, err = bessel_j(mpf(nu), mpf(x), with_error=True)
+                        with mpmath.workdps(dps + 20):
+                            actual = abs(v - mpmath.besselj(nu, mpf(x)))
+                        assert actual <= err, (dps, nu, x)
+                        assert err <= 10 ** 6 * actual, (dps, nu, x)
+
     def test_error_estimate_when_coefficients_run_out(self):
         # beyond x ~ 20 the 40 asymptotic terms still decrease when they
         # run out; the estimate is then the 41st term, not 0
@@ -267,6 +283,30 @@ class TestImaginaryOrderK:
             mp.dps = saved_dps
             bessel._ks_cache.clear()
             bessel._ks_cache.update(saved_cache)
+
+
+class TestKCacheBound:
+    @pytest.mark.parametrize("route,cache", [(k_itau_series, "_ks_cache"),
+                                             (k_itau_quad, "_kq_cache")])
+    def test_oldest_entry_evicted_at_cap(self, monkeypatch, route, cache):
+        monkeypatch.setattr(bessel, "_K_CACHE_MAX", 4)
+        store = getattr(bessel, cache)
+        saved = dict(store)
+        store.clear()
+        try:
+            tau = mpf(2)
+            xs = [mpf(1) + mpf(k) / 4 for k in range(6)]
+            first = route(tau, xs[0]).value
+            for x in xs[1:]:
+                route(tau, x)
+                assert len(store) <= 4
+            assert len(store) == 4
+            assert all(key[1] != xs[0] for key in store)  # evicted
+            assert route(tau, xs[0]).value == first  # recomputed
+            assert len(store) == 4
+        finally:
+            store.clear()
+            store.update(saved)
 
 
 class TestKIndexRouting:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import config
-from indexkernels.errors import DomainError, PoleError
-from indexkernels.special import (_ln_gamma_memo, binet_r, gamma_c,
-                                  gamma_via_binet, hyp1f1, hyp1f2, hyp2f1,
-                                  hyp2f1_term2, ln_gamma, pochhammer)
+from indexkernels import config, special
+from indexkernels.errors import DomainError, NonconvergenceError, PoleError
+from indexkernels.special import (SeriesControl, _ln_gamma_memo, binet_r,
+                                  gamma_c, gamma_via_binet, hyp1f1, hyp1f2,
+                                  hyp2f1, hyp2f1_term2, ln_gamma, pochhammer)
 
 mp.dps = config.get().dps
 
@@ -174,3 +174,143 @@ class TestHypergeometric:
         rho, tau = mpf("0.3"), mpf(2)
         expect = 1 - 2 * (1j * tau + rho + mpf("0.5")) / (1 + 2j * tau)
         assert rel(hyp2f1_term2(1, rho, tau), expect) < mpf("1e-35")
+
+
+def _two_pass_adaptive(nums, dens, z, ctl):
+    # the loop the float dry run replaced: a first pass at mp.dps only
+    # supplies the loss digits, then the escalation recomputes the sum
+    extra = 0
+    while True:
+        with mpmath.workdps(mp.dps + extra):
+            s, max_mag, _ = special._series_sum(nums, dens, z, ctl)
+            if s == 0:
+                loss = 0
+            else:
+                loss = int(mp.log10(max_mag / abs(s))) + 1
+        if loss <= extra:
+            return mpc(s)
+        extra = loss + 10
+
+
+def _two_pass(monkeypatch, f, *args):
+    with monkeypatch.context() as m:
+        m.setattr(special, "_series_adaptive", _two_pass_adaptive)
+        return f(*args)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(special, name)
+
+    def counted(*args):
+        out = fn(*args)
+        calls.append(out)
+        return out
+    monkeypatch.setattr(special, name, counted)
+    return calls
+
+
+class TestSeriesDryRun:
+    @staticmethod
+    def cases(tau):
+        half, mu, x = mpf(1) / 2, mpf("0.7"), mpf("1.3")
+        a = half + 1j * tau
+        return [
+            (hyp1f1, a + mpf("0.2"), 1 + 2j * tau, -x),
+            (hyp1f1, mpc(1, tau), 2, -4 * x),  # the Kummer transform
+            (hyp1f1, mpc(1, tau), 2, 2j * tau),
+            (hyp1f2, a, 1 + 1j * tau, 1 + 2j * tau, x ** 2),
+            (hyp1f2, 1, 3 - 1j * tau, 3, -4 * tau ** 2),
+            (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-0.3")),  # direct
+            (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-3.5")),  # Pfaff
+            (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-1.004")),  # window
+        ]
+
+    def test_matches_two_pass_loop(self, monkeypatch):
+        extras = _count_calls(monkeypatch, "_dry_run_extra")
+        passes = _count_calls(monkeypatch, "_series_sum")
+        declined = set()
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for tau in (mpf("0.3"), mpf("2.5"), mpf(7), mpf(13), mpf(20)):
+                    for f, *args in self.cases(tau):
+                        ref = _two_pass(monkeypatch, f, *args)
+                        del extras[:], passes[:]
+                        assert f(*args) == ref, (dps, tau, f.__name__, args)
+                        if 0 in extras and len(passes) > len(extras):
+                            declined.add(f.__name__)
+        # the largest tau loses more digits than the dry run accepts, so
+        # the first pass at mp.dps runs as before
+        assert declined == {"hyp1f1", "hyp1f2", "hyp2f1"}
+
+    def test_one_pass_when_loss_is_small(self, monkeypatch):
+        passes = _count_calls(monkeypatch, "_series_sum")
+        # no cancellation: 1F1(1; 2; 1/2) = 2 (e^(1/2) - 1)
+        v = hyp1f1(1, 2, mpf("0.5"))
+        assert len(passes) == 1
+        assert rel(v, 2 * mpmath.expm1(mpf("0.5"))) < mpf("1e-23")
+        # 2F1 with conjugate parameters at tau = 5 loses ~5 digits
+        half = mpf(1) / 2
+        v = hyp2f1(half - 5j, half + 5j, mpf("1.7"), mpf("-0.3"))
+        assert len(passes) == 2
+        assert rel(v, mpmath.hyp2f1(half - 5j, half + 5j, mpf("1.7"),
+                                    mpf("-0.3"))) < mpf("1e-23")
+        # the loop it replaced summed each twice
+        _two_pass(monkeypatch, hyp1f1, 1, 2, mpf("0.5"))
+        _two_pass(monkeypatch, hyp2f1, half - 5j, half + 5j, mpf("1.7"),
+                  mpf("-0.3"))
+        assert len(passes) == 6
+
+    def test_declines_on_overflow(self, monkeypatch):
+        # 1F1(1; 2; 800) = (e^800 - 1) / 800: its terms overflow a float
+        ctl = special.default_ctl()
+        assert special._dry_run_extra([mpc(1)], [mpc(2)], mpc(800), ctl) == 0
+        ref = _two_pass(monkeypatch, hyp1f1, 1, 2, 800)
+        assert hyp1f1(1, 2, 800) == ref
+        assert rel(ref, mpmath.expm1(800) / 800) < mpf("1e-23")
+
+    def test_declines_on_large_loss(self, monkeypatch):
+        half, tau = mpf(1) / 2, mpf(16)
+        args = (half - 1j * tau, half + 1j * tau, mpf("1.5"), mpf("-0.6"))
+        ctl = special.default_ctl()
+        assert special._dry_run_extra([mpc(args[0]), mpc(args[1])],
+                                      [mpc(args[2])], mpc(args[3]), ctl) == 0
+        passes = _count_calls(monkeypatch, "_series_sum")
+        v = hyp2f1(*args)
+        assert len(passes) >= 2  # a pass at mp.dps, then the escalation
+        assert v == _two_pass(monkeypatch, hyp2f1, *args)
+        # the cap applies on its own: this sum loses 2.7 digits
+        args = ([half - 7j, half + 7j], [mpc("1.7")], mpc("-0.3"), ctl)
+        assert special._dry_run_extra(*args) == 13
+        monkeypatch.setattr(special, "_DRY_RUN_MAX_LOSS", 2)
+        assert special._dry_run_extra(*args) == 0
+
+    def test_declines_when_terms_run_out(self, monkeypatch):
+        # five terms do not converge; the mp pass raises the old error
+        ctl = SeriesControl(max_terms=5)
+        args = (mpc(1, 3), 2, mpf("-0.5"), ctl)
+        assert special._dry_run_extra([mpc(1, 3)], [mpc(2)], mpc(-0.5),
+                                      ctl) == 0
+        with pytest.raises(NonconvergenceError) as new:
+            hyp1f1(*args)
+        with pytest.raises(NonconvergenceError) as old:
+            _two_pass(monkeypatch, hyp1f1, *args)
+        assert new.value.partial == old.value.partial
+        assert str(new.value) == str(old.value)
+
+    def test_extra_is_the_first_pass_choice(self):
+        # on these small-loss sums the dry run answers, and it answers
+        # what a pass at mp.dps says
+        ctl = special.default_ctl()
+        half = mpf(1) / 2
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for tau in (mpf("0.3"), mpf(2), mpf(5), mpf(8)):
+                    nums = [half - 1j * tau, half + 1j * tau]
+                    dens = [mpc("1.6")]
+                    for z in (mpc("-0.2"), mpc("-0.45"), mpc("0.6")):
+                        s, max_mag, _ = special._series_sum(nums, dens, z,
+                                                            ctl)
+                        loss = int(mp.log10(max_mag / abs(s))) + 1
+                        extra = special._dry_run_extra(nums, dens, z, ctl)
+                        assert extra == loss + 10, (dps, tau, z)
