@@ -284,6 +284,14 @@ def k_itau_quad(tau, x):
 _ks_cache = {}
 
 
+def full_precision_ctl(ctl=None):
+    """ctl (default: the config's) summing to 10^-dps: the config
+    tolerance is for standalone series, not the I-series of K_{i tau}."""
+    base = ctl or default_ctl()
+    return SeriesControl(rel_tol=min(base.rel_tol, 10.0 ** (-mp.dps)),
+                         max_terms=base.max_terms)
+
+
 def k_itau_series(tau, x, ctl=None):
     """K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau), from one
     ascending I-series.
@@ -299,11 +307,7 @@ def k_itau_series(tau, x, ctl=None):
     x = mpf(x)
     if x <= 0 or tau <= 0:
         raise DomainError("k_itau_series requires x > 0, tau > 0")
-    base = ctl or default_ctl()
-    # sum the I-series to full working precision; the config tolerance is
-    # meant for standalone series, not for this cancellation-prone pair
-    ctl = SeriesControl(rel_tol=min(base.rel_tol, 10.0 ** (-mp.dps)),
-                        max_terms=base.max_terms)
+    ctl = full_precision_ctl(ctl)
     key = (tau, x, mp.prec, ctl.rel_tol, ctl.max_terms)
     hit = _ks_cache.get(key)
     if hit is not None:

@@ -19,8 +19,7 @@ import csv
 import sys
 import time
 
-from mpmath import mp, mpf, mpc, nstr
-from mpmath import cos, exp, pi, sqrt
+from mpmath import exp, mpc, mpf, nstr, pi, workdps
 
 from . import bounds, config, kernels
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -388,20 +387,23 @@ def main(argv=None):
     if args.slack is not None:
         cfg.bound_slack = float(args.slack)
         cfg.remainder_slack = float(args.slack)
+    prev = config.get()  # restored, with mp.dps, on the way out
     config.set_active(cfg)
-    mp.dps = cfg.dps
     try:
         if args.command == "eval" and (args.x is None or args.tau is None):
             raise DomainError("eval requires --x and --tau")
         if args.command == "verify" and not args.bound:
             raise DomainError("verify requires --bound")
-        return args.func(args)
+        with workdps(cfg.dps):
+            return args.func(args)
     except (DomainError, ValueError) as exc:
         print("usage error: %s" % (exc,), file=sys.stderr)
         return EXIT_USAGE
     except NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % (exc,), file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        config.set_active(prev)
 
 
 if __name__ == "__main__":

@@ -17,16 +17,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf, mpc, workdps
-from mpmath import (atan, cos, cosh, e, exp, factorial, log, pi, sin, sinh,
-                    sqrt, tanh)
+from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
+                    tanh)
 
 from . import config
-from .bessel import bessel_i, k_itau_quad, k_itau_series, bessel_k_real
+from .bessel import (bessel_i, full_precision_ctl, k_index, k_itau_quad,
+                     k_itau_series)
 from .errors import DomainError, NumericalFailureError
-from .quadrature import (QuadResult, mehler_fock_sq, olevskii_quad,
-                         product_kernel_quad, whittaker_quad)
-from .special import (SeriesControl, binet_r, default_ctl, hyp1f1, hyp1f2,
-                      hyp2f1, hyp2f1_term2, ln_gamma, pochhammer)
+from .quadrature import (mehler_fock_sq, olevskii_quad, product_kernel_quad,
+                         whittaker_quad)
+from .special import (default_ctl, hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2,
+                      ln_gamma, pochhammer)
 
 KERNEL_IDS = ("kl", "lebedev-square", "lebedev-product", "whittaker",
               "mehler-fock", "olevskii")
@@ -110,6 +111,8 @@ def thm1_remainder_explicit(N, tau, x, with_tail=True):
     """Closed-form remainder of the K_{i tau} expansion at truncation
     order N: the Stirling correction r(i tau), the finite Pochhammer sum
     in (x/2)^2, and a 1F2 tail, all under one rotated real part.
+    r(i tau) comes from the memoized ln_gamma (special.binet_r, its
+    quadrature, stays the independent check in the tests).
     with_tail=False drops the 1F2 closure term, leaving the truncated
     asymptotic series (the cheap route used for crossover searches)."""
     if N < 0 or N != int(N):
@@ -117,7 +120,9 @@ def thm1_remainder_explicit(N, tau, x, with_tail=True):
     N = int(N)
     tau = mpf(tau)
     x = mpf(x)
-    r = binet_r(1j * tau)
+    z = mpc(0, tau)
+    r = exp(ln_gamma(z) - ((z - mpf(1) / 2) * log(z) - z
+                          + log(2 * pi) / 2)) - 1
     s = mpc(0)
     for m in range(1, N + 1):
         s += (x / 2) ** (2 * m) / (factorial(m) * pochhammer(1 - 1j * tau, m))
@@ -174,9 +179,9 @@ def k_squared_direct(tau, x, ctl=None):
 
 
 def _k_oracle(tau, x):
-    # K oracle for remainder measurements, in bumped precision
+    # K oracle for remainder measurements: k_index's route, bumped precision
     with workdps(mp.dps + 15):
-        return k_itau_quad(mpf(tau), mpf(x)).value
+        return k_index(tau, x)
 
 
 def thm2_main_and_bound(tau, x, tau0, X):
@@ -220,10 +225,8 @@ def product_kernel_direct(tau, x, ctl=None):
 
 def _product_oracle(tau, x):
     with workdps(mp.dps + 15):
-        tau = mpf(tau)
-        x = mpf(x)
-        K = k_itau_quad(tau, x).value
-        return 2 * bessel_i(1j * tau, x).real * K
+        K = k_index(tau, x)
+        return 2 * bessel_i(1j * tau, x, full_precision_ctl()).real * K
 
 
 def thm3_main_and_bound(tau, x, tau0, X):
@@ -292,17 +295,6 @@ def whittaker_direct(rho, tau, x, route="f11", ctl=None):
     lg = ln_gamma(-2j * tau) - ln_gamma(mpf(1) / 2 - rho - 1j * tau)
     v = 2 * (exp(lg) * x ** (1j * tau + mpf(1) / 2) * f).real
     return exp(x / 2) * v
-
-
-def whittaker_cross_checked(rho, tau, x, rel_tol=mpf("1e-10")):
-    a = whittaker_direct(rho, tau, x, "f11")
-    if abs(rho) < mpf(1) / 2 and x < 1:
-        b = whittaker_direct(rho, tau, x, "series218")
-        if abs(a - b) > rel_tol * max(abs(a), abs(b)):
-            raise NumericalFailureError(
-                "whittaker route disagreement at rho=%s tau=%s x=%s"
-                % (rho, tau, x))
-    return a
 
 
 def thm4_scale(rho, tau):

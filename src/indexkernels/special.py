@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workdps
-from mpmath import bernoulli, cos, exp, factorial, log, pi, quad, sqrt
+from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
 
 from . import config
 from .errors import DomainError, NonconvergenceError, PoleError

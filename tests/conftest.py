@@ -1,7 +1,22 @@
 """Suite-wide fixtures."""
 
+import os
+from pathlib import Path
+
 import pytest
 from mpmath import mp
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH: a
+    `python -m indexkernels.cli` child does not see pytest's pythonpath
+    setting, so without it the child imports nothing or another copy."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture(autouse=True)

@@ -145,7 +145,7 @@ def test_criterion_8_fit_stability():
            drift < mpf("0.02") and oos)
 
 
-def test_criterion_9_sweep_determinism(tmp_path):
+def test_criterion_9_sweep_determinism(tmp_path, src_env):
     outs = []
     for name in ("first.csv", "second.csv"):
         path = tmp_path / name
@@ -153,7 +153,7 @@ def test_criterion_9_sweep_determinism(tmp_path):
             [sys.executable, "-m", "indexkernels.cli", "sweep",
              "--kernel", "kl", "--grid", "tau=1:5:1",
              "--grid", "x=0.25:1:0.25", "--out", str(path)],
-            capture_output=True)
+            capture_output=True, env=src_env)
         assert r.returncode == 0
         outs.append(path.read_bytes())
     report(9, "byte-identical sweep output", outs[0] == outs[1])

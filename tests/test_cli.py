@@ -3,6 +3,9 @@
 import subprocess
 import sys
 
+from mpmath import mp
+
+from indexkernels import config
 from indexkernels.cli import main, parse_grid
 
 
@@ -133,7 +136,7 @@ class TestCrossover:
 
 
 class TestSweepDeterminism:
-    def test_byte_identical(self, tmp_path):
+    def test_byte_identical(self, tmp_path, src_env):
         outs = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
@@ -141,13 +144,34 @@ class TestSweepDeterminism:
                 [sys.executable, "-m", "indexkernels.cli", "sweep",
                  "--kernel", "kl", "--grid", "tau=1:3:1",
                  "--grid", "x=0.5:1:0.5", "--out", str(path)],
-                capture_output=True)
+                capture_output=True, env=src_env)
             assert r.returncode == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[0] == (
             b"kernel,route,x,tau,mu,nu,rho,value_re,value_im,"
             b"rel_err_est,flags,error")
+
+
+class TestGlobalState:
+    def test_main_restores_precision_and_config(self, capsys):
+        argv = ["eval", "--kernel", "kl", "--x", "1", "--tau", "1"]
+        _, ref, _ = run(argv, capsys)
+        before = config.get()
+        dps = mp.dps
+        try:
+            mp.dps = 25
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert out == ref  # the command ran at the config's dps
+            assert mp.dps == 25
+            assert config.get() is before
+            code, _, _ = run(["eval", "--kernel", "kl", "--x", "1"], capsys)
+            assert code == 2
+            assert mp.dps == 25
+            assert config.get() is before
+        finally:
+            mp.dps = dps
 
 
 class TestFitConstants:

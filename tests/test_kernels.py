@@ -6,20 +6,21 @@ Pinned values computed with mpmath at dps=60.
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf, mpc, workdps
 
-from indexkernels import config
-from indexkernels.bessel import k_itau_quad
+from indexkernels import bessel, config
+from indexkernels.bessel import k_itau_quad, k_itau_series, series_safe_x
 from indexkernels.errors import DomainError
-from indexkernels.kernels import (KernelPoint, conical_p, eval,
+from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
+                                  _thm1_phase, conical_p, eval,
                                   k_squared_direct, olevskii_decay_slopes,
                                   olevskii_direct, olevskii_main,
                                   product_kernel_direct, thm1_main,
                                   thm1_remainder_bound,
                                   thm1_remainder_explicit, thm1_report,
                                   thm2_main_and_bound, thm3_main_and_bound,
-                                  thm4_main_and_bound, whittaker_cross_checked,
-                                  whittaker_direct)
+                                  thm4_main_and_bound, whittaker_direct)
+from indexkernels.special import binet_r
 
 mp.dps = config.get().dps
 
@@ -103,6 +104,78 @@ class TestExpansionProduct:
         assert rel(rep.remainder_bound, THM3_BOUND_PIN) < mpf("1e-28")
 
 
+class TestExpansionOracles:
+    """The expansion remainders take r(i tau) from ln_gamma and K_{i tau}
+    from k_index at dps+15; these pin both against the independent
+    quadratures (binet_r, k_itau_quad)."""
+
+    POINTS = ((mpf(5), mpf("0.25")), (mpf(8), mpf(1)),
+              (mpf("9.5"), mpf("0.528")), (mpf(12), mpf(2)))
+
+    @staticmethod
+    def quad_spy(monkeypatch):
+        calls = []
+
+        def spy(tau, x):
+            calls.append((tau, x))
+            return k_itau_quad(tau, x)
+        monkeypatch.setattr(bessel, "k_itau_quad", spy)
+        return calls
+
+    def test_stirling_r_matches_binet_quadrature(self):
+        # at N = 0 without the tail the remainder is Re(e^{i theta} r);
+        # x and x e^{-pi/(2 tau)} put theta a quarter turn apart, so the
+        # pair pins both parts of r
+        for tau in (mpf(5), mpf(12), mpf(20)):
+            r = binet_r(1j * tau)
+            for x in (mpf(1), mpmath.exp(-mpmath.pi / (2 * tau))):
+                v = thm1_remainder_explicit(0, tau, x, with_tail=False)
+                ref = (mpmath.expj(_thm1_phase(tau, x)) * r).real
+                assert abs(v - ref) < mpf("1e-35") * abs(r)
+
+    def test_k_oracle_matches_quadrature(self, monkeypatch):
+        calls = self.quad_spy(monkeypatch)
+        for tau, x in self.POINTS:
+            v = _k_oracle(tau, x)
+            with workdps(mp.dps + 15):
+                q = k_itau_quad(tau, x)
+                est = max(q.rel_error, k_itau_series(tau, x).rel_error)
+            assert abs(v - q.value) <= est * abs(q.value)
+        assert calls == []  # the series route served every point
+
+    def test_product_oracle_matches_quadrature(self):
+        for tau, x in self.POINTS:
+            v = _product_oracle(tau, x)
+            with workdps(mp.dps + 15):
+                q = k_itau_quad(tau, x)
+                est = max(q.rel_error, k_itau_series(tau, x).rel_error)
+                ref = 2 * mpmath.besseli(1j * tau, x).real * q.value
+            assert abs(v - ref) <= est * abs(ref)
+
+    def test_quadrature_fallback_past_series_safe_x(self, monkeypatch):
+        calls = self.quad_spy(monkeypatch)
+        tau = mpf(1)
+        with workdps(mp.dps + 15):
+            x = mpmath.ceil(series_safe_x(tau)) + 1
+        v = _k_oracle(tau, x)
+        assert len(calls) == 1
+        with workdps(mp.dps + 30):
+            ref = mpmath.besselk(1j * tau, x).real
+        assert rel(v, ref) < mpf(10) ** (-mp.dps)
+
+    def test_product_oracle_sums_to_working_precision(self):
+        # summed only to the config rel_tol of 1e-24, the I factor leaves
+        # the remainder off by 1.9e-32 here
+        tau, x = mpf(12), mpf(2)
+        rem = thm3_main_and_bound(tau, x, mpf(5), mpf(2)).empirical_remainder
+        with workdps(90):
+            prod = (2 * mpmath.besseli(1j * tau, x).real
+                    * mpmath.besselk(1j * tau, x).real)
+            ref = prod * tau - mpmath.cos(
+                2 * tau * mpmath.log(2 * tau / (mpmath.e * x)))
+        assert rel(rem, ref) < mpf("1e-33")
+
+
 class TestWhittaker:
     def test_pinned_both_routes(self):
         for route in ("f11", "series218"):
@@ -110,9 +183,10 @@ class TestWhittaker:
             assert rel(v, W_03_2I_05) < mpf("1e-20")
 
     def test_cross_checked(self):
-        v = whittaker_cross_checked(mpf("-0.2"), mpf(1), mpf("0.8"))
         ref = mpmath.whitw(mpf("-0.2"), 1j, mpf("0.8")).real
-        assert rel(v, ref) < mpf("1e-15")
+        for route in ("f11", "series218"):
+            v = whittaker_direct(mpf("-0.2"), mpf(1), mpf("0.8"), route)
+            assert rel(v, ref) < mpf("1e-15")
 
     def test_report_holds(self):
         rep = thm4_main_and_bound(mpf(0), mpf(10), mpf("0.5"), mpf(5),
