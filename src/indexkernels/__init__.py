@@ -3,13 +3,9 @@ their Lebedev square/product combinations, index Whittaker, conical and
 conjugate-parameter Gauss hypergeometric kernels, with machine-checkable
 uniform bounds and asymptotic remainder bounds."""
 
-from mpmath import mp
-
 from .config import Config, get as get_config, load_from_env, set_active
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError, PoleError, PrecisionLossError)
-
-mp.dps = get_config().dps
 
 from .special import (SeriesControl, binet_r, gamma_c, gamma_via_binet,
                       hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,

@@ -10,20 +10,22 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
 series / large-argument expansion.
 
-The series coefficients depend only on the order, so each is computed once
-per (order, mp.prec) and kept in a bounded memo (lru_cache, as for
-special.ln_gamma): the ascending I and J tables grow on demand by their
-recurrence, so a value never depends on which argument came first, and
-every series is summed against its table with a real running power of the
-argument.  The memos share mp's global precision, so, like mpmath itself,
+The I and J series are summed in fixed point, as mpmath's libhyper does:
+on integers scaled by 2^(mp.prec + _GUARD), each term from the last by its
+exact ratio, the sum rounded to mp.prec once.  The guard bits absorb the
+floor divisions and the cancellation of the alternating J sum.  bessel_i
+sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate orders give
+exactly conjugate values.  The memos (1/Gamma(nu+1), the asymptotic
+coefficients, K_0) share mp's global precision, so, like mpmath itself,
 they assume one thread.
 """
 
 import functools
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, quad, sin, sinh, sqrt
+from mpmath.libmp import to_fixed
 
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
@@ -35,6 +37,8 @@ _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
 # eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
 # exp(-ln_gamma), the reduced phase) round to tens of them
 _ROUNDING = 10
+# bits the fixed-point series sums carry beyond mp.prec
+_GUARD = 24
 
 
 @dataclass
@@ -43,6 +47,12 @@ class KernelValue:
     value: object            # mpf
     rel_error: object        # mpf, >= 0
     cancellation: bool = False
+
+
+def _tol_fraction(tol):
+    # the series tolerance as n / 2^k, exactly, with k >= 0
+    _, n, e, _ = mpf(tol)._mpf_
+    return (n << e, 0) if e >= 0 else (n, -e)
 
 
 def bessel_i(nu, x, ctl=None):
@@ -65,6 +75,9 @@ def bessel_i(nu, x, ctl=None):
             return mpc(0)
         raise DomainError("bessel_i at x=0 with Re nu < 0")
 
+    conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
+    if conj:
+        nu = nu.conjugate()
     if nu.imag == 0 and nu.real < 0:
         # reflection 1/Gamma(nu+1) = -Gamma(-nu) sin(pi nu)/pi keeps the
         # log-gamma argument off the negative real axis; sinpi stays fully
@@ -72,44 +85,48 @@ def bessel_i(nu, x, ctl=None):
         c0 = -exp(nu * log(x / 2) + ln_gamma(-nu)) * mp.sinpi(nu.real) / pi
     else:
         c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1))
-    # I_nu = c0 sum_k a_k q^k; the c0 scale cancels from the relative test
-    a, mags = _i_table(nu, mp.prec)
-    q = (x / 2) ** 2
-    tol = mpf(ctl.rel_tol)
-    p = s = prev_mag = mpf(1)
+    # I_nu = c0 sum_k t_k, t_k = t_{k-1} q (k + a - ib) / (k |k + nu|^2),
+    # nu = a + ib, q = x^2/4, all scaled by 2^wp; |t|^2 for the stop rule.
+    # k + nu can be as small as ib, so b keeps prec bits of its own
+    wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
+    a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
+    q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
+    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    b2 = b * b
+    tr = sr = 1 << wp
+    ti = si = 0
+    prev = tr * tr
     streak = 0
     for k in range(1, ctl.max_terms + 1):
-        if k == len(a):
-            a.append(a[-1] / (k * (k + nu)))
-            mags.append(abs(a[-1]))
-        p *= q
-        s += a[k] * p
-        mag = mags[k] * p
-        # |s| <= |Re s| + |Im s|: the cheap bound rules most terms out
-        # before the hypot
-        if (mag <= prev_mag and mag < tol * (abs(s.real) + abs(s.imag))
-                and mag < tol * abs(s)):
+        ka = (k << wp) + a
+        d = k * (ka * ka + b2)
+        tr, ti = (tr * ka + ti * b) * q // d, (ti * ka - tr * b) * q // d
+        sr += tr
+        si += ti
+        mag = tr * tr + ti * ti
+        if (mag <= prev and mag << 2 * tol_k
+                < tol_n * tol_n * (sr * sr + si * si)):
             streak += 1
             if streak >= 3:
-                return c0 * s
+                break
         else:
             streak = 0
-        prev_mag = mag
-    raise NonconvergenceError("bessel_i series stalled", partial=c0 * s,
-                              tail_estimate=abs(c0) * mag)
+        prev = mag
+    else:
+        v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
+        raise NonconvergenceError(
+            "bessel_i series stalled", partial=v.conjugate() if conj else v,
+            tail_estimate=abs(c0) * sqrt(mpf((mag, -2 * wp))))
+    v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
+    return v.conjugate() if conj else v
 
 
 @functools.lru_cache(maxsize=128)
-def _i_table(nu, prec):
-    # a_k = prod_{j<=k} 1 / (j (j + nu)) and |a_k|, extended by bessel_i
-    return [mpc(1)], [mpf(1)]
-
-
-@functools.lru_cache(maxsize=128)
-def _j_table(nu, prec):
-    # (-1)^k prod_{j<=k} 1 / (j (j + nu)), extended by bessel_j, and
-    # 1 / Gamma(nu + 1)
-    return [mpf(1)], exp(-ln_gamma(nu + 1).real)
+def _inv_gamma(nu, prec):
+    # with guard bits: ln_gamma's absolute error reaches 30 eps at dps 60
+    with workprec(prec + _GUARD):
+        v = exp(-ln_gamma(nu + 1).real)
+    return +v
 
 
 def asymptotic_table(nu):
@@ -137,9 +154,10 @@ def bessel_j(nu, x, ctl=None, with_error=False):
     Ascending series for x <= 20 + nu^2/2; beyond that the two-sum
     asymptotic form truncated at its smallest term or after 40 terms,
     whichever comes first.  The returned error estimate is the first
-    omitted term's magnitude plus a rounding floor: eps times the largest
-    ascending term, or eps (1 + x) times the asymptotic terms' sum, which
-    covers the reduction of the phase x - pi nu / 2 - pi / 4.
+    omitted term's magnitude plus a rounding floor: four units of 2^-wp
+    per ascending term summed plus 10 eps |J| for the prefactor, or
+    10 eps (1 + x) times the asymptotic terms' sum, which covers the
+    reduction of the phase x - pi nu / 2 - pi / 4.
     """
     ctl = ctl or default_ctl()
     nu = mpf(nu)
@@ -149,58 +167,58 @@ def bessel_j(nu, x, ctl=None, with_error=False):
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
 
+    wp = mp.prec + _GUARD
     if x <= 20 + nu ** 2 / 2:
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        # J_nu = c0 sum_k b_k q^k, the absolute floor eps scaled by 1/c0
-        b, inv_gamma = _j_table(nu, mp.prec)
-        c0 = (x / 2) ** nu * inv_gamma
-        q = (x / 2) ** 2
-        tol, floor = mpf(ctl.rel_tol), _eps() / c0
-        p = s = big = mpf(1)
+        # J_nu = c0 sum_k t_k, t_k = -t_{k-1} q / (k (k + nu)), scaled by
+        # 2^wp; the absolute floor eps is scaled by 1/c0
+        c0 = (x / 2) ** nu * _inv_gamma(nu, mp.prec)
+        a = to_fixed(nu._mpf_, wp)
+        q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
+        tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+        floor = to_fixed((_eps() / c0)._mpf_, wp)
+        t = s = 1 << wp
         for k in range(1, ctl.max_terms + 1):
-            if k == len(b):
-                b.append(-b[-1] / (k * (k + nu)))
-            p *= q
-            t = b[k] * p
+            t = -t * q // (k * ((k << wp) + a))
             s += t
-            mag = abs(t)
-            if mag > big:
-                big = mag
-            if mag < tol * max(abs(s), floor):
+            if abs(t) << tol_k < tol_n * max(abs(s), floor):
                 break
+        v = c0 * mpf((s, -wp))
         if not with_error:
-            return c0 * s
-        # truncation plus the rounding floor of the alternating sum, which
-        # loses log10(big / |s|) digits near the switch
-        return c0 * s, c0 * (mag + _ROUNDING * _eps() * big)
+            return v
+        # each floor division leaves a unit of 2^-wp, and the propagated
+        # ones cancel along the alternating tail
+        return v, (c0 * mpf((abs(t) + 4 * k, -wp))
+                   + _ROUNDING * _eps() * abs(v))
 
-    # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum
-    c = asymptotic_table(nu)
+    # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum,
+    # t_n = t_{n-1} (4 nu^2 - (2n-1)^2) / (8 n x) scaled by 2^wp
+    xf = to_fixed(x._mpf_, wp)
+    nu4 = to_fixed(nu._mpf_, wp) ** 2 >> (wp - 2)
     omega = x - pi * nu / 2 - pi / 4
-    sums = [mpf(0), mpf(0)]
-    r, total = mpf(1), mpf(0)
-    inv_x = 1 / x
-    prev = None
+    sums = [0, 0]
+    t, total = 1 << wp, 0
     for n in range(40):
-        t = c[n] * r
         mag = abs(t)
-        if prev is not None and mag >= prev:
+        if n and mag >= prev:
             break  # the expansion bottomed out; mag is the first omitted
-        sums[n % 2] += t
+        sums[n % 2] += t if n % 4 < 2 else -t
         total += mag
         prev = mag
-        r *= inv_x
+        t = t * (nu4 - ((2 * n + 1) ** 2 << wp)) // (8 * (n + 1) * xf)
     else:
-        mag = abs(c[40]) * r  # the coefficients ran out first
+        mag = abs(t)  # the coefficients ran out first
     amp = sqrt(2 / (pi * x))
-    v = amp * (cos(omega) * sums[0] - sin(omega) * sums[1])
+    v = amp * (cos(omega) * mpf((sums[0], -wp))
+               - sin(omega) * mpf((sums[1], -wp)))
     if not with_error:
         return v
     # truncation plus rounding, dominated by the phase omega, whose
     # absolute error grows like eps * x
-    return v, amp * (mag + _ROUNDING * _eps() * (1 + x) * total)
+    return v, amp * (mpf((mag, -wp))
+                     + _ROUNDING * _eps() * (1 + x) * mpf((total, -wp)))
 
 
 def _cosh_cutoff(x):
@@ -268,17 +286,22 @@ def k_itau_quad(tau, x):
     hit = _kq_cache.get(key)
     if hit is not None:
         return _checked(hit, "k_itau_quad", tau)
-    T = _cosh_cutoff(x)
-    v, qerr = quad(lambda t: exp(-x * cosh(t)) * cos(tau * t), [0, T],
-                   error=True, maxdegree=9)
+    v, qerr = quad(lambda t: exp(-x * cosh(t)) * cos(tau * t),
+                   [0, _cosh_cutoff(x)], error=True, maxdegree=9)
     # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
-    k0 = quad(lambda t: exp(-x * cosh(t)), [0, T])
+    k0 = _k0(x, mp.prec)
     abs_err = qerr + _eps() * k0
     rel = abs_err / abs(v) if v != 0 else mpf(1)
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
     _cache_put(_kq_cache, key, res)
     return _checked(res, "k_itau_quad", tau)
+
+
+@functools.lru_cache(maxsize=128)
+def _k0(x, prec):
+    # K_0(x) by the same quadrature, shared by every tau at this x
+    return quad(lambda t: exp(-x * cosh(t)), [0, _cosh_cutoff(x)])
 
 
 _ks_cache = {}

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+from indexkernels import config
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the suite runs at the configured precision; importing the package sets
+# none
+mp.dps = config.get().dps
 
 
 @pytest.fixture

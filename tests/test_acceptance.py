@@ -9,17 +9,15 @@ import subprocess
 import sys
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from indexkernels import cli, config
+from indexkernels import cli
 from indexkernels.bessel import k_itau_quad, k_itau_series
 from indexkernels.bounds import evaluate_bound, fit_lebedev_constants
 from indexkernels.kernels import (olevskii_decay_slopes, thm1_main,
                                   thm1_remainder_explicit, thm1_report,
                                   thm2_main_and_bound, thm3_main_and_bound,
                                   thm4_main_and_bound, whittaker_direct)
-
-mp.dps = config.get().dps
 
 
 def rel(a, b):

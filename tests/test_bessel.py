@@ -17,9 +17,7 @@ from indexkernels.bessel import (asymptotic_table, bessel_i, bessel_j,
 from indexkernels.errors import (NonconvergenceError, OverflowGuardError,
                                  PrecisionLossError)
 from indexkernels.quadrature import _hankel0_asym
-from indexkernels.special import SeriesControl
-
-mp.dps = config.get().dps
+from indexkernels.special import SeriesControl, ln_gamma
 
 I0_1 = mpf("1.26606587775200833559824462521")
 K0_1 = mpf("0.421024438240708333335627379213")
@@ -57,6 +55,17 @@ class TestBesselI:
                             bessel_i(1j * tau, x, ctl).conjugate()
         finally:
             mp.dps = saved
+
+    def test_sums_at_conjugate_order(self, monkeypatch):
+        # the == above holds because a sum at Im nu < 0 is never run:
+        # floor division is not odd, so it could round apart from the
+        # conjugate (rarely enough that the guard bits hide it above)
+        seen = []
+        monkeypatch.setattr(bessel, "ln_gamma",
+                            lambda z: seen.append(z) or ln_gamma(z))
+        v = bessel_i(mpc("0.5", "-2.5"), mpf(3))
+        assert seen == [mpc("1.5", "2.5")]
+        assert v == bessel_i(mpc("0.5", "2.5"), mpf(3)).conjugate()
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10),
@@ -112,8 +121,7 @@ class TestCoefficientTables:
         xs = [mpf(k) / 4 for k in range(1, 120, 7)]
 
         def sweep(order):
-            bessel._i_table.cache_clear()
-            bessel._j_table.cache_clear()
+            bessel._inv_gamma.cache_clear()
             return [(bessel_i(1j * tau, x), bessel_j(nu, x)) for x in order]
 
         assert sweep(xs) == sweep(xs[::-1])[::-1]
@@ -135,16 +143,16 @@ class TestCoefficientTables:
             mp.dps = saved
 
     def test_memos_bounded(self):
-        for memo in (bessel._i_table, bessel._j_table,
-                     bessel._asymptotic_memo):
+        for memo in (bessel._inv_gamma, bessel._asymptotic_memo,
+                     bessel._k0):
             assert memo.cache_info().maxsize is not None
 
     def test_j_and_h0_across_switch(self):
         saved = mp.dps
         try:
-            # not below dps 40: the ascending estimate leaves out the
-            # cancellation loss near x = 20 (at dps 25 it is ~1e6 short)
-            for dps in (40, 60):
+            # the guard bits of the fixed-point sum absorb the seven digits
+            # the alternating series cancels next to the switch
+            for dps in (25, 40, 60):
                 mp.dps = dps
                 for nu in (mpf(0), mpf("0.7"), mpf("1.3"), mpf(4)):
                     switch = 20 + nu ** 2 / 2
@@ -164,6 +172,196 @@ class TestCoefficientTables:
                     assert abs(h - ref) <= amp * c12 / abs(w) ** 12
         finally:
             mp.dps = saved
+
+
+def _mpc_i_loop(nu, x, ctl):
+    # bessel_i as it was summed before fixed point: mpc terms under the
+    # same stop rule.  Returns the value, the scale |c0| sum |t_k| of its
+    # rounding error, and the number of terms past t_0.
+    nu, x = mpc(nu), mpf(x)
+    if nu.imag == 0 and nu.real == int(nu.real) and nu.real < 0:
+        nu = -nu
+    if nu.imag == 0 and nu.real < 0:
+        c0 = (-mpmath.exp(nu * mpmath.log(x / 2) + ln_gamma(-nu))
+              * mp.sinpi(nu.real) / mpmath.pi)
+    else:
+        c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
+    q, tol = (x / 2) ** 2, mpf(ctl.rel_tol)
+    t = s = mpc(1)
+    total = prev = mpf(1)
+    streak = 0
+    for k in range(1, ctl.max_terms + 1):
+        t = t * q / (k * (k + nu))
+        s += t
+        mag = abs(t)
+        total += mag
+        if mag <= prev and mag < tol * abs(s):
+            streak += 1
+            if streak >= 3:
+                return c0 * s, abs(c0) * total, k
+        else:
+            streak = 0
+        prev = mag
+    raise AssertionError("reference loop stalled")
+
+
+def _mpf_j_loop(nu, x, ctl):
+    # bessel_j's two branches as mpf loops, with the same prefactors and
+    # stop rules; returns the value and the scale of its rounding error
+    nu, x = mpf(nu), mpf(x)
+    if x <= 20 + nu ** 2 / 2:
+        c0 = (x / 2) ** nu * bessel._inv_gamma(nu, mp.prec)
+        q, tol = (x / 2) ** 2, mpf(ctl.rel_tol)
+        floor = mpf(10) ** -mp.dps / c0
+        t = s = total = mpf(1)
+        for k in range(1, ctl.max_terms + 1):
+            t = -t * q / (k * (k + nu))
+            s += t
+            total += abs(t)
+            if abs(t) < tol * max(abs(s), floor):
+                break
+        return c0 * s, c0 * total
+    sums, t, total, prev = [mpf(0), mpf(0)], mpf(1), mpf(0), None
+    for n in range(40):
+        if prev is not None and abs(t) >= prev:
+            break
+        sums[n % 2] += t if n % 4 < 2 else -t
+        total += abs(t)
+        prev = abs(t)
+        t = t * (4 * nu ** 2 - (2 * n + 1) ** 2) / (8 * (n + 1) * x)
+    omega = x - mpmath.pi * nu / 2 - mpmath.pi / 4
+    amp = mpmath.sqrt(2 / (mpmath.pi * x))
+    return (amp * (mpmath.cos(omega) * sums[0] - mpmath.sin(omega) * sums[1]),
+            amp * total)
+
+
+def _i_points():
+    # (order, argument): imaginary orders up to series_safe_x, the
+    # reflection branch and a negative integer order
+    pts = []
+    for tau in (mpf("0.3"), mpf(3), mpf(6), mpf(12)):
+        safe = series_safe_x(tau)
+        pts += [(1j * tau, y) for y in (mpf("0.05"), mpf("0.7"), mpf(5),
+                                        mpf(20), safe / 2, safe) if y <= safe]
+    for nu in (mpf("-2.5"), mpf("-0.3"), mpf("-3.7"), mpf(-3)):
+        pts += [(nu, y) for y in (mpf("0.3"), mpf(2), mpf(9))]
+    return pts
+
+
+def _j_points():
+    # both sides of the x = 20 + nu^2/2 switch, and small arguments
+    return [(nu, x) for nu in (mpf(0), mpf("0.7"), mpf(4))
+            for x in (mpf("1.6"), 20 + nu ** 2 / 2 - mpf("0.1"),
+                      20 + nu ** 2 / 2 + mpf("0.1"))]
+
+
+class TestFixedPointSeries:
+    """The fixed-point sums of bessel_i and bessel_j, at full precision
+    (rel_tol = 10^-dps), against mpmath at dps+20 and against the mpf
+    loops they replaced."""
+
+    DPS = (25, 40, 60)
+
+    def test_i_against_mpmath(self):
+        # the prefactor exp(nu log(x/2) - ln_gamma(nu+1)) carries up to
+        # ~320 units in the last place at dps 60; the sum adds ~1
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                ulp = mpf(2) ** -mp.prec
+                for nu, y in _i_points():
+                    v = bessel_i(nu, y, ctl)
+                    with mpmath.workdps(dps + 20):
+                        ref = mpmath.besseli(nu, y)
+                    assert abs(v - ref) <= 512 * ulp * abs(ref), (dps, nu, y)
+
+    def test_i_tiny_imaginary_order_next_to_a_pole(self):
+        # k + nu = ib at k = 2, 3, 1: b is far below 2^-(prec + guard), so
+        # the fixed-point scale widens to keep its bits.  The prefactor
+        # near the 1/Gamma pole is the mpc loop's too.
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                ulp = mpf(2) ** -mp.prec
+                for nu in (mpc(-2, "1e-60"), mpc(-3, "-1e-200"),
+                           mpc(-1, "-1e-300")):
+                    ref, scale, k = _mpc_i_loop(nu, mpf("1.5"), ctl)
+                    v = bessel_i(nu, mpf("1.5"), ctl)
+                    assert abs(v - ref) <= k * ulp * scale, (dps, nu)
+
+    def test_i_matches_mpc_loop(self):
+        # the mpc loop rounds each of its k terms: a few units of its
+        # scale per term, measured up to 0.3
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                ulp = mpf(2) ** -mp.prec
+                for nu, y in _i_points():
+                    ref, scale, k = _mpc_i_loop(nu, y, ctl)
+                    v = bessel_i(nu, y, ctl)
+                    assert abs(v - ref) <= k * ulp * scale, (dps, nu, y)
+
+    def test_i_stop_rule(self):
+        # three consecutive non-increasing terms below rel_tol |sum|: the
+        # series converges with the reference loop's term count and stalls
+        # with one term fewer
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                for nu, y in ((3j, mpf("0.7")), (mpc("0.5", "2.5"), mpf(3)),
+                              (mpf("-2.5"), mpf(9)), (12j, mpf(20))):
+                    ctl = SeriesControl(rel_tol=10 ** -dps)
+                    _, _, k = _mpc_i_loop(nu, y, ctl)
+                    bessel_i(nu, y, replace(ctl, max_terms=k))
+                    with pytest.raises(NonconvergenceError):
+                        bessel_i(nu, y, replace(ctl, max_terms=k - 1))
+
+    def test_stall_carries_partial_and_tail(self):
+        ctl = SeriesControl(max_terms=3)
+        ulp = mpf(2) ** -mp.prec
+        x = mpf(5)
+        with pytest.raises(NonconvergenceError) as up:
+            bessel_i(3j, x, ctl)
+        with pytest.raises(NonconvergenceError) as down:
+            bessel_i(-3j, x, ctl)
+        # the partial is c0 (t_0 + ... + t_3), the tail |c0| |t_3|
+        c0 = mpmath.exp(3j * mpmath.log(x / 2) - ln_gamma(1 + 3j))
+        t, s = mpc(1), mpc(1)
+        for k in (1, 2, 3):
+            t = t * (x / 2) ** 2 / (k * (k + 3j))
+            s += t
+        assert abs(up.value.partial - c0 * s) <= 64 * ulp * abs(c0 * s)
+        assert down.value.partial == up.value.partial.conjugate()
+        assert abs(up.value.tail_estimate - abs(c0 * t)) <= \
+            64 * ulp * abs(c0 * t)
+        assert down.value.tail_estimate == up.value.tail_estimate
+
+    def test_j_against_mpmath(self):
+        # ascending: within a few units in the last place, also next to
+        # the switch, where the alternating sum cancels seven digits;
+        # asymptotic: within the truncation the estimate reports
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                ulp = mpf(2) ** -mp.prec
+                for nu, x in _j_points():
+                    v, err = bessel_j(nu, x, ctl, with_error=True)
+                    with mpmath.workdps(dps + 20):
+                        actual = abs(v - mpmath.besselj(nu, x))
+                    assert actual <= err, (dps, nu, x)
+                    assert err <= 10 ** 6 * actual, (dps, nu, x)
+                    if x <= 20 + nu ** 2 / 2:
+                        assert actual <= 8 * ulp * abs(v), (dps, nu, x)
+
+    def test_j_matches_mpf_loop(self):
+        # measured up to 4.2 units of the loop's scale
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                ulp = mpf(2) ** -mp.prec
+                for nu, x in _j_points():
+                    ref, scale = _mpf_j_loop(nu, x, ctl)
+                    assert abs(bessel_j(nu, x, ctl) - ref) <= \
+                        16 * ulp * scale, (dps, nu, x)
 
 
 class TestBesselKReal:
@@ -224,6 +422,21 @@ class TestImaginaryOrderK:
                 r = route(tau, x)
                 assert abs(r.value - ref) <= \
                     (r.rel_error + mpf("1e-35")) * abs(ref) * 10
+
+    def test_k0_memo_bit_identical(self, monkeypatch):
+        # k_itau_quad's K_0 normaliser, memoized per (x, mp.prec), is the
+        # value the quadrature returns, and other tau at that x reuse it
+        monkeypatch.setattr(bessel, "_kq_cache", {})
+        x = mpf("1.3")
+        for dps in (40, 60):
+            with mpmath.workdps(dps):
+                ref = mpmath.quad(lambda t: mpmath.exp(-x * mpmath.cosh(t)),
+                                  [0, bessel._cosh_cutoff(x)])
+                assert bessel._k0(x, mp.prec) == ref
+                hits = bessel._k0.cache_info().hits
+                k_itau_quad(mpf("2.1"), x)
+                k_itau_quad(mpf("3.1"), x)
+                assert bessel._k0.cache_info().hits >= hits + 2
 
     def test_series_precision_loss(self):
         # at tau = 200 the e^{pi tau} cancellation model forces a refusal

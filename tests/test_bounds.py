@@ -5,15 +5,12 @@ Pinned values computed with mpmath at dps=60.
 
 import mpmath
 import pytest
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
-from indexkernels import config
 from indexkernels.bounds import (BOUND_IDS, _geom_grid, bound_binet_rhs,
                                  bound_kl_rhs, bound_product_rhs,
                                  evaluate_bound, fit_lebedev_constants)
 from indexkernels.errors import DomainError
-
-mp.dps = config.get().dps
 
 BOUND_KL_PIN = mpf("0.754394975602919419756456873793")
 GAMMA_QUARTER_SQ_OVER_PI = mpf("4.18419848021240659580864851369")

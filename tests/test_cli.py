@@ -173,6 +173,13 @@ class TestGlobalState:
         finally:
             mp.dps = dps
 
+    def test_import_sets_no_precision(self, src_env):
+        code = ("from mpmath import mp; mp.dps = 25; import indexkernels; "
+                "print(mp.dps)")
+        out = subprocess.run([sys.executable, "-c", code], env=src_env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["25"]
+
 
 class TestFitConstants:
     def test_small_fit(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workdps
 
-from indexkernels import bessel, config
+from indexkernels import bessel
 from indexkernels.bessel import k_itau_quad, k_itau_series, series_safe_x
 from indexkernels.errors import DomainError
 from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
@@ -21,8 +21,6 @@ from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
                                   thm2_main_and_bound, thm3_main_and_bound,
                                   thm4_main_and_bound, whittaker_direct)
 from indexkernels.special import binet_r
-
-mp.dps = config.get().dps
 
 K_I_1 = mpf("0.289428037025992127634567159242")
 KSQ_I_1 = mpf("0.0837685886167190699581280431869")

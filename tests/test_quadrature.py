@@ -5,7 +5,7 @@ Pinned values computed with mpmath at dps=60.
 
 import mpmath
 import pytest
-from mpmath import mp, mpf, mpc
+from mpmath import mpf
 
 from indexkernels import config
 from indexkernels.errors import NonconvergenceError
@@ -13,8 +13,6 @@ from indexkernels.quadrature import (integrate_semi_infinite, mehler_fock_sq,
                                      olevskii_quad, product_kernel_quad,
                                      whittaker_quad)
 from indexkernels.special import ln_gamma
-
-mp.dps = config.get().dps
 
 K0_1 = mpf("0.421024438240708333335627379213")
 PROD_15_08 = mpf("0.39963824944900481601009080283")

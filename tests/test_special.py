@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import config, special
+from indexkernels import special
 from indexkernels.errors import DomainError, NonconvergenceError, PoleError
 from indexkernels.special import (SeriesControl, _ln_gamma_memo, binet_r,
                                   gamma_c, gamma_via_binet, hyp1f1, hyp1f2,
                                   hyp2f1, hyp2f1_term2, ln_gamma, pochhammer)
-
-mp.dps = config.get().dps
 
 LN_GAMMA_1PI = mpc("-0.650923199301856338885216831504",
                    "-0.301640320467533197887531657797")
