@@ -10,14 +10,12 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
 series / large-argument expansion.
 
-The I and J series are summed in fixed point, as mpmath's libhyper does:
-on integers scaled by 2^(mp.prec + _GUARD), each term from the last by its
-exact ratio, the sum rounded to mp.prec once.  The guard bits absorb the
-floor divisions and the cancellation of the alternating J sum.  bessel_i
-sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate orders give
-exactly conjugate values.  The memos (1/Gamma(nu+1), the asymptotic
-coefficients, K_0) share mp's global precision, so, like mpmath itself,
-they assume one thread.
+The I and J series are summed in fixed point like special._series_sum;
+the guard bits also absorb the cancellation of the alternating J sum.
+bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
+orders give exactly conjugate values.  The memos (1/Gamma(nu+1), the
+asymptotic coefficients, K_0) share mp's global precision, so, like
+mpmath itself, they assume one thread.
 """
 
 import functools
@@ -30,15 +28,14 @@ from mpmath.libmp import to_fixed
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
                      PrecisionLossError)
-from .special import SeriesControl, _eps, default_ctl, ln_gamma
+from .special import (_GUARD, SeriesControl, _eps, _tol_fraction,
+                      default_ctl, ln_gamma)
 
 _CANC_FLAG = mpf(10 ** 6)
 _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
 # eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
 # exp(-ln_gamma), the reduced phase) round to tens of them
 _ROUNDING = 10
-# bits the fixed-point series sums carry beyond mp.prec
-_GUARD = 24
 
 
 @dataclass
@@ -47,12 +44,6 @@ class KernelValue:
     value: object            # mpf
     rel_error: object        # mpf, >= 0
     cancellation: bool = False
-
-
-def _tol_fraction(tol):
-    # the series tolerance as n / 2^k, exactly, with k >= 0
-    _, n, e, _ = mpf(tol)._mpf_
-    return (n << e, 0) if e >= 0 else (n, -e)
 
 
 def bessel_i(nu, x, ctl=None):
@@ -123,7 +114,7 @@ def bessel_i(nu, x, ctl=None):
 
 @functools.lru_cache(maxsize=128)
 def _inv_gamma(nu, prec):
-    # with guard bits: ln_gamma's absolute error reaches 30 eps at dps 60
+    # guard bits: exp makes ln_gamma's absolute error a relative one
     with workprec(prec + _GUARD):
         v = exp(-ln_gamma(nu + 1).real)
     return +v
@@ -315,9 +306,10 @@ def full_precision_ctl(ctl=None):
                          max_terms=base.max_terms)
 
 
-def k_itau_series(tau, x, ctl=None):
+def k_itau_series(tau, x, ctl=None, i_tau=None):
     """K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau), from one
-    ascending I-series.
+    ascending I-series, or from i_tau when the caller has already summed
+    bessel_i(1j * tau, x, full_precision_ctl(ctl)).
 
     This is pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) with
     I_{-i tau}(x) = conj I_{i tau}(x) for real x, so the second series
@@ -335,7 +327,8 @@ def k_itau_series(tau, x, ctl=None):
     hit = _ks_cache.get(key)
     if hit is not None:
         return _checked(hit, "k_itau_series", tau)
-    i_tau = bessel_i(1j * tau, x, ctl)
+    if i_tau is None:
+        i_tau = bessel_i(1j * tau, x, ctl)
     v = -pi * i_tau.imag / sinh(pi * tau)
     canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
                   else _NO_IMAG_RATIO)
@@ -354,13 +347,13 @@ def series_safe_x(index):
     return (margin + pi * mpf(index)) / 2
 
 
-def k_index(index, x):
+def k_index(index, x, i_tau=None):
     """K_{i*index}(x) by the route appropriate for the point: the series
     below config.series_index_cap and inside its safe-argument region,
     the cosine integral otherwise; used by the outer integral evaluators,
-    with caching on their node sets."""
+    with caching on their node sets.  i_tau is handed to k_itau_series."""
     if index == 0:
         return bessel_k_real(0, x)
     if index <= config.get().series_index_cap and x <= series_safe_x(index):
-        return k_itau_series(index, x).value
+        return k_itau_series(index, x, i_tau=i_tau).value
     return k_itau_quad(index, x).value

@@ -36,6 +36,11 @@ def _abs_gamma(z):
     return exp(ln_gamma(z).real)
 
 
+def _log_sinh(a):
+    # log sinh(a) = a + log((1 - e^{-2a})/2), no overflow at large a
+    return a + log((1 - exp(-2 * a)) / 2)
+
+
 def bound_kl_rhs(n, tau, x):
     """Envelope for |Re K_{i tau}(x)|: Gamma(2^{-n-1}) / 2^{1-2^{-n}}
     times [sqrt(x) sinh(2^n pi tau / 2)]^{-2^{-n}}, sinh in log space."""
@@ -46,11 +51,8 @@ def bound_kl_rhs(n, tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("bound_kl_rhs requires tau > 0, x > 0")
     p = mpf(2) ** (-n - 1)
-    arg = mpf(2) ** n * pi * tau / 2
-    # log sinh(a) = a + log((1 - e^{-2a})/2)
-    log_sinh = arg + log((1 - exp(-2 * arg)) / 2)
     return _gamma_r(p) / mpf(2) ** (1 - 2 * p) * exp(
-        -2 * p * (log(x) / 2 + log_sinh))
+        -2 * p * (log(x) / 2 + _log_sinh(mpf(2) ** n * pi * tau / 2)))
 
 
 def bound_mehler_fock_rhs(n, mu, tau, x):
@@ -66,12 +68,11 @@ def bound_mehler_fock_rhs(n, mu, tau, x):
         raise DomainError("need mu > 2^{-n-1} - 1/2")
     if tau <= 0 or x <= 0:
         raise DomainError("bound_mehler_fock_rhs requires tau > 0, x > 0")
-    arg = mpf(2) ** n * pi * tau
-    log_sinh = arg + log((1 - exp(-2 * arg)) / 2)
     ratio = sqrt(_gamma_r(mpf(1) / 2 + mu - p)
                  / (_gamma_r(mpf(1) / 2 + p) * _gamma_r(mpf(1) / 2 + mu + p)))
     return (mpf(2) ** p / pi ** mpf("0.25") * _gamma_r(p) * ratio
-            * exp(-p * log_sinh) * x ** (p - mpf(1) / 2)
+            * exp(-p * _log_sinh(mpf(2) ** n * pi * tau))
+            * x ** (p - mpf(1) / 2)
             / _abs_gamma(mu + mpf(1) / 2 + 1j * tau))
 
 
@@ -96,12 +97,11 @@ def bound_whittaker_rhs(n, mu, tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("bound_whittaker_rhs requires tau > 0, x > 0")
     p = mpf(2) ** (-n)
-    arg = mpf(2) ** (n - 1) * pi * tau
-    log_sinh = arg + log((1 - exp(-2 * arg)) / 2)
     # Gamma(Re mu)/|Gamma(mu)| = 1 for real mu; kept explicit
     pref = _gamma_r(p / 2) * _gamma_r(mu) / (
         sqrt(pi) * _gamma_r(mu) * mpf(2) ** ((1 - 2 * p) / 2))
-    return pref * exp(-p * log_sinh) * x ** ((1 - p) / 2 - mu)
+    return (pref * exp(-p * _log_sinh(mpf(2) ** (n - 1) * pi * tau))
+            * x ** ((1 - p) / 2 - mu))
 
 
 def bound_olevskii_rhs(mu, nu, tau, x):

@@ -224,9 +224,10 @@ def product_kernel_direct(tau, x, ctl=None):
 
 
 def _product_oracle(tau, x):
+    # one I-series gives 2 Re I and, on k_index's series route, K
     with workdps(mp.dps + 15):
-        K = k_index(tau, x)
-        return 2 * bessel_i(1j * tau, x, full_precision_ctl()).real * K
+        i_tau = bessel_i(1j * tau, x, full_precision_ctl())
+        return 2 * i_tau.real * k_index(tau, x, i_tau)
 
 
 def thm3_main_and_bound(tau, x, tau0, X):

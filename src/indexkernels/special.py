@@ -2,15 +2,20 @@
 
 Everything here works in mpmath extended precision (>= 30 significant
 digits, see config.Config.dps) so that later kernel assemblies can resolve
-terms of size exp(-pi*tau/2) inside quantities of size 1.
+terms of size exp(-pi*tau/2) inside quantities of size 1.  The 1F1, 1F2
+and 2F1 series are summed in fixed point, as mpmath's libhyper does: on
+Python integers scaled by 2^(mp.prec + _GUARD), each term from the last
+by its exact ratio, the sum rounded to mp.prec once.  ln_gamma runs with
+the same guard bits and rounds once on return.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc, workdps
+from mpmath import mp, mpf, mpc, workdps, workprec
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
+from mpmath.libmp import to_fixed
 
 from . import config
 from .errors import DomainError, NonconvergenceError, PoleError
@@ -67,38 +72,51 @@ def ln_gamma(z):
 
 @functools.lru_cache(maxsize=1024)
 def _ln_gamma_memo(z, prec):
-    # prec is part of the key only: the body reads mp.dps, which is a
-    # function of mp.prec
+    if not mp.isfinite(z):
+        raise DomainError("log-gamma of the non-finite %s" % z)
     if z == 0 or _is_nonpositive_int(z):
         raise PoleError("log-gamma pole at nonpositive integer %s" % z)
     if z.imag == 0 and z.real < 0:
         raise DomainError("log-gamma not evaluated on the negative real axis")
 
-    # Re w >= target keeps |arg w| <= pi/4 after the shift, where the
-    # Stirling tail bottoms out below ~10^(-2.7*|w|).
-    target = max(mpf(12), mpf(mp.dps + 8) / mpf("2.5"))
-    w = z
-    corr = mpc(0)
-    while w.real < target:
-        corr += log(w)
-        w += 1
+    # Re w >= dps + 8 keeps |arg w| <= pi/4 and needs about dps / 2
+    # Stirling terms; a shift step costs far less than a term
+    m = max(0, int(mp.ceil(mp.dps + 8 - z.real)))
+    x, y = float(z.real), float(z.imag)
+    with workprec(prec + _GUARD):
+        # one log of the product of the z + j, exact Gaussian integers
+        # over 2^e cut to 2 prec bits per step, so z next to a pole keeps
+        # its bits; the float sum of their arguments fixes the branch
+        e = max(0, -z.real._mpf_[2], -z.imag._mpf_[2])
+        zr, zi = to_fixed(z.real._mpf_, e), to_fixed(z.imag._mpf_, e)
+        pr, pi_, args, sh = 1, 0, 0.0, -e * m
+        for j in range(m):
+            ar = zr + (j << e)
+            pr, pi_ = pr * ar - pi_ * zi, pr * zi + pi_ * ar
+            args += math.atan2(y, x + j)
+            n = max(pr.bit_length(), pi_.bit_length()) - 2 * prec
+            if n > 0:
+                pr, pi_, sh = pr >> n, pi_ >> n, sh + n
+        corr = log(mpc(mpf((pr, sh)), mpf((pi_, sh))))
+        corr += 2j * pi * round((args - float(corr.imag)) / (2 * math.pi))
+        w = z + m
 
-    s = (w - mpf(1) / 2) * log(w) - w + log(2 * pi) / 2
-    w2 = w * w
-    p = w
-    prev = None
-    eps = _eps()
-    for n in range(1, 200):
-        term = bernoulli(2 * n) / ((2 * n) * (2 * n - 1) * p)
-        mag = abs(term)
-        if prev is not None and mag >= prev:
-            break  # asymptotic series bottomed out
-        s += term
-        prev = mag
-        if mag < eps * abs(s):
-            break
-        p *= w2
-    return s - corr
+        s = (w - mpf(1) / 2) * log(w) - w + log(2 * pi) / 2
+        p = 1 / w
+        r2 = p * p
+        for c in _stirling_coeffs(mp.prec):
+            s += c * p
+            p *= r2
+        v = s - corr
+    return +v
+
+
+@functools.lru_cache(maxsize=16)
+def _stirling_coeffs(prec):
+    # B_2n / (2n (2n - 1)); at Re w >= dps + 8 the first term left out,
+    # n = prec // 9 + 3, is below 2^-(prec + 11) for dps 3 to 400
+    return tuple(bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
+                 for n in range(1, prec // 9 + 3))
 
 
 def gamma_c(z):
@@ -179,42 +197,73 @@ def pochhammer(a, m):
     return p
 
 
-def _series_sum(nums, dens, z, ctl):
-    """Taylor sum of prod (a)_k z^k / (prod (b)_k k!).
+# bits that ln_gamma and the fixed-point sums carry beyond mp.prec
+_GUARD = 24
 
-    Returns (sum, max_term_magnitude, terms_used).  Stops after three
-    consecutive terms that are below rel_tol * |partial sum| with
-    decreasing magnitudes (complex-parameter series are not monotone
-    termwise).
+
+def _tol_fraction(tol):
+    # the series tolerance as n / 2^k, exactly, with k >= 0
+    _, n, e, _ = mpf(tol)._mpf_
+    return (n << e, 0) if e >= 0 else (n, -e)
+
+
+def _series_sum(nums, dens, z, ctl):
+    """Taylor sum of prod (a)_k z^k / (prod (b)_k k!) in fixed point:
+    Gaussian integers scaled by 2^(mp.prec + _GUARD), each term the last
+    times the exact ratio z prod (a + k) / ((k + 1) prod (b + k)), taken
+    as one floor division per component by the denominator's squared
+    modulus after a product with its conjugate.
+
+    Returns (sum, max_term_magnitude, terms_used), rounded to mp.prec.
+    Stops after three consecutive terms below rel_tol * |partial sum|
+    with non-increasing magnitudes (complex-parameter series are not
+    monotone termwise), compared exactly as squared integers.
     """
-    term = mpc(1)
-    s = mpc(1)
-    max_mag = mpf(1)
-    prev_mag = mpf(1)
-    tol = mpf(ctl.rel_tol, prec=53)  # the float exactly, at any mp.prec
+    wp = mp.prec + _GUARD
+
+    def fixed(c):
+        if not mp.isfinite(c):  # to_fixed would read it as 0
+            raise NonconvergenceError("hypergeometric series at %s" % c)
+        return to_fixed(c.real._mpf_, wp), to_fixed(c.imag._mpf_, wp)
+    zr, zi = fixed(z)
+    ups = [fixed(a) for a in nums]
+    lows = [fixed(b) for b in dens]
+    # the numerator carries 2^(wp (1 + len(nums))), the squared modulus
+    # 2^(2 wp len(dens)); needs len(dens) <= len(nums) + 1
+    shift = wp * (1 + len(nums) - len(dens))
+    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    tr = sr = 1 << wp
+    ti = si = 0
+    prev = max_mag = tr * tr
     streak = 0
     for k in range(ctl.max_terms):
-        num = mpc(z)
-        for a in nums:
-            num *= a + k
-        den = mpc(k + 1)
-        for b in dens:
-            den *= b + k
-        term = term * num / den
-        s += term
-        mag = abs(term)
-        if mag > max_mag:
-            max_mag = mag
-        if mag < tol * abs(s) and mag <= prev_mag:
+        nr, ni, dr, di = zr, zi, k + 1, 0
+        for ar, ai in ups:
+            ar += k << wp
+            nr, ni = nr * ar - ni * ai, nr * ai + ni * ar
+        for br, bi in lows:
+            br += k << wp
+            dr, di = dr * br - di * bi, dr * bi + di * br
+        nr, ni = tr * nr - ti * ni, tr * ni + ti * nr
+        d = (dr * dr + di * di) << shift
+        tr, ti = (nr * dr + ni * di) // d, (ni * dr - nr * di) // d
+        sr += tr
+        si += ti
+        mag = tr * tr + ti * ti
+        max_mag = max(max_mag, mag)
+        if (mag <= prev and mag << 2 * tol_k
+                < tol_n * tol_n * (sr * sr + si * si)):
             streak += 1
             if streak >= 3:
-                return s, max_mag, k + 1
+                return (mpc(mpf((sr, -wp)), mpf((si, -wp))),
+                        sqrt(mpf((max_mag, -2 * wp))), k + 1)
         else:
             streak = 0
-        prev_mag = mag
+        prev = mag
     raise NonconvergenceError(
         "hypergeometric series did not converge in %d terms" % ctl.max_terms,
-        partial=s, tail_estimate=abs(term))
+        partial=mpc(mpf((sr, -wp)), mpf((si, -wp))),
+        tail_estimate=sqrt(mpf((mag, -2 * wp))))
 
 
 # the float dry run declines above this many digits of estimated loss

@@ -263,8 +263,9 @@ class TestFixedPointSeries:
     DPS = (25, 40, 60)
 
     def test_i_against_mpmath(self):
-        # the prefactor exp(nu log(x/2) - ln_gamma(nu+1)) carries up to
-        # ~320 units in the last place at dps 60; the sum adds ~1
+        # the prefactor exp(nu log(x/2) - ln_gamma(nu+1)), formed at
+        # working precision, carries up to ~40 units in the last place
+        # (measured at dps 25); the sum adds ~1
         for dps in self.DPS:
             with mpmath.workdps(dps):
                 ctl = SeriesControl(rel_tol=10 ** -dps)
@@ -273,7 +274,7 @@ class TestFixedPointSeries:
                     v = bessel_i(nu, y, ctl)
                     with mpmath.workdps(dps + 20):
                         ref = mpmath.besseli(nu, y)
-                    assert abs(v - ref) <= 512 * ulp * abs(ref), (dps, nu, y)
+                    assert abs(v - ref) <= 64 * ulp * abs(ref), (dps, nu, y)
 
     def test_i_tiny_imaginary_order_next_to_a_pole(self):
         # k + nu = ib at k = 2, 3, 1: b is far below 2^-(prec + guard), so

@@ -3,14 +3,17 @@
 Pinned values computed with mpmath at dps=60.
 """
 
+from dataclasses import replace
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workdps
 
-from indexkernels import bessel
-from indexkernels.bessel import k_itau_quad, k_itau_series, series_safe_x
-from indexkernels.errors import DomainError
+from indexkernels import bessel, config, kernels
+from indexkernels.bessel import (bessel_i, full_precision_ctl, k_index,
+                                 k_itau_quad, k_itau_series, series_safe_x)
+from indexkernels.errors import DomainError, PrecisionLossError
 from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
                                   _thm1_phase, conical_p, eval,
                                   k_squared_direct, olevskii_decay_slopes,
@@ -160,6 +163,40 @@ class TestExpansionOracles:
         with workdps(mp.dps + 30):
             ref = mpmath.besselk(1j * tau, x).real
         assert rel(v, ref) < mpf(10) ** (-mp.dps)
+
+    def test_product_oracle_sums_one_i_series(self, monkeypatch):
+        # 2 Re I and, on the series route, K come from one I-series: the
+        # value is the old two-sum product's, bit for bit
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bessel_i(*args)
+        monkeypatch.setattr(kernels, "bessel_i", spy)
+        monkeypatch.setattr(bessel, "bessel_i", spy)
+        tau = mpf(1)
+        with workdps(mp.dps + 15):
+            safe = mpmath.floor(series_safe_x(tau))
+        for x in (mpf("0.55"), mpf(2), safe, safe + 2):  # the last: quad
+            monkeypatch.setattr(bessel, "_ks_cache", {})
+            del calls[:]
+            v = _product_oracle(tau, x)
+            assert len(calls) == 1, x
+            monkeypatch.setattr(bessel, "_ks_cache", {})
+            with workdps(mp.dps + 15):
+                K = k_index(tau, x)
+                ref = 2 * bessel_i(1j * tau, x, full_precision_ctl()).real * K
+            assert v == ref, x
+
+    def test_product_oracle_checks_precision_loss(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_ks_cache", {})  # the summing path
+        saved = config.get()
+        config.set_active(replace(saved, precision_loss_threshold=1e-60))
+        try:
+            with pytest.raises(PrecisionLossError):
+                _product_oracle(mpf(8), mpf(1))
+        finally:
+            config.set_active(saved)
 
     def test_product_oracle_sums_to_working_precision(self):
         # summed only to the config rel_tol of 1e-24, the I factor leaves

@@ -4,6 +4,9 @@ Pinned values were computed with mpmath at dps=60 and frozen here; the
 package routes must reproduce them at the default working precision.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +62,27 @@ class TestLnGamma:
             gamma_c(0)
         with pytest.raises(PoleError):
             gamma_c(-3)
+
+    def test_non_finite_rejected(self):
+        for z in (mpf("inf"), mpf("nan"), mpc(1, "-inf"), mpc("inf", 1)):
+            with pytest.raises(DomainError):
+                ln_gamma(z)
+
+    def test_against_mpmath_as_dps_grows(self):
+        # guard bits and one log of the shift product hold the absolute
+        # error under 10 eps = 10^(1-dps); at 15 and 30 eps it grew with
+        # dps, from the ~25 working-precision logs of the shift.  The
+        # points straddle the negative axis (the branch fix) too
+        points = ([1j * mpf(t) for t in (5, "6.5", 8, "9.5", 12)]
+                  + [mpc("0.3", -20), mpc("-3.5", "0.01"),
+                     mpc("-3.5", "-0.01"), mpf(1), mpf("1.7")])
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for z in points:
+                    v = ln_gamma(z)
+                    with mpmath.workdps(dps + 30):
+                        ref = mpmath.loggamma(z)
+                    assert abs(v - ref) <= 10 * mpf(10) ** -dps, (dps, z)
 
 
 class TestLnGammaMemo:
@@ -312,3 +336,149 @@ class TestSeriesDryRun:
                         loss = int(mp.log10(max_mag / abs(s))) + 1
                         extra = special._dry_run_extra(nums, dens, z, ctl)
                         assert extra == loss + 10, (dps, tau, z)
+
+
+def _mpc_series_loop(nums, dens, z, ctl):
+    # the mpc loop the fixed-point sum replaced, rounding every term; it
+    # also returns its scale, the sum of the term magnitudes
+    term = s = mpc(1)
+    max_mag = prev_mag = scale = mpf(1)
+    tol = mpf(ctl.rel_tol, prec=53)
+    streak = 0
+    for k in range(ctl.max_terms):
+        num = mpc(z)
+        for a in nums:
+            num *= a + k
+        den = mpc(k + 1)
+        for b in dens:
+            den *= b + k
+        term = term * num / den
+        s += term
+        mag = abs(term)
+        scale += mag
+        max_mag = max(max_mag, mag)
+        if mag < tol * abs(s) and mag <= prev_mag:
+            streak += 1
+            if streak >= 3:
+                return s, max_mag, k + 1, scale
+        else:
+            streak = 0
+        prev_mag = mag
+    raise NonconvergenceError("stalled", partial=s, tail_estimate=abs(term))
+
+
+def _floored_sum(nums, dens, z, wp, terms):
+    # exact rationals: each term the last times the exact ratio of the
+    # 2^-wp-floored parameters, each component floored to 2^-wp
+    unit = Fraction(1, 2 ** wp)
+
+    def fixed(c):
+        return tuple(int(mpmath.floor(mpmath.ldexp(v, wp))) * unit
+                     for v in (mpc(c).real, mpc(c).imag))
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+    ups, lows = [fixed(a) for a in nums], [fixed(b) for b in dens]
+    t = s = (Fraction(1), Fraction(0))
+    for k in range(terms):
+        num, den = fixed(z), (Fraction(k + 1), Fraction(0))
+        for a in ups:
+            num = mul(num, (a[0] + k, a[1]))
+        for b in lows:
+            den = mul(den, (b[0] + k, b[1]))
+        r = mul(mul(t, num), (den[0], -den[1]))
+        m = den[0] ** 2 + den[1] ** 2
+        t = tuple((c / m // unit) * unit for c in r)
+        s = (s[0] + t[0], s[1] + t[1])
+    return s
+
+
+class TestFixedPointSeriesSum:
+    """_series_sum on integers scaled by 2^(mp.prec + _GUARD), against
+    the mpc loop it replaced, on the passes the front ends run."""
+
+    @staticmethod
+    def passes(monkeypatch, dps):
+        # (nums, dens, z, ctl, mp.prec) of each pass of the dry-run cases
+        # and of a real-parameter 1F1 with alternating terms
+        seen = []
+        fn = special._series_sum
+
+        def spy(nums, dens, z, ctl):
+            seen.append((nums, dens, z, ctl, mp.prec))
+            return fn(nums, dens, z, ctl)
+        cases = [(hyp1f1, mpf("0.7"), mpf("1.9"), mpf("-0.8"))]
+        for tau in (mpf("0.3"), mpf("2.5"), mpf(7), mpf(13), mpf(20)):
+            cases += TestSeriesDryRun.cases(tau)
+        with monkeypatch.context() as m, mpmath.workdps(dps):
+            m.setattr(special, "_series_sum", spy)
+            for f, *args in cases:
+                f(*args)
+        return seen
+
+    def test_matches_mpc_loop(self, monkeypatch):
+        # the loop rounds each term: the sums agree within a few units of
+        # its scale (measured up to 4.7), the largest terms within the
+        # loop's k roundings of a term (measured up to 0.12 k)
+        for dps in (25, 40, 60):
+            for nums, dens, z, ctl, prec in self.passes(monkeypatch, dps):
+                with mpmath.workprec(prec):
+                    ref, ref_max, k, scale = _mpc_series_loop(nums, dens,
+                                                              z, ctl)
+                    s, max_mag, terms = special._series_sum(nums, dens, z,
+                                                            ctl)
+                    ulp = mpf(2) ** -prec
+                if scale < 2 ** (prec - 20) * abs(ref):
+                    # a pass that cancels all its digits stops on a noisy
+                    # |sum|; the escalation then sums it again
+                    assert terms == k, (dps, nums, dens, z)
+                assert abs(s - ref) <= 8 * ulp * scale, (dps, nums, dens, z)
+                assert abs(max_mag - ref_max) <= k * ulp * ref_max
+
+    def test_stop_rule(self, monkeypatch):
+        # three consecutive non-increasing terms below rel_tol |sum|: the
+        # sum converges with the loop's term count and stalls one short
+        for nums, dens, z, ctl, prec in self.passes(monkeypatch, 40):
+            with mpmath.workprec(prec):
+                k = special._series_sum(nums, dens, z, ctl)[2]
+                assert special._series_sum(
+                    nums, dens, z, replace(ctl, max_terms=k))[2] == k
+                with pytest.raises(NonconvergenceError):
+                    special._series_sum(nums, dens, z,
+                                        replace(ctl, max_terms=k - 1))
+
+    def test_stall_carries_partial_and_tail(self):
+        ctl = SeriesControl(max_terms=3)
+        ulp = mpf(2) ** -mp.prec
+        for nums, dens, z in (([mpc(1, 3)], [mpc(2)], mpc("-0.5")),
+                              ([mpc("0.5", -4), mpc("0.5", 4)],
+                               [mpc("1.7")], mpc("-0.3"))):
+            with pytest.raises(NonconvergenceError) as new:
+                special._series_sum(nums, dens, z, ctl)
+            with pytest.raises(NonconvergenceError) as old:
+                _mpc_series_loop(nums, dens, z, ctl)
+            new, old = new.value, old.value
+            assert abs(new.partial - old.partial) <= 8 * ulp * abs(old.partial)
+            assert abs(new.tail_estimate - old.tail_estimate) <= \
+                8 * ulp * old.tail_estimate
+
+    def test_non_finite_input_does_not_converge(self):
+        # as the mpc loop's inf and nan terms never did, but at once: the
+        # fixed-point form of inf or nan would be 0
+        for args in ((mpf("inf"), 2, mpf("0.5")), (1, 2, mpf("nan")),
+                     (mpc(1, 1), mpc(2, "inf"), mpf("0.5"))):
+            with pytest.raises(NonconvergenceError):
+                hyp1f1(*args)
+
+    def test_sum_is_the_floored_recurrence(self, monkeypatch):
+        # without guard bits the rounding of each term shows in the sum:
+        # it is the exact recurrence floored per component, bit for bit
+        monkeypatch.setattr(special, "_GUARD", 0)
+        ctl = special.default_ctl()
+        for nums, dens, z in (([mpc("0.7")], [mpc("1.9")], mpc("-0.8")),
+                              ([mpc("0.5", -2), mpc("0.5", 2)],
+                               [mpc("1.7")], mpc("-0.45"))):
+            s, _, k = special._series_sum(nums, dens, z, ctl)
+            re, im = _floored_sum(nums, dens, z, mp.prec, k)
+            assert s == mpc(mpf(re.numerator) / re.denominator,
+                            mpf(im.numerator) / im.denominator)
