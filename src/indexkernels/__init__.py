@@ -12,8 +12,8 @@ from .special import (SeriesControl, binet_r, gamma_c, gamma_via_binet,
                       pochhammer)
 from .bessel import (KernelValue, bessel_i, bessel_j, bessel_k_real,
                      k_index, k_itau_quad, k_itau_series)
-from .quadrature import (QuadResult, integrate_semi_infinite, mehler_fock_sq,
-                         olevskii_quad, product_kernel_quad, whittaker_quad)
+from .quadrature import (QuadResult, mehler_fock_sq, olevskii_quad,
+                         product_kernel_quad, whittaker_quad)
 from .kernels import (EvalResult, ExpansionReport, KernelPoint, conical_p,
                       k_squared_direct, olevskii_decay_slopes,
                       olevskii_direct, olevskii_main, product_kernel_direct,

@@ -21,7 +21,7 @@ mpmath itself, they assume one thread.
 import functools
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc, workprec
+from mpmath import isfinite, mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, quad, sin, sinh, sqrt
 from mpmath.libmp import to_fixed
 
@@ -36,6 +36,8 @@ _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
 # eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
 # exp(-ln_gamma), the reduced phase) round to tens of them
 _ROUNDING = 10
+# k_index: the I-series route up to this index, the cosine integral above
+SERIES_INDEX_CAP = 16.0
 
 
 @dataclass
@@ -55,6 +57,8 @@ def bessel_i(nu, x, ctl=None):
     ctl = ctl or default_ctl()
     nu = mpc(nu)
     x = mpf(x)
+    if not (isfinite(nu) and isfinite(x)):
+        raise DomainError("bessel_i requires finite nu and x")
     if x < 0:
         raise DomainError("bessel_i requires x >= 0")
     if nu.imag == 0 and nu.real == int(nu.real) and nu.real < 0:
@@ -153,6 +157,8 @@ def bessel_j(nu, x, ctl=None, with_error=False):
     ctl = ctl or default_ctl()
     nu = mpf(nu)
     x = mpf(x)
+    if not (isfinite(nu) and isfinite(x)):
+        raise DomainError("bessel_j requires finite nu and x")
     if nu <= -1:
         raise DomainError("bessel_j requires nu > -1")
     if x < 0:
@@ -349,11 +355,11 @@ def series_safe_x(index):
 
 def k_index(index, x, i_tau=None):
     """K_{i*index}(x) by the route appropriate for the point: the series
-    below config.series_index_cap and inside its safe-argument region,
+    up to SERIES_INDEX_CAP and inside its safe-argument region,
     the cosine integral otherwise; used by the outer integral evaluators,
     with caching on their node sets.  i_tau is handed to k_itau_series."""
     if index == 0:
         return bessel_k_real(0, x)
-    if index <= config.get().series_index_cap and x <= series_safe_x(index):
+    if index <= SERIES_INDEX_CAP and x <= series_safe_x(index):
         return k_itau_series(index, x, i_tau=i_tau).value
     return k_itau_quad(index, x).value

@@ -28,10 +28,6 @@ class BoundReport:
     holds: bool
 
 
-def _gamma_r(a):
-    return exp(ln_gamma(mpf(a)).real)
-
-
 def _abs_gamma(z):
     return exp(ln_gamma(z).real)
 
@@ -51,7 +47,7 @@ def bound_kl_rhs(n, tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("bound_kl_rhs requires tau > 0, x > 0")
     p = mpf(2) ** (-n - 1)
-    return _gamma_r(p) / mpf(2) ** (1 - 2 * p) * exp(
+    return _abs_gamma(p) / mpf(2) ** (1 - 2 * p) * exp(
         -2 * p * (log(x) / 2 + _log_sinh(mpf(2) ** n * pi * tau / 2)))
 
 
@@ -68,9 +64,10 @@ def bound_mehler_fock_rhs(n, mu, tau, x):
         raise DomainError("need mu > 2^{-n-1} - 1/2")
     if tau <= 0 or x <= 0:
         raise DomainError("bound_mehler_fock_rhs requires tau > 0, x > 0")
-    ratio = sqrt(_gamma_r(mpf(1) / 2 + mu - p)
-                 / (_gamma_r(mpf(1) / 2 + p) * _gamma_r(mpf(1) / 2 + mu + p)))
-    return (mpf(2) ** p / pi ** mpf("0.25") * _gamma_r(p) * ratio
+    ratio = sqrt(_abs_gamma(mpf(1) / 2 + mu - p)
+                 / (_abs_gamma(mpf(1) / 2 + p)
+                    * _abs_gamma(mpf(1) / 2 + mu + p)))
+    return (mpf(2) ** p / pi ** mpf("0.25") * _abs_gamma(p) * ratio
             * exp(-p * _log_sinh(mpf(2) ** n * pi * tau))
             * x ** (p - mpf(1) / 2)
             / _abs_gamma(mu + mpf(1) / 2 + 1j * tau))
@@ -82,7 +79,7 @@ def bound_product_rhs(x):
     x = mpf(x)
     if x <= 0:
         raise DomainError("bound_product_rhs requires x > 0")
-    return _gamma_r(mpf(1) / 4) ** 2 / (pi * sqrt(x))
+    return _abs_gamma(mpf(1) / 4) ** 2 / (pi * sqrt(x))
 
 
 def bound_whittaker_rhs(n, mu, tau, x):
@@ -98,8 +95,8 @@ def bound_whittaker_rhs(n, mu, tau, x):
         raise DomainError("bound_whittaker_rhs requires tau > 0, x > 0")
     p = mpf(2) ** (-n)
     # Gamma(Re mu)/|Gamma(mu)| = 1 for real mu; kept explicit
-    pref = _gamma_r(p / 2) * _gamma_r(mu) / (
-        sqrt(pi) * _gamma_r(mu) * mpf(2) ** ((1 - 2 * p) / 2))
+    pref = _abs_gamma(p / 2) * _abs_gamma(mu) / (
+        sqrt(pi) * _abs_gamma(mu) * mpf(2) ** ((1 - 2 * p) / 2))
     return (pref * exp(-p * _log_sinh(mpf(2) ** (n - 1) * pi * tau))
             * x ** ((1 - p) / 2 - mu))
 
@@ -117,10 +114,10 @@ def bound_olevskii_rhs(mu, nu, tau, x):
         raise DomainError("need nu > -mu/2")
     if tau <= 0 or x <= 0:
         raise DomainError("bound_olevskii_rhs requires tau > 0, x > 0")
-    root = sqrt(tan(pi * mu / 2) * _gamma_r(mu / 2 + nu)
-                / _gamma_r(1 - mu / 2 + nu))
-    return (mpf(2) ** (mpf(1) / 2 - mu) * _gamma_r(mu / 2) * _gamma_r(nu + 1)
-            / _gamma_r((1 + mu) / 2) * root
+    root = sqrt(tan(pi * mu / 2) * _abs_gamma(mu / 2 + nu)
+                / _abs_gamma(1 - mu / 2 + nu))
+    return (mpf(2) ** (mpf(1) / 2 - mu) * _abs_gamma(mu / 2)
+            * _abs_gamma(nu + 1) / _abs_gamma((1 + mu) / 2) * root
             * _abs_gamma(mu / 2 + 2j * tau)
             / _abs_gamma((mu + nu) / 2 + 1j * tau) ** 2
             * x ** (-nu - mu / 2))
@@ -146,10 +143,6 @@ def bound_binet_rhs(z):
     if az == 0:
         raise DomainError("z must be nonzero")
     return exp(1 / (6 * az)) - 1
-
-
-def _bslack():
-    return mpf(config.get().bound_slack)
 
 
 def evaluate_bound(bound_id, n=None, mu=None, nu=None, rho=None,
@@ -185,7 +178,7 @@ def evaluate_bound(bound_id, n=None, mu=None, nu=None, rho=None,
     else:
         raise DomainError("unknown bound id %r" % (bound_id,))
     margin = rhs - lhs
-    holds = lhs <= rhs * (1 + _bslack())
+    holds = lhs <= rhs * (1 + mpf(config.get().bound_slack))
     return BoundReport(bound_id, point, lhs, rhs, margin, bool(holds))
 
 
@@ -220,6 +213,8 @@ def fit_lebedev_constants(T=1, nx=50, ntau=50, x_floor=mpf("1e-3"),
     T = mpf(T)
     if T <= 0:
         raise DomainError("T must be positive")
+    if nx < 2 or ntau < 2:
+        raise DomainError("the fit grid needs nx >= 2 and ntau >= 2")
     with workdps(fit_dps):
         taus = _lin_grid(tau_lo, tau_hi, ntau)
         A = mpf(0)

@@ -19,7 +19,7 @@ import csv
 import sys
 import time
 
-from mpmath import exp, mpc, mpf, nstr, pi, workdps
+from mpmath import exp, isfinite, mpc, mpf, nstr, pi, workdps
 
 from . import bounds, config, kernels
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -54,7 +54,8 @@ def parse_grid(spec):
     except (ValueError, TypeError):
         raise DomainError("bad grid spec %r (want axis=start:stop:step)"
                           % (spec,))
-    if not axis or step <= 0 or start > stop:
+    if (not axis or not all(map(isfinite, (start, stop, step)))
+            or step <= 0 or start > stop):
         raise DomainError("bad grid spec %r" % (spec,))
     vals = []
     v = start
@@ -64,12 +65,9 @@ def parse_grid(spec):
     return axis, vals
 
 
-def _grids(args, defaults):
-    axes = dict(defaults)
-    for spec in args.grid or []:
-        axis, vals = parse_grid(spec)
-        axes[axis] = vals
-    return axes
+def _grids(args, *defaults):
+    # {axis: values} from the default specs, each --grid overriding its axis
+    return dict(parse_grid(spec) for spec in defaults + tuple(args.grid or ()))
 
 
 def _write_csv(path, header, rows):
@@ -84,15 +82,10 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _point_from_args(args):
-    return kernels.KernelPoint(kernel=args.kernel, x=args.x, tau=args.tau,
-                               mu=args.mu, nu=args.nu, rho=args.rho)
-
-
 def cmd_eval(args):
-    route = args.route or "series"
-    point = _point_from_args(args)
-    res = kernels.eval(point, route)
+    point = kernels.KernelPoint(kernel=args.kernel, x=args.x, tau=args.tau,
+                                mu=args.mu, nu=args.nu, rho=args.rho)
+    res = kernels.eval(point, args.route)
     val = mpc(res.value)
     print("value_re =", nstr(val.real, 17))
     if val.imag != 0:
@@ -105,9 +98,6 @@ def cmd_eval(args):
 
 def cmd_verify(args):
     bid = args.bound
-    if bid not in bounds.BOUND_IDS:
-        raise DomainError("unknown bound %r (choose from %s)"
-                          % (bid, ", ".join(bounds.BOUND_IDS)))
     rows = []
     header = ["bound", "n", "mu", "nu", "rho", "tau", "x", "z_abs", "z_arg",
               "lhs", "rhs", "margin", "holds", "error"]
@@ -129,7 +119,7 @@ def cmd_verify(args):
                      rep.holds if rep else None, err])
 
     if bid == "binet":
-        axes = _grids(args, {"r": parse_grid("r=0.25:50:2.5")[1]})
+        axes = _grids(args, "r=0.25:50:2.5")
         for r in axes["r"]:
             for arg_frac in (mpf(0), pi / 4, pi / 2):
                 z = r * exp(1j * arg_frac)
@@ -140,11 +130,12 @@ def cmd_verify(args):
                     n_fail += 1
                     record(None, err=str(exc), z_abs=r, z_arg=arg_frac)
     else:
-        axes = _grids(args, {"tau": parse_grid("tau=0.5:10:0.5")[1],
-                             "x": parse_grid("x=0.1:2:0.1")[1]})
+        # the kummer bound holds on 0 < x < 1 only
+        axes = _grids(args, "tau=0.5:10:0.5",
+                      "x=0.1:0.9:0.1" if bid == "kummer" else "x=0.1:2:0.1")
         kw = {}
         if bid in ("kl", "mehler-fock", "whittaker"):
-            kw["n"] = args.n if args.n is not None else 1
+            kw["n"] = args.n
         if bid in ("mehler-fock", "whittaker"):
             if args.mu is None:
                 raise DomainError("bound %r requires --mu" % (bid,))
@@ -157,7 +148,7 @@ def cmd_verify(args):
             if not (0 < kw["mu"] < 1):
                 raise DomainError("bound olevskii requires 0 < mu < 1")
         if bid == "kummer":
-            kw["rho"] = mpf(args.rho) if args.rho is not None else mpf(0)
+            kw["rho"] = mpf(args.rho)
         for tau in axes["tau"]:
             for x in axes["x"]:
                 try:
@@ -180,30 +171,19 @@ def cmd_verify(args):
 
 
 def _expansion_report(kernel, tau, x, args):
-    tau0 = mpf(args.tau0) if args.tau0 is not None else mpf(5)
+    tau0, X = mpf(args.tau0), mpf(args.X)
     if kernel == "kl":
-        N = args.N if args.N is not None else 2
-        X = mpf(args.X) if args.X is not None else mpf(2)
-        return kernels.thm1_report(N, tau, x, tau0, X)
+        return kernels.thm1_report(args.N, tau, x, tau0, X)
     if kernel == "lebedev-square":
-        X = mpf(args.X) if args.X is not None else mpf(2)
         return kernels.thm2_main_and_bound(tau, x, tau0, X)
     if kernel == "lebedev-product":
-        X = mpf(args.X) if args.X is not None else mpf(2)
         return kernels.thm3_main_and_bound(tau, x, tau0, X)
-    if kernel == "whittaker":
-        rho = mpf(args.rho) if args.rho is not None else mpf(0)
-        x0 = mpf(args.x0) if args.x0 is not None else mpf("0.5")
-        return kernels.thm4_main_and_bound(rho, tau, x, tau0, x0)
-    raise DomainError("no asymptotic expansion for kernel %r" % (kernel,))
+    return kernels.thm4_main_and_bound(mpf(args.rho), tau, x, tau0,
+                                       mpf(args.x0))
 
 
 def cmd_expand(args):
-    if args.kernel not in EXPANSIONS:
-        raise DomainError("expand supports kernels: %s"
-                          % ", ".join(EXPANSIONS))
-    axes = _grids(args, {"tau": parse_grid("tau=5:12:0.5")[1],
-                         "x": parse_grid("x=0.25:1:0.75")[1]})
+    axes = _grids(args, "tau=5:12:0.5", "x=0.25:1:0.75")
     header = ["kernel", "tau", "x", "scale", "main", "remainder", "bound",
               "holds", "error"]
     rows = []
@@ -232,10 +212,8 @@ def cmd_expand(args):
 
 def cmd_crossover(args):
     point_kw = dict(mu=args.mu, nu=args.nu, rho=args.rho)
-    x = mpf(args.x) if args.x is not None else mpf(1)
-    tol = mpf(args.tol) if args.tol is not None else mpf("1e-2")
-    axes = _grids(args, {"tau": parse_grid("tau=2:20:0.5")[1]})
-    taus = axes["tau"]
+    x, tol = mpf(args.x), mpf(args.tol)
+    taus = _grids(args, "tau=2:20:0.5")["tau"]
 
     def rel_diff(tau):
         p = kernels.KernelPoint(kernel=args.kernel, x=x, tau=tau, **point_kw)
@@ -287,9 +265,8 @@ def cmd_crossover(args):
 
 
 def cmd_sweep(args):
-    route = args.route or "series"
-    axes = _grids(args, {"tau": parse_grid("tau=0.5:5:0.5")[1],
-                         "x": parse_grid("x=0.5:2:0.5")[1]})
+    route = args.route
+    axes = _grids(args, "tau=0.5:5:0.5", "x=0.5:2:0.5")
     header = ["kernel", "route", "x", "tau", "mu", "nu", "rho",
               "value_re", "value_im", "rel_err_est", "flags", "error"]
     rows = []
@@ -315,10 +292,7 @@ def cmd_sweep(args):
 
 
 def cmd_fit_constants(args):
-    T = mpf(args.T) if args.T is not None else mpf(1)
-    nx = args.nx or 50
-    ntau = args.ntau or 50
-    x_cap = mpf(args.X) if args.X is not None else mpf(20)
+    T, x_cap, nx, ntau = mpf(args.T), mpf(args.X), args.nx, args.ntau
     if not (mpf("1e-3") < T < x_cap):
         raise DomainError("need 1e-3 < T < x cap (empty grid otherwise)")
     A, argA, B, argB = bounds.fit_lebedev_constants(T=T, nx=nx, ntau=ntau,
@@ -344,36 +318,63 @@ def build_parser():
                     "uniform bounds and asymptotic expansions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--kernel", default="kl")
-        sp.add_argument("--route")
-        sp.add_argument("--x")
-        sp.add_argument("--tau")
-        sp.add_argument("--mu")
-        sp.add_argument("--nu")
-        sp.add_argument("--rho")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--tau0")
-        sp.add_argument("--x0")
-        sp.add_argument("--X")
-        sp.add_argument("--T")
-        sp.add_argument("--nx", type=int)
-        sp.add_argument("--ntau", type=int)
-        sp.add_argument("--grid", action="append")
-        sp.add_argument("--tol")
-        sp.add_argument("--out")
-        sp.add_argument("--slack")
-        sp.add_argument("--bound")
+    def command(name, func):
+        sp = sub.add_parser(name)
+        sp.set_defaults(func=func)
         return sp
 
-    common(sub.add_parser("eval")).set_defaults(func=cmd_eval)
-    common(sub.add_parser("verify")).set_defaults(func=cmd_verify)
-    common(sub.add_parser("expand")).set_defaults(func=cmd_expand)
-    common(sub.add_parser("crossover")).set_defaults(func=cmd_crossover)
-    common(sub.add_parser("sweep")).set_defaults(func=cmd_sweep)
-    common(sub.add_parser("fit-constants")).set_defaults(
-        func=cmd_fit_constants)
+    def add(sp, *flags, **kw):
+        for flag in flags:
+            sp.add_argument(flag, **kw)
+
+    kernel = dict(default="kl", choices=kernels.KERNEL_IDS)
+    grid = dict(action="append", metavar="AXIS=START:STOP:STEP")
+
+    sp = command("eval", cmd_eval)
+    add(sp, "--kernel", **kernel)
+    add(sp, "--route", default="series")
+    add(sp, "--x", "--tau", required=True)
+    add(sp, "--mu", "--nu", "--rho")
+
+    sp = command("verify", cmd_verify)
+    add(sp, "--bound", required=True, choices=bounds.BOUND_IDS)
+    add(sp, "--n", type=int, default=1)
+    add(sp, "--mu", "--nu")
+    add(sp, "--rho", default="0")
+    add(sp, "--grid", **grid)
+    add(sp, "--out")
+    add(sp, "--slack", type=float)
+
+    sp = command("expand", cmd_expand)
+    add(sp, "--kernel", default="kl", choices=EXPANSIONS)
+    add(sp, "--N", type=int, default=2)
+    add(sp, "--tau0", default="5")
+    add(sp, "--X", default="2")
+    add(sp, "--rho", default="0")
+    add(sp, "--x0", default="0.5")
+    add(sp, "--grid", **grid)
+    add(sp, "--out")
+    add(sp, "--slack", type=float)
+
+    sp = command("crossover", cmd_crossover)
+    add(sp, "--kernel", **kernel)
+    add(sp, "--mu", "--nu", "--rho")
+    add(sp, "--x", default="1")
+    add(sp, "--tol", default="1e-2")
+    add(sp, "--grid", **grid)
+
+    sp = command("sweep", cmd_sweep)
+    add(sp, "--kernel", **kernel)
+    add(sp, "--route", default="series")
+    add(sp, "--mu", "--nu", "--rho")
+    add(sp, "--grid", **grid)
+    add(sp, "--out")
+
+    sp = command("fit-constants", cmd_fit_constants)
+    add(sp, "--T", default="1")
+    add(sp, "--nx", "--ntau", type=int, default=50)
+    add(sp, "--X", default="20")
+    add(sp, "--out")
     return p
 
 
@@ -383,27 +384,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    cfg = config.load_from_env()
-    if args.slack is not None:
-        cfg.bound_slack = float(args.slack)
-        cfg.remainder_slack = float(args.slack)
-    prev = config.get()  # restored, with mp.dps, on the way out
-    config.set_active(cfg)
     try:
-        if args.command == "eval" and (args.x is None or args.tau is None):
-            raise DomainError("eval requires --x and --tau")
-        if args.command == "verify" and not args.bound:
-            raise DomainError("verify requires --bound")
-        with workdps(cfg.dps):
-            return args.func(args)
+        cfg = config.load_from_env()
+        if getattr(args, "slack", None) is not None:
+            cfg.bound_slack = cfg.remainder_slack = args.slack
+        prev = config.set_active(cfg)  # restored, with mp.dps, on the way out
+        try:
+            with workdps(cfg.dps):
+                return args.func(args)
+        finally:
+            config.set_active(prev)
     except (DomainError, ValueError) as exc:
         print("usage error: %s" % (exc,), file=sys.stderr)
         return EXIT_USAGE
     except NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % (exc,), file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        config.set_active(prev)
 
 
 if __name__ == "__main__":

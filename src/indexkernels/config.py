@@ -2,10 +2,13 @@
 
 Precedence: explicit keyword arguments / CLI flags > the key=value file
 named by the INDEX_KERNELS_CFG environment variable > the defaults below.
+A key the file names that is not a field below is a DomainError.
 """
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+
+from .errors import DomainError
 
 
 @dataclass
@@ -17,20 +20,9 @@ class Config:
     max_terms: int = 10000
     # relative-error threshold above which evaluators raise PrecisionLossError
     precision_loss_threshold: float = 1e-6
-    # K_{i*index} inside outer integrals: series route for index <= this, else quadrature
-    series_index_cap: float = 16.0
-    # oscillatory product-kernel quadrature is only trusted for tau <= this
-    product_quad_tau_cap: float = 2.0
-    # olevskii quadrature argument cap
-    olevskii_quad_x_cap: float = 10.0
-    # binet_r refuses |z| below this floor
-    binet_floor: float = 1.0 / 16.0
     # multiplicative slack on bound predicates and remainder-bound checks
     bound_slack: float = 1e-9
     remainder_slack: float = 1e-6
-    # reading of the inner (1+2*rho) factor in the Whittaker expansion phase:
-    # "printed" (first power) or "squared"
-    thm4_phase: str = "printed"
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
@@ -38,21 +30,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 _active = None
 
 
-def _coerce(name, raw):
-    t = _FIELD_TYPES[name]
-    if t is int or t == "int":
-        return int(raw)
-    if t is float or t == "float":
-        return float(raw)
-    return str(raw)
-
-
-def load_from_env(base=None):
-    """Apply overrides from the file named by INDEX_KERNELS_CFG, if set."""
-    cfg = base or Config()
+def load_from_env():
+    """The defaults, with the overrides from the file named by
+    INDEX_KERNELS_CFG, if set."""
     path = os.environ.get("INDEX_KERNELS_CFG")
     if not path:
-        return cfg
+        return Config()
     overrides = {}
     with open(path) as fh:
         for line in fh:
@@ -61,9 +44,11 @@ def load_from_env(base=None):
                 continue
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key in _FIELD_TYPES:
-                overrides[key] = _coerce(key, val.strip())
-    return replace(cfg, **overrides)
+            if key not in _FIELD_TYPES:
+                raise DomainError("unknown config key %r in %s (known: %s)"
+                                  % (key, path, ", ".join(_FIELD_TYPES)))
+            overrides[key] = _FIELD_TYPES[key](val.strip())
+    return Config(**overrides)
 
 
 def get():
@@ -75,5 +60,7 @@ def get():
 
 
 def set_active(cfg):
+    """Make cfg the active configuration; return the one it replaces."""
     global _active
-    _active = cfg
+    prev, _active = _active, cfg
+    return prev

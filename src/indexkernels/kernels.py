@@ -16,7 +16,7 @@ space so the exp(pi tau) factors cancel before exponentiation.
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath import mp, mpf, mpc, workdps
+from mpmath import isfinite, mp, mpf, mpc, workdps
 from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
                     tanh)
 
@@ -51,6 +51,9 @@ class KernelPoint:
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, mpf(v))
+        if not all(isfinite(v) for v in (self.x, self.tau, self.mu, self.nu,
+                                         self.rho) if v is not None):
+            raise DomainError("kernel point values must be finite")
         if self.x <= 0 or self.tau <= 0:
             raise DomainError("kernel point requires x > 0, tau > 0")
         need = {"olevskii": ("mu", "nu"), "whittaker": ("rho",),
@@ -88,7 +91,17 @@ def _slack():
     return mpf(config.get().remainder_slack)
 
 
+def _lebedev_phase(tau, x):
+    # 2 tau log(2 tau / (e x)), reduced: the phase of the K^2 and product
+    # expansions
+    return _reduce_phase(2 * tau * log(2 * tau / (e * x)))
+
+
 # ---------------------------------------------------------------- K_{i tau}
+
+def _thm1_phase(tau, x):
+    return tau * log(2 * tau / (e * x)) - pi / 4
+
 
 def thm1_main(tau, x):
     """Scale sqrt(2 pi / tau) e^{-pi tau / 2} and leading oscillation
@@ -99,12 +112,8 @@ def thm1_main(tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("thm1_main requires tau > 0, x > 0")
     scale = exp(mpf(1) / 2 * (log(2 * pi) - log(tau)) - pi * tau / 2)
-    theta = _reduce_phase(tau * log(2 * tau / (e * x)) - pi / 4)
+    theta = _reduce_phase(_thm1_phase(tau, x))
     return scale, cos(theta)
-
-
-def _thm1_phase(tau, x):
-    return tau * log(2 * tau / (e * x)) - pi / 4
 
 
 def thm1_remainder_explicit(N, tau, x, with_tail=True):
@@ -195,7 +204,7 @@ def thm2_main_and_bound(tau, x, tau0, X):
     if not (0 < x <= X and tau >= tau0 > 0):
         raise DomainError("need 0 < x <= X and tau >= tau0 > 0")
     scale = pi / (2 * tau * sinh(pi * tau))
-    main = 1 + sin(_reduce_phase(2 * tau * log(2 * tau / (e * x))))
+    main = 1 + sin(_lebedev_phase(tau, x))
     K = _k_oracle(tau, x)
     rem = K ** 2 / scale - main
     i1 = bessel_i(1, 2 * X).real
@@ -241,7 +250,7 @@ def thm3_main_and_bound(tau, x, tau0, X):
     if not (0 < x <= X and tau >= tau0 > 0):
         raise DomainError("need 0 < x <= X and tau >= tau0 > 0")
     scale = 1 / tau
-    main = cos(_reduce_phase(2 * tau * log(2 * tau / (e * x))))
+    main = cos(_lebedev_phase(tau, x))
     rem = _product_oracle(tau, x) / scale - main
     i1 = bessel_i(1, 2 * X).real
     bound = (1 / sqrt(tau)) * (
@@ -306,12 +315,11 @@ def thm4_scale(rho, tau):
                   + rho / 2 * log(1 + (1 + 2 * rho) ** 2 / (4 * tau ** 2))))
 
 
-def thm4_phase(rho, tau, x, mode=None):
+def thm4_phase(rho, tau, x, mode="printed"):
     """Oscillation phase of the W_{rho, i tau} expansion.  The source
     formula is ambiguous about the small correction under the interior
-    square root ((1+2 rho) vs (1+2 rho)^2 over 4 tau^2); both readings are
-    supported via config thm4_phase = printed | squared."""
-    mode = mode or config.get().thm4_phase
+    square root ((1+2 rho) vs (1+2 rho)^2 over 4 tau^2); mode picks the
+    reading, "printed" (first power) or "squared"."""
     rho = mpf(rho)
     tau = mpf(tau)
     x = mpf(x)
@@ -321,7 +329,14 @@ def thm4_phase(rho, tau, x, mode=None):
             - pi / 2 * (rho - mpf(1) / 2))
 
 
-def thm4_main_and_bound(rho, tau, x, tau0, x0, phase_mode=None):
+def thm4_main(rho, tau, x, mode="printed"):
+    """Scale sqrt(2 x) thm4_scale(rho, tau) and leading oscillation
+    cos(thm4_phase(rho, tau, x, mode))."""
+    scale = sqrt(2 * x) * thm4_scale(rho, tau)
+    return scale, cos(_reduce_phase(thm4_phase(rho, tau, x, mode)))
+
+
+def thm4_main_and_bound(rho, tau, x, tau0, x0, phase_mode="printed"):
     """Expansion of W_{rho, i tau}(x) on 0 < x <= x0 < 1, |rho| < 1/2;
     remainder measured against the confluent-hypergeometric route."""
     rho = mpf(rho)
@@ -333,8 +348,7 @@ def thm4_main_and_bound(rho, tau, x, tau0, x0, phase_mode=None):
         raise DomainError("need |rho| < 1/2")
     if not (0 < x <= x0 < 1 and tau >= tau0 > 0):
         raise DomainError("need 0 < x <= x0 < 1 and tau >= tau0 > 0")
-    scale = sqrt(2 * x) * thm4_scale(rho, tau)
-    main = cos(_reduce_phase(thm4_phase(rho, tau, x, phase_mode)))
+    scale, main = thm4_main(rho, tau, x, phase_mode)
     with workdps(mp.dps + 15):
         W = whittaker_direct(rho, tau, x, "f11")
     rem = W / scale - main
@@ -469,10 +483,9 @@ def olevskii_decay_slopes(mu, nu, x, tau_lo=10, tau_hi=40):
 
 # -------------------------------------------------------------- dispatch
 
-def _kl_asymptotic(tau, x, N=2):
-    scale, main = thm1_main(tau, x)
-    rem = thm1_remainder_explicit(N, tau, x, with_tail=False)
-    return scale * (main + rem)
+def _from_quad(r, route):
+    rel = r.abs_error_estimate / abs(r.value) if r.value else mpf(1)
+    return EvalResult(r.value, route, rel, False)
 
 
 def eval(point, route):
@@ -494,8 +507,10 @@ def eval(point, route):
             r = k_itau_quad(p.tau, p.x)
             return EvalResult(r.value, route, r.rel_error, r.cancellation)
         if route == "asymptotic":
-            v = _kl_asymptotic(p.tau, p.x)
-            return EvalResult(v, route, 1 / p.tau ** 3, False)
+            scale, main = thm1_main(p.tau, p.x)
+            rem = thm1_remainder_explicit(2, p.tau, p.x, with_tail=False)
+            return EvalResult(scale * (main + rem), route, 1 / p.tau ** 3,
+                              False)
     elif k == "lebedev-square":
         if route == "series":
             v = k_squared_direct(p.tau, p.x)
@@ -507,8 +522,7 @@ def eval(point, route):
                               r.cancellation)
         if route == "asymptotic":
             scale = pi / (2 * p.tau * sinh(pi * p.tau))
-            v = scale * (1 + sin(_reduce_phase(
-                2 * p.tau * log(2 * p.tau / (e * p.x)))))
+            v = scale * (1 + sin(_lebedev_phase(p.tau, p.x)))
             return EvalResult(v, route, 1 / p.tau, False)
     elif k == "lebedev-product":
         if route == "series":
@@ -516,12 +530,9 @@ def eval(point, route):
             return EvalResult(v, route, mpf("1e-25") * exp(pi * p.tau),
                               p.tau > 16)
         if route == "quadrature":
-            r = product_kernel_quad(p.tau, p.x)
-            rel = r.abs_error_estimate / abs(r.value) if r.value else mpf(1)
-            return EvalResult(r.value, route, rel, False)
+            return _from_quad(product_kernel_quad(p.tau, p.x), route)
         if route == "asymptotic":
-            v = cos(_reduce_phase(
-                2 * p.tau * log(2 * p.tau / (e * p.x)))) / p.tau
+            v = cos(_lebedev_phase(p.tau, p.x)) / p.tau
             return EvalResult(v, route, 1 / sqrt(p.tau), False)
     elif k == "whittaker":
         if route in ("f11", "series", "series218"):
@@ -530,12 +541,10 @@ def eval(point, route):
             return EvalResult(v, route, mpf("1e-25") * exp(pi * p.tau),
                               p.tau > 16)
         if route == "quadrature":
-            r = whittaker_quad(-p.rho, p.tau, p.x / 2)
-            rel = r.abs_error_estimate / abs(r.value) if r.value else mpf(1)
-            return EvalResult(r.value, route, rel, False)
+            return _from_quad(whittaker_quad(-p.rho, p.tau, p.x / 2), route)
         if route == "asymptotic":
-            v = sqrt(2 * p.x) * thm4_scale(p.rho, p.tau) * cos(
-                _reduce_phase(thm4_phase(p.rho, p.tau, p.x)))
+            scale, main = thm4_main(p.rho, p.tau, p.x)
+            v = scale * main
             return EvalResult(v, route, 1 / p.tau, False)
     elif k == "mehler-fock":
         if route in ("series", "conical"):
@@ -556,9 +565,7 @@ def eval(point, route):
             return EvalResult(v, route, mpf("1e-25") * exp(2 * p.tau),
                               p.tau > 16)
         if route == "quadrature":
-            r = olevskii_quad(p.mu, p.nu, p.tau, p.x)
-            rel = r.abs_error_estimate / abs(r.value) if r.value else mpf(1)
-            return EvalResult(r.value, route, rel, False)
+            return _from_quad(olevskii_quad(p.mu, p.nu, p.tau, p.x), route)
         if route == "asymptotic":
             v = olevskii_main(p.mu, p.nu, p.tau, p.x)
             return EvalResult(v, route, p.tau ** (mpf(3) / 4 - p.mu - p.nu),

@@ -1,4 +1,4 @@
-"""Semi-infinite quadrature and the integral-representation routes.
+"""The integral-representation routes.
 
 The four kernel integrals implemented here give evaluation paths that are
 independent of the series/hypergeometric routes in `kernels`:
@@ -19,10 +19,14 @@ from mpmath import mp, mpf, mpc
 from mpmath import (asinh, cos, exp, factorial, inf, log, pi, quad, re,
                     sinh, sqrt)
 
-from . import config
 from .bessel import asymptotic_table, bessel_j, k_index, series_safe_x
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .special import ln_gamma
+
+# the oscillatory product-kernel quadrature is trusted for tau <= this
+PRODUCT_QUAD_TAU_CAP = 2.0
+# the olevskii quadrature's oscillatory tail is trusted for x <= this
+OLEVSKII_QUAD_X_CAP = 10.0
 
 
 @dataclass
@@ -40,61 +44,6 @@ def _counted(f):
         return f(t)
 
     return g, box
-
-
-def integrate_semi_infinite(f, decay="exponential", tol=None, maxdegree=6):
-    """Integrate f over (0, inf).
-
-    decay is "exponential" or ("algebraic", p) with p > 1; the hint picks
-    the tail treatment.  Error estimate comes from the tanh-sinh level
-    difference plus, in the algebraic case, the truncated-tail envelope.
-    """
-    tol = mpf(tol) if tol is not None else mpf(10) ** (-(mp.dps - 10))
-    g, box = _counted(f)
-    if decay == "exponential":
-        # find a cutoff by doubling, rather than handing mp.quad the
-        # infinite interval (its transform probes t so large that e.g.
-        # cosh-type integrands stall in the arithmetic)
-        fmax = max(abs(g(mpf(1) / 4)), abs(g(mpf(1))), mpf(10) ** (-mp.dps))
-        L = mpf(1)
-        while abs(g(L)) > tol * fmax:
-            L *= 2
-            if L > mpf(2) ** 40:
-                raise NonconvergenceError(
-                    "integrand does not decay exponentially",
-                    partial=None, tail_estimate=None)
-        pts = [mpf(0)]
-        p = mpf(1)
-        while p < L:
-            pts.append(p)
-            p *= 2
-        pts.append(L)
-        fl = abs(g(L))
-        rate = max(log((abs(g(L / 2)) + fl * mpf("1e-30")) /
-                       (fl + mpf(10) ** (-10 * mp.dps))) / (L / 2), 2 / L)
-        tail = fl / rate
-        for deg in (maxdegree, maxdegree + 2):
-            v, err = quad(g, pts, error=True, maxdegree=deg)
-            err += tail
-            if err <= tol * (1 + abs(v)):
-                return QuadResult(v, err, box[0])
-        raise NonconvergenceError("semi-infinite quadrature stalled",
-                                  partial=v, tail_estimate=err)
-    kind, p = decay
-    if kind != "algebraic" or p <= 1:
-        raise DomainError("decay must be 'exponential' or ('algebraic', p>1)")
-    # head on [0, 1], tail folded to [0, 1] by t -> 1/u; the u^{p-2}
-    # endpoint behavior is tanh-sinh territory
-    for deg in (maxdegree, maxdegree + 2):
-        head, err_h = quad(g, [0, 1], error=True, maxdegree=deg)
-        tail, err_t = quad(lambda u: g(1 / u) / u ** 2 if u > 0 else mpf(0),
-                           [0, 1], error=True, maxdegree=deg)
-        v = head + tail
-        err = err_h + err_t
-        if err <= tol * (1 + abs(v)):
-            return QuadResult(v, err, box[0])
-    raise NonconvergenceError("semi-infinite quadrature stalled",
-                              partial=v, tail_estimate=err)
 
 
 def _k_cutoff():
@@ -210,13 +159,13 @@ def product_kernel_quad(tau, x, maxdegree=6):
 
     Finite part on [0, U] split at the J_0 oscillation scale; the tail is
     rotated into the upper half-plane where the outgoing Hankel factor
-    decays exponentially.  Trusted for small tau only (config cap): the
+    decays exponentially.  Trusted for tau <= PRODUCT_QUAD_TAU_CAP: the
     cos(2 tau asinh u) factor grows along the rotated ray."""
     tau = mpf(tau)
     x = mpf(x)
     if x <= 0 or tau < 0:
         raise DomainError("product_kernel_quad requires x > 0, tau >= 0")
-    if tau > config.get().product_quad_tau_cap:
+    if tau > PRODUCT_QUAD_TAU_CAP:
         raise NonconvergenceError(
             "oscillatory cancellation beyond the trusted tau range",
             partial=None, tail_estimate=None)
@@ -288,7 +237,7 @@ def olevskii_quad(mu, nu, tau, x, maxdegree=6):
         raise DomainError("olevskii_quad requires 0 < mu < 3/2")
     if tau <= 0 or x <= 0:
         raise DomainError("olevskii_quad requires tau > 0, x > 0")
-    if x > config.get().olevskii_quad_x_cap:
+    if x > OLEVSKII_QUAD_X_CAP:
         raise NonconvergenceError(
             "oscillatory tail beyond the trusted x range",
             partial=None, tail_estimate=None)

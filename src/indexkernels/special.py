@@ -20,6 +20,9 @@ from mpmath.libmp import to_fixed
 from . import config
 from .errors import DomainError, NonconvergenceError, PoleError
 
+# binet_r refuses |z| below this floor
+BINET_FLOOR = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class SeriesControl:
@@ -158,9 +161,9 @@ def binet_r(z):
     the shift itself is exact algebra, independent of the Stirling series.
     """
     z = mpc(z)
-    if abs(z) < config.get().binet_floor:
+    if abs(z) < BINET_FLOOR:
         raise NonconvergenceError(
-            "binet_r below modulus floor |z| >= %g" % config.get().binet_floor)
+            "binet_r below modulus floor |z| >= %g" % BINET_FLOOR)
     if z.real < 0:
         raise DomainError("binet_r requires |arg z| <= pi/2")
 

@@ -14,8 +14,8 @@ from indexkernels import bessel, config
 from indexkernels.bessel import (asymptotic_table, bessel_i, bessel_j,
                                  bessel_k_real, k_index, k_itau_quad,
                                  k_itau_series, series_safe_x)
-from indexkernels.errors import (NonconvergenceError, OverflowGuardError,
-                                 PrecisionLossError)
+from indexkernels.errors import (DomainError, NonconvergenceError,
+                                 OverflowGuardError, PrecisionLossError)
 from indexkernels.quadrature import _hankel0_asym
 from indexkernels.special import SeriesControl, ln_gamma
 
@@ -74,6 +74,21 @@ class TestBesselI:
         v = bessel_i(mpf(nu), mpf(x))
         ref = mpmath.besseli(mpf(nu), mpf(x))
         assert rel(v, ref) < mpf("1e-26")
+
+
+class TestNonFiniteInput:
+    # the fixed-point sums would read a non-finite input as 0
+    @pytest.mark.parametrize("nu, x", [(1, "nan"), (1, "inf"),
+                                       ("nan", 1), ("inf", 1)])
+    def test_bessel_j_raises(self, nu, x):
+        with pytest.raises(DomainError):
+            bessel_j(mpf(nu), mpf(x))
+
+    @pytest.mark.parametrize("nu, x", [
+        (1, "inf"), (1, "nan"), (mpc(0, "inf"), 1), (mpc("nan", 1), 1)])
+    def test_bessel_i_raises(self, nu, x):
+        with pytest.raises(DomainError):
+            bessel_i(nu, mpf(x))
 
 
 class TestBesselJ:

@@ -3,10 +3,12 @@
 import subprocess
 import sys
 
+import pytest
 from mpmath import mp
 
 from indexkernels import config
 from indexkernels.cli import main, parse_grid
+from indexkernels.errors import DomainError
 
 
 def run(argv, capsys):
@@ -25,6 +27,19 @@ class TestParseGrid:
         axis, vals = parse_grid("x=2:2:1")
         assert len(vals) == 1
 
+    @pytest.mark.parametrize("spec", ["x=nan:nan:1", "x=0:inf:1",
+                                      "x=-inf:1:1", "x=0:1:nan"])
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(DomainError):
+            parse_grid(spec)
+
+    def test_non_finite_sweep_exit_code(self, capsys):
+        code, out, err = run(["sweep", "--kernel", "kl",
+                              "--grid", "x=nan:nan:1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "bad grid spec" in err
+
 
 class TestEval:
     def test_series_ok(self, capsys):
@@ -42,6 +57,17 @@ class TestEval:
     def test_missing_argument(self, capsys):
         code, _, err = run(["eval", "--kernel", "kl", "--tau", "2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--tau", "inf"),
+                                             ("--rho", "nan")])
+    def test_non_finite_point(self, capsys, flag, value):
+        argv = ["eval", "--kernel", "whittaker", "--x", "0.5", "--tau", "2",
+                "--rho", "0.3"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_near_one_limit(self, capsys):
         code, out, _ = run(["eval", "--kernel", "olevskii", "--mu", "1.3",
@@ -84,6 +110,13 @@ class TestVerify:
     def test_missing_bound_flag(self, capsys):
         code, _, _ = run(["verify", "--grid", "tau=1:1:1"], capsys)
         assert code == 2
+
+    def test_kummer_default_x_grid_in_domain(self, capsys):
+        code, out, err = run(["verify", "--bound", "kummer",
+                              "--grid", "tau=1:2:1"], capsys)
+        assert code == 0
+        assert "points=18 violations=0 failures=0" in err
+        assert len(out.splitlines()) == 19
 
 
 class TestExpand:
@@ -191,3 +224,52 @@ class TestFitConstants:
     def test_bad_range(self, capsys):
         code, _, _ = run(["fit-constants", "--T", "50"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--nx", "1"), ("--nx", "0"),
+                                             ("--ntau", "1"),
+                                             ("--ntau", "-2")])
+    def test_grid_too_small(self, capsys, flag, value):
+        code, out, err = run(["fit-constants", "--T", "1", flag, value],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "nx >= 2 and ntau >= 2" in err
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--kernel", "kl", "--x", "1", "--tau", "1",
+         "--grid", "tau=1:1:1"],
+        ["eval", "--kernel", "kl", "--x", "1", "--tau", "1", "--slack", "1"],
+        ["crossover", "--kernel", "kl", "--out", "c.csv"],
+        ["fit-constants", "--grid", "x=1:1:1"],
+        ["sweep", "--kernel", "kl", "--tol", "1"],
+        ["verify", "--bound", "kl", "--kernel", "kl"],
+        ["expand", "--kernel", "kl", "--mu", "1"],
+    ])
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_unknown_config_key(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text("dps = 30\nthm4_phase = squared\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
+        before = config.get()
+        code, out, err = run(["eval", "--kernel", "kl", "--x", "1",
+                              "--tau", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown config key 'thm4_phase'" in err
+        assert config.get() is before
+
+    def test_known_config_key_applies(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text("# comment\n\ndps = 20\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
+        code, out, _ = run(["eval", "--kernel", "kl", "--x", "1",
+                            "--tau", "2"], capsys)
+        assert code == 0
+        assert "value_re = 0.080616997622365979" in out

@@ -300,6 +300,14 @@ class TestDispatch:
         with pytest.raises(DomainError):
             KernelPoint(kernel="olevskii", x=1, tau=1, mu="1.3")
 
+    @pytest.mark.parametrize("field", ["x", "tau", "mu", "nu", "rho"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_point_rejects_non_finite(self, field, value):
+        kw = dict(x="0.5", tau=1, mu="1.3", nu="0.2", rho=None)
+        kw[field] = value
+        with pytest.raises(DomainError):
+            KernelPoint(kernel="olevskii", **kw)
+
     def test_routes_agree_kl(self):
         p = KernelPoint(kernel="kl", x="0.7", tau=2)
         s = eval(p, "series")

@@ -1,4 +1,4 @@
-"""Semi-infinite quadrature and the four integral kernel routes.
+"""The four integral kernel routes.
 
 Pinned values computed with mpmath at dps=60.
 """
@@ -7,14 +7,12 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from indexkernels import config
 from indexkernels.errors import NonconvergenceError
-from indexkernels.quadrature import (integrate_semi_infinite, mehler_fock_sq,
-                                     olevskii_quad, product_kernel_quad,
-                                     whittaker_quad)
+from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
+                                     mehler_fock_sq, olevskii_quad,
+                                     product_kernel_quad, whittaker_quad)
 from indexkernels.special import ln_gamma
 
-K0_1 = mpf("0.421024438240708333335627379213")
 PROD_15_08 = mpf("0.39963824944900481601009080283")
 OLEV_PIN = mpf("0.735925581477794741204783046603")
 CONICAL_PIN = mpf("0.404999183551956847454720383896")
@@ -22,40 +20,6 @@ CONICAL_PIN = mpf("0.404999183551956847454720383896")
 
 def rel(a, b):
     return abs(a - b) / max(abs(b), mpf("1e-30"))
-
-
-class TestSemiInfinite:
-    def test_exponential_decay(self):
-        r = integrate_semi_infinite(lambda t: mpmath.exp(-t))
-        assert rel(r.value, mpf(1)) < mpf("1e-25")
-        assert abs(r.value - 1) <= r.abs_error_estimate
-
-    def test_gaussian(self):
-        r = integrate_semi_infinite(lambda t: mpmath.exp(-t ** 2))
-        ref = mpmath.sqrt(mpmath.pi) / 2
-        assert rel(r.value, ref) < mpf("1e-25")
-        assert abs(r.value - ref) <= r.abs_error_estimate
-
-    def test_doubly_exponential_integrand(self):
-        # exp(-cosh t) decays fast enough to stall naive infinite-interval
-        # transforms; the cutoff search must keep this cheap
-        r = integrate_semi_infinite(lambda t: mpmath.exp(-mpmath.cosh(t)))
-        assert rel(r.value, K0_1) < mpf("1e-25")
-        assert r.nodes_used < 5000
-
-    def test_algebraic_decay(self):
-        r = integrate_semi_infinite(lambda t: 1 / (1 + t ** 2),
-                                    decay=("algebraic", 2))
-        assert rel(r.value, mpmath.pi / 2) < mpf("1e-25")
-
-    def test_wrong_decay_hint_rejected(self):
-        with pytest.raises(NonconvergenceError):
-            integrate_semi_infinite(lambda t: 1 / (1 + t ** 2),
-                                    tol=mpf("1e-30"))
-
-    def test_nodes_counted(self):
-        r = integrate_semi_infinite(lambda t: mpmath.exp(-t))
-        assert r.nodes_used > 0
 
 
 class TestProductKernelQuad:
@@ -68,9 +32,8 @@ class TestProductKernelQuad:
         assert abs(r.value - PROD_15_08) <= r.abs_error_estimate * 10
 
     def test_large_index_refused(self):
-        cap = config.get().product_quad_tau_cap
         with pytest.raises(NonconvergenceError):
-            product_kernel_quad(mpf(cap) + 1, mpf(1))
+            product_kernel_quad(mpf(PRODUCT_QUAD_TAU_CAP) + 1, mpf(1))
 
 
 class TestMehlerFockSq:
@@ -107,6 +70,6 @@ class TestOlevskiiQuad:
         assert abs(r.value - OLEV_PIN) <= r.abs_error_estimate * 10
 
     def test_large_argument_refused(self):
-        cap = config.get().olevskii_quad_x_cap
         with pytest.raises(NonconvergenceError):
-            olevskii_quad(mpf("1.3"), mpf("0.2"), mpf(1), mpf(cap) + 5)
+            olevskii_quad(mpf("1.3"), mpf("0.2"), mpf(1),
+                          mpf(OLEVSKII_QUAD_X_CAP) + 5)
