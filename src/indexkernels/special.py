@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc, workdps, workprec
+from mpmath import mp, mpf, mpc, workprec
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
 from mpmath.libmp import to_fixed
 
@@ -269,92 +269,24 @@ def _series_sum(nums, dens, z, ctl):
         tail_estimate=sqrt(mpf((mag, -2 * wp))))
 
 
-# the float dry run declines above this many digits of estimated loss
-_DRY_RUN_MAX_LOSS = 12
-
-
-def _dry_run_extra(nums, dens, z, ctl):
-    # _series_sum's recurrence and stopping rule in complex floats; returns
-    # the extra digits a first pass at mp.dps would choose, or 0 to decline
-    try:
-        zf = complex(z)
-        nf = [complex(a) for a in nums]
-        df = [complex(b) for b in dens]
-        term = s = 1 + 0j
-        max_mag = abs_sum = prev_mag = 1.0
-        tol = ctl.rel_tol
-        streak = 0
-        for k in range(ctl.max_terms - 8):  # near the cap the mp pass decides
-            num = zf
-            for a in nf:
-                num *= a + k
-            den = complex(k + 1)
-            for b in df:
-                den *= b + k
-            term = term * num / den
-            s += term
-            mag = abs(term)
-            abs_sum += mag
-            if mag > max_mag:
-                max_mag = mag
-            if mag < tol * abs(s) and mag <= prev_mag:
-                streak += 1
-                if streak >= 3:
-                    break
-            elif not mag < 1e300:
-                return 0  # overflow or nan; below it, the sums stay finite
-            else:
-                streak = 0
-            prev_mag = mag
-        else:
-            return 0
-        mod = abs(s)
-    except (OverflowError, ZeroDivisionError):
-        return 0
-    if mod == 0:
-        return 0
-    lg = math.log10(max_mag / mod)
-    if lg >= _DRY_RUN_MAX_LOSS:
-        return 0
-    # relative error of max_mag / |s| (float rounding per term, the
-    # working-precision pass's own rounding, a stop a few terms apart);
-    # it bounds the error of lg since 1 / ln 10 < 1
-    err = (32 * (k + 1) * abs_sum / mod * (2.0 ** -52 + 2.0 ** -mp.prec)
-           + 8 * tol)
-    near = round(lg)
-    if near != 0 and abs(lg - near) <= err:
-        return 0  # int() may jump at a nonzero integer; 0 is no jump
-    loss = int(lg) + 1
-    return loss + 10 if loss > 0 else 0
-
-
 def _series_adaptive(nums, dens, z, ctl):
     """Sum with automatic precision escalation when interior terms dwarf
-    the result (large imaginary parameters).
+    the result (large imaginary parameters), by the rule of mpmath's
+    hypsum.
 
-    The digits lost to cancellation are log10(max term / |sum|).  A dry
-    run of the same series in complex floats (_dry_run_extra) estimates
-    them, so the first mp pass already runs at mp.dps + loss + 10, the
-    precision a pass at mp.dps would have escalated to; the loop then
-    accepts it, or escalates further, as always.  The dry run declines
-    (extra = 0, the first pass at mp.dps) when floats cannot be trusted
-    to give the same integer: a non-finite term or sum, a zero sum, no
-    convergence within max_terms - 8 terms, a loss above
-    _DRY_RUN_MAX_LOSS digits, or a log10 within its error bound of a
-    nonzero integer.  The passes, and so the value, are the ones the
-    two-pass loop ran whenever the dry run's integer matches.
+    The bits lost to cancellation are mag(max term) - mag(sum).  The
+    first pass carries 48 bits beyond mp.prec and is kept when it lost at
+    most 32 of them; otherwise the sum runs again with 32 bits beyond the
+    loss it measured.
     """
-    extra = _dry_run_extra(nums, dens, z, ctl)
+    extra = 48
     while True:
-        with workdps(mp.dps + extra):
+        with workprec(mp.prec + extra):
             s, max_mag, _ = _series_sum(nums, dens, z, ctl)
-            if s == 0:
-                loss = 0
-            else:
-                loss = int(mp.log10(max_mag / abs(s))) + 1
-        if loss <= extra:
+            loss = mp.mag(max_mag) - mp.mag(s) if s else 0
+        if loss <= extra - 16:
             return mpc(s)
-        extra = loss + 10
+        extra = loss + 32
 
 
 def hyp1f2(a, b1, b2, z, ctl=None):

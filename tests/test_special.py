@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import special
+from indexkernels import cli, special
 from indexkernels.errors import DomainError, NonconvergenceError, PoleError
 from indexkernels.special import (SeriesControl, _ln_gamma_memo, binet_r,
                                   gamma_c, gamma_via_binet, hyp1f1, hyp1f2,
@@ -199,7 +199,7 @@ class TestHypergeometric:
 
 
 def _two_pass_adaptive(nums, dens, z, ctl):
-    # the loop the float dry run replaced: a first pass at mp.dps only
+    # the loop _series_adaptive replaced: a first pass at mp.dps only
     # supplies the loss digits, then the escalation recomputes the sum
     extra = 0
     while True:
@@ -232,38 +232,36 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-class TestSeriesDryRun:
-    @staticmethod
-    def cases(tau):
-        half, mu, x = mpf(1) / 2, mpf("0.7"), mpf("1.3")
-        a = half + 1j * tau
-        return [
-            (hyp1f1, a + mpf("0.2"), 1 + 2j * tau, -x),
-            (hyp1f1, mpc(1, tau), 2, -4 * x),  # the Kummer transform
-            (hyp1f1, mpc(1, tau), 2, 2j * tau),
-            (hyp1f2, a, 1 + 1j * tau, 1 + 2j * tau, x ** 2),
-            (hyp1f2, 1, 3 - 1j * tau, 3, -4 * tau ** 2),
-            (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-0.3")),  # direct
-            (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-3.5")),  # Pfaff
-            (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-1.004")),  # window
-        ]
+def cases(tau):
+    # the front ends' sums with cancellation growing in tau
+    half, mu, x = mpf(1) / 2, mpf("0.7"), mpf("1.3")
+    a = half + 1j * tau
+    return [
+        (hyp1f1, a + mpf("0.2"), 1 + 2j * tau, -x),
+        (hyp1f1, mpc(1, tau), 2, -4 * x),  # the Kummer transform
+        (hyp1f1, mpc(1, tau), 2, 2j * tau),
+        (hyp1f2, a, 1 + 1j * tau, 1 + 2j * tau, x ** 2),
+        (hyp1f2, 1, 3 - 1j * tau, 3, -4 * tau ** 2),
+        (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-0.3")),  # direct
+        (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-3.5")),  # Pfaff
+        (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-1.004")),  # window
+    ]
+
+
+CASE_TAUS = (mpf("0.3"), mpf("2.5"), mpf(7), mpf(13), mpf(20))
+
+
+class TestSeriesPrecision:
+    """_series_adaptive's first pass carries 48 extra bits and escalates
+    past a larger loss; its values match the two-pass loop it replaced."""
 
     def test_matches_two_pass_loop(self, monkeypatch):
-        extras = _count_calls(monkeypatch, "_dry_run_extra")
-        passes = _count_calls(monkeypatch, "_series_sum")
-        declined = set()
         for dps in (25, 40, 60):
             with mpmath.workdps(dps):
-                for tau in (mpf("0.3"), mpf("2.5"), mpf(7), mpf(13), mpf(20)):
-                    for f, *args in self.cases(tau):
+                for tau in CASE_TAUS:
+                    for f, *args in cases(tau):
                         ref = _two_pass(monkeypatch, f, *args)
-                        del extras[:], passes[:]
                         assert f(*args) == ref, (dps, tau, f.__name__, args)
-                        if 0 in extras and len(passes) > len(extras):
-                            declined.add(f.__name__)
-        # the largest tau loses more digits than the dry run accepts, so
-        # the first pass at mp.dps runs as before
-        assert declined == {"hyp1f1", "hyp1f2", "hyp2f1"}
 
     def test_one_pass_when_loss_is_small(self, monkeypatch):
         passes = _count_calls(monkeypatch, "_series_sum")
@@ -283,59 +281,50 @@ class TestSeriesDryRun:
                   mpf("-0.3"))
         assert len(passes) == 6
 
+    def test_one_pass_per_sum_in_the_bound_sweeps(self, monkeypatch):
+        # the criterion-4 verify sweeps at the corners of their grid
+        grids = ["--grid", "tau=0.5:10:9.5", "--grid", "x=0.1:2:1.9"]
+        runs = [["verify", "--bound", "kl", "--n", n] for n in "123"]
+        runs += [["verify", "--bound", "mehler-fock", "--n", "1", "--mu", mu]
+                 for mu in ("0.5", "1")]
+        runs.append(["verify", "--bound", "product"])
+        runs += [["verify", "--bound", "whittaker", "--n", "1", "--mu", mu]
+                 for mu in ("0.5", "1")]
+        runs += [["verify", "--bound", "olevskii", "--mu", mu, "--nu", nu]
+                 for mu, nu in (("0.5", "0.25"), ("0.75", "0"))]
+        sums = _count_calls(monkeypatch, "_series_adaptive")
+        passes = _count_calls(monkeypatch, "_series_sum")
+        assert [cli.main(argv + grids) for argv in runs] == [0] * 10
+        assert len(sums) > 0
+        assert len(passes) == len(sums)
+
     def test_declines_on_overflow(self, monkeypatch):
         # 1F1(1; 2; 800) = (e^800 - 1) / 800: its terms overflow a float
-        ctl = special.default_ctl()
-        assert special._dry_run_extra([mpc(1)], [mpc(2)], mpc(800), ctl) == 0
         ref = _two_pass(monkeypatch, hyp1f1, 1, 2, 800)
         assert hyp1f1(1, 2, 800) == ref
         assert rel(ref, mpmath.expm1(800) / 800) < mpf("1e-23")
 
     def test_declines_on_large_loss(self, monkeypatch):
+        # 37 bits (11 digits) cancel, more than the first pass's 32 to spare
         half, tau = mpf(1) / 2, mpf(16)
         args = (half - 1j * tau, half + 1j * tau, mpf("1.5"), mpf("-0.6"))
-        ctl = special.default_ctl()
-        assert special._dry_run_extra([mpc(args[0]), mpc(args[1])],
-                                      [mpc(args[2])], mpc(args[3]), ctl) == 0
         passes = _count_calls(monkeypatch, "_series_sum")
         v = hyp2f1(*args)
-        assert len(passes) >= 2  # a pass at mp.dps, then the escalation
+        assert len(passes) == 2  # the first pass, then the escalation
         assert v == _two_pass(monkeypatch, hyp2f1, *args)
-        # the cap applies on its own: this sum loses 2.7 digits
-        args = ([half - 7j, half + 7j], [mpc("1.7")], mpc("-0.3"), ctl)
-        assert special._dry_run_extra(*args) == 13
-        monkeypatch.setattr(special, "_DRY_RUN_MAX_LOSS", 2)
-        assert special._dry_run_extra(*args) == 0
 
     def test_declines_when_terms_run_out(self, monkeypatch):
-        # five terms do not converge; the mp pass raises the old error
+        # five terms do not converge; the first pass raises the old error,
+        # its partial sum carried at 48 more bits
         ctl = SeriesControl(max_terms=5)
         args = (mpc(1, 3), 2, mpf("-0.5"), ctl)
-        assert special._dry_run_extra([mpc(1, 3)], [mpc(2)], mpc(-0.5),
-                                      ctl) == 0
         with pytest.raises(NonconvergenceError) as new:
             hyp1f1(*args)
         with pytest.raises(NonconvergenceError) as old:
             _two_pass(monkeypatch, hyp1f1, *args)
-        assert new.value.partial == old.value.partial
         assert str(new.value) == str(old.value)
-
-    def test_extra_is_the_first_pass_choice(self):
-        # on these small-loss sums the dry run answers, and it answers
-        # what a pass at mp.dps says
-        ctl = special.default_ctl()
-        half = mpf(1) / 2
-        for dps in (25, 40, 60):
-            with mpmath.workdps(dps):
-                for tau in (mpf("0.3"), mpf(2), mpf(5), mpf(8)):
-                    nums = [half - 1j * tau, half + 1j * tau]
-                    dens = [mpc("1.6")]
-                    for z in (mpc("-0.2"), mpc("-0.45"), mpc("0.6")):
-                        s, max_mag, _ = special._series_sum(nums, dens, z,
-                                                            ctl)
-                        loss = int(mp.log10(max_mag / abs(s))) + 1
-                        extra = special._dry_run_extra(nums, dens, z, ctl)
-                        assert extra == loss + 10, (dps, tau, z)
+        assert abs(new.value.partial - old.value.partial) <= \
+            mpf(10) ** -mp.dps * abs(old.value.partial)
 
 
 def _mpc_series_loop(nums, dens, z, ctl):
@@ -399,27 +388,27 @@ class TestFixedPointSeriesSum:
 
     @staticmethod
     def passes(monkeypatch, dps):
-        # (nums, dens, z, ctl, mp.prec) of each pass of the dry-run cases
-        # and of a real-parameter 1F1 with alternating terms
+        # (nums, dens, z, ctl, mp.prec) of each pass of the cases and of
+        # a real-parameter 1F1 with alternating terms
         seen = []
         fn = special._series_sum
 
         def spy(nums, dens, z, ctl):
             seen.append((nums, dens, z, ctl, mp.prec))
             return fn(nums, dens, z, ctl)
-        cases = [(hyp1f1, mpf("0.7"), mpf("1.9"), mpf("-0.8"))]
-        for tau in (mpf("0.3"), mpf("2.5"), mpf(7), mpf(13), mpf(20)):
-            cases += TestSeriesDryRun.cases(tau)
+        runs = [(hyp1f1, mpf("0.7"), mpf("1.9"), mpf("-0.8"))]
+        for tau in CASE_TAUS:
+            runs += cases(tau)
         with monkeypatch.context() as m, mpmath.workdps(dps):
             m.setattr(special, "_series_sum", spy)
-            for f, *args in cases:
+            for f, *args in runs:
                 f(*args)
         return seen
 
     def test_matches_mpc_loop(self, monkeypatch):
         # the loop rounds each term: the sums agree within a few units of
-        # its scale (measured up to 4.7), the largest terms within the
-        # loop's k roundings of a term (measured up to 0.12 k)
+        # its scale (measured up to 4.1), the largest terms within the
+        # loop's k roundings of a term (measured up to 0.05 k)
         for dps in (25, 40, 60):
             for nums, dens, z, ctl, prec in self.passes(monkeypatch, dps):
                 with mpmath.workprec(prec):
