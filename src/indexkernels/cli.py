@@ -16,10 +16,12 @@ All commands are deterministic functions of their flags.
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
+from fractions import Fraction
 
-from mpmath import exp, isfinite, mpc, mpf, nstr, pi, workdps
+from mpmath import exp, mpc, mpf, nstr, pi, workdps
 
 from . import bounds, config, kernels
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -47,22 +49,18 @@ def _fmt(v):
 
 
 def parse_grid(spec):
-    """Parse axis=start:stop:step into (axis, [values])."""
+    """Parse axis=start:stop:step, read as exact fractions, into (axis,
+    [values]), each the working-precision number nearest start + i step."""
     try:
         axis, _, rng = spec.partition("=")
-        start, stop, step = (mpf(t) for t in rng.split(":"))
-    except (ValueError, TypeError):
+        start, stop, step = (Fraction(t) for t in rng.split(":"))
+    except (ValueError, ZeroDivisionError):
         raise DomainError("bad grid spec %r (want axis=start:stop:step)"
                           % (spec,))
-    if (not axis or not all(map(isfinite, (start, stop, step)))
-            or step <= 0 or start > stop):
+    if not axis or step <= 0 or start > stop:
         raise DomainError("bad grid spec %r" % (spec,))
-    vals = []
-    v = start
-    while v <= stop + step * mpf("1e-12"):
-        vals.append(v)
-        v += step
-    return axis, vals
+    vals = (start + i * step for i in range((stop - start) // step + 1))
+    return axis, [mpf(v.numerator) / v.denominator for v in vals]
 
 
 def _grids(args, *defaults):
@@ -387,7 +385,8 @@ def main(argv=None):
     try:
         cfg = config.load_from_env()
         if getattr(args, "slack", None) is not None:
-            cfg.bound_slack = cfg.remainder_slack = args.slack
+            cfg = dataclasses.replace(cfg, bound_slack=args.slack,
+                                      remainder_slack=args.slack)
         prev = config.set_active(cfg)  # restored, with mp.dps, on the way out
         try:
             with workdps(cfg.dps):

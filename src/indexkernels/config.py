@@ -2,9 +2,11 @@
 
 Precedence: explicit keyword arguments / CLI flags > the key=value file
 named by the INDEX_KERNELS_CFG environment variable > the defaults below.
-A key the file names that is not a field below is a DomainError.
+A key the file names that is not a field below, a file that cannot be
+read and a value out of its field's range are each a DomainError.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -24,6 +26,18 @@ class Config:
     bound_slack: float = 1e-9
     remainder_slack: float = 1e-6
 
+    def __post_init__(self):
+        if not (self.dps >= 1 and self.max_terms >= 1):
+            raise DomainError("dps and max_terms must be >= 1")
+        for name in ("rel_tol", "precision_loss_threshold"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise DomainError("%s must be finite and > 0" % name)
+        for name in ("bound_slack", "remainder_slack"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise DomainError("%s must be finite and >= 0" % name)
+
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
@@ -37,7 +51,12 @@ def load_from_env():
     if not path:
         return Config()
     overrides = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DomainError("cannot read INDEX_KERNELS_CFG file %s: %s"
+                          % (path, exc.strerror))
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

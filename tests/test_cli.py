@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf, workdps
 
 from indexkernels import config
 from indexkernels.cli import main, parse_grid
@@ -32,6 +32,17 @@ class TestParseGrid:
     def test_non_finite_rejected(self, spec):
         with pytest.raises(DomainError):
             parse_grid(spec)
+
+    @pytest.mark.parametrize("spec, first, step, count", [
+        ("x=0.1:2:0.1", 10, 10, 20), ("x=0.1:5:0.05", 10, 5, 99)])
+    def test_values_are_their_decimals(self, spec, first, step, count):
+        # repeated addition drifted up to 11 ulps from these at dps 40
+        with workdps(40):
+            _, vals = parse_grid(spec)
+            assert len(vals) == count
+            for i, v in enumerate(vals):
+                n = first + i * step  # the value in hundredths
+                assert v == mpf("%d.%02d" % divmod(n, 100)), (spec, i)
 
     def test_non_finite_sweep_exit_code(self, capsys):
         code, out, err = run(["sweep", "--kernel", "kl",
@@ -273,3 +284,52 @@ class TestSubcommandFlags:
                             "--tau", "2"], capsys)
         assert code == 0
         assert "value_re = 0.080616997622365979" in out
+
+
+class TestConfigValues:
+    EVAL = ["eval", "--kernel", "kl", "--x", "1", "--tau", "2"]
+
+    def test_missing_config_file(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "missing.cfg")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", path)
+        code, out, err = run(self.EVAL, capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot read INDEX_KERNELS_CFG file %s" % path in err
+
+    def test_config_path_is_a_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(tmp_path))
+        code, out, err = run(self.EVAL, capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot read INDEX_KERNELS_CFG file %s" % tmp_path in err
+
+    @pytest.mark.parametrize("line, msg", [
+        ("precision_loss_threshold = nan", "precision_loss_threshold must"),
+        ("dps = 0", "dps and max_terms must"),
+        ("dps = -3", "dps and max_terms must"),
+        ("max_terms = 0", "dps and max_terms must"),
+        ("rel_tol = inf", "rel_tol must"),
+        ("rel_tol = 0", "rel_tol must"),
+        ("bound_slack = -1", "bound_slack must"),
+        ("remainder_slack = nan", "remainder_slack must")])
+    def test_config_value_out_of_range(self, capsys, tmp_path, monkeypatch,
+                                       line, msg):
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
+        code, out, err = run(self.EVAL, capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error: " + msg in err
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--bound", "kl"], ["expand", "--kernel", "kl"]])
+    @pytest.mark.parametrize("slack", ["inf", "nan", "-1"])
+    def test_slack_out_of_range(self, capsys, command, slack):
+        code, out, err = run(command + ["--grid", "tau=6:6:1",
+                                        "--grid", "x=1:1:1",
+                                        "--slack", slack], capsys)
+        assert code == 2
+        assert out == ""
+        assert "bound_slack must be finite and >= 0" in err
