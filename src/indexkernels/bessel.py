@@ -10,19 +10,20 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
 series / large-argument expansion.
 
-The I and J series are summed in fixed point like special._series_sum;
-the guard bits also absorb the cancellation of the alternating J sum.
+The I and J series are summed in fixed point, each term the last times
+a ratio from a per-(order, precision) table grown to the terms used; the
+guard bits also absorb the cancellation of the alternating J sum.
 bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
-orders give exactly conjugate values.  The memos (1/Gamma(nu+1), the
-asymptotic coefficients, K_0) share mp's global precision, so, like
-mpmath itself, they assume one thread.
+orders give exactly conjugate values.  The memos (I and J plans, K
+constants, asymptotic coefficients, K_0) share mp's global precision
+and, like mpmath itself, assume one thread.
 """
 
 import functools
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
-from mpmath import acosh, cos, cosh, exp, log, pi, quad, sin, sinh, sqrt
+from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
 from mpmath.libmp import to_fixed
 
 from . import config
@@ -38,6 +39,9 @@ _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
 _ROUNDING = 10
 # k_index: the I-series route up to this index, the cosine integral above
 SERIES_INDEX_CAP = 16.0
+# bits the ratio tables carry beyond the sums' 2^wp: a rounded ratio
+# moves its term by 2^-64 of itself, far inside the guard bits
+_RATIO_BITS = 64
 
 
 @dataclass
@@ -80,22 +84,42 @@ def bessel_i(nu, x, ctl=None):
         c0 = -exp(nu * log(x / 2) + ln_gamma(-nu)) * mp.sinpi(nu.real) / pi
     else:
         c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1))
-    # I_nu = c0 sum_k t_k, t_k = t_{k-1} q (k + a - ib) / (k |k + nu|^2),
-    # nu = a + ib, q = x^2/4, all scaled by 2^wp; |t|^2 for the stop rule.
-    # k + nu can be as small as ib, so b keeps prec bits of its own
-    wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
-    a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
+    sr, si, wp, _, tail = _i_sum(nu, x, ctl)
+    v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
+    if tail is not None:
+        raise NonconvergenceError(
+            "bessel_i series stalled", partial=v.conjugate() if conj else v,
+            tail_estimate=abs(c0) * sqrt(mpf((tail, -2 * wp))))
+    return v.conjugate() if conj else v
+
+
+@functools.lru_cache(maxsize=128)
+def _i_plan(nu, prec):
+    # nu = a + ib at 2^wp (k + nu can be as small as ib, so b keeps prec
+    # bits of its own) and at index k the ratio (k + a - ib) / (k |k +
+    # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used
+    wp = prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
+    return wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp), [0]
+
+
+def _i_sum(nu, x, ctl):
+    # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
+    # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
+    wp, a, b, rho = _i_plan(nu, mp.prec)
+    sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
     tol_n, tol_k = _tol_fraction(ctl.rel_tol)
-    b2 = b * b
     tr = sr = 1 << wp
     ti = si = 0
     prev = tr * tr
     streak = 0
     for k in range(1, ctl.max_terms + 1):
-        ka = (k << wp) + a
-        d = k * (ka * ka + b2)
-        tr, ti = (tr * ka + ti * b) * q // d, (ti * ka - tr * b) * q // d
+        if k == len(rho):
+            ka = (k << wp) + a
+            d = k * (ka * ka + b * b)
+            rho.append(((ka << sh) // d, (b << sh) // d))
+        rr, ri = rho[k]
+        tr, ti = (tr * rr + ti * ri) * q >> sh, (ti * rr - tr * ri) * q >> sh
         sr += tr
         si += ti
         mag = tr * tr + ti * ti
@@ -103,25 +127,11 @@ def bessel_i(nu, x, ctl=None):
                 < tol_n * tol_n * (sr * sr + si * si)):
             streak += 1
             if streak >= 3:
-                break
+                return sr, si, wp, k, None
         else:
             streak = 0
         prev = mag
-    else:
-        v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
-        raise NonconvergenceError(
-            "bessel_i series stalled", partial=v.conjugate() if conj else v,
-            tail_estimate=abs(c0) * sqrt(mpf((mag, -2 * wp))))
-    v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
-    return v.conjugate() if conj else v
-
-
-@functools.lru_cache(maxsize=128)
-def _inv_gamma(nu, prec):
-    # guard bits: exp makes ln_gamma's absolute error a relative one
-    with workprec(prec + _GUARD):
-        v = exp(-ln_gamma(nu + 1).real)
-    return +v
+    return sr, si, wp, k, mag
 
 
 def asymptotic_table(nu):
@@ -164,37 +174,26 @@ def bessel_j(nu, x, ctl=None, with_error=False):
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
 
-    wp = mp.prec + _GUARD
-    if x <= 20 + nu ** 2 / 2:
+    switch, phase = _j_plan(nu, mp.prec)[:2]
+    if x <= switch:
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        # J_nu = c0 sum_k t_k, t_k = -t_{k-1} q / (k (k + nu)), scaled by
-        # 2^wp; the absolute floor eps is scaled by 1/c0
-        c0 = (x / 2) ** nu * _inv_gamma(nu, mp.prec)
-        a = to_fixed(nu._mpf_, wp)
-        q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-        tol_n, tol_k = _tol_fraction(ctl.rel_tol)
-        floor = to_fixed((_eps() / c0)._mpf_, wp)
-        t = s = 1 << wp
-        for k in range(1, ctl.max_terms + 1):
-            t = -t * q // (k * ((k << wp) + a))
-            s += t
-            if abs(t) << tol_k < tol_n * max(abs(s), floor):
-                break
+        c0, s, t, k, wp = _j_sum(nu, x, ctl)
         v = c0 * mpf((s, -wp))
         if not with_error:
             return v
-        # each floor division leaves a unit of 2^-wp, and the propagated
-        # ones cancel along the alternating tail
+        # each shift leaves a unit of 2^-wp, and the propagated ones
+        # cancel along the alternating tail
         return v, (c0 * mpf((abs(t) + 4 * k, -wp))
                    + _ROUNDING * _eps() * abs(v))
 
     # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum,
     # t_n = t_{n-1} (4 nu^2 - (2n-1)^2) / (8 n x) scaled by 2^wp
+    wp = mp.prec + _GUARD
     xf = to_fixed(x._mpf_, wp)
     nu4 = to_fixed(nu._mpf_, wp) ** 2 >> (wp - 2)
-    omega = x - pi * nu / 2 - pi / 4
+    omega = x - phase - pi / 4
     sums = [0, 0]
     t, total = 1 << wp, 0
     for n in range(40):
@@ -208,14 +207,46 @@ def bessel_j(nu, x, ctl=None, with_error=False):
     else:
         mag = abs(t)  # the coefficients ran out first
     amp = sqrt(2 / (pi * x))
-    v = amp * (cos(omega) * mpf((sums[0], -wp))
-               - sin(omega) * mpf((sums[1], -wp)))
+    c, s = mp.cos_sin(omega)
+    v = amp * (c * mpf((sums[0], -wp)) - s * mpf((sums[1], -wp)))
     if not with_error:
         return v
     # truncation plus rounding, dominated by the phase omega, whose
     # absolute error grows like eps * x
     return v, amp * (mpf((mag, -wp))
                      + _ROUNDING * _eps() * (1 + x) * mpf((total, -wp)))
+
+
+@functools.lru_cache(maxsize=128)
+def _j_plan(nu, prec):
+    # the branch switch, pi nu / 2, nu at 2^wp, 1/Gamma(nu+1) (with guard
+    # bits: exp makes ln_gamma's absolute error a relative one) and at
+    # index k the ratio 1/(k (k + nu)) at 2^(wp + _RATIO_BITS)
+    wp = prec + _GUARD
+    with workprec(wp):
+        inv_gamma = exp(-ln_gamma(nu + 1).real)
+    return (20 + nu ** 2 / 2, pi * nu / 2, wp, to_fixed(nu._mpf_, wp),
+            +inv_gamma, [0])
+
+
+def _j_sum(nu, x, ctl):
+    # J_nu(x) = c0 sum_k t_k, t_k = -t_{k-1} (x/2)^2 / (k (k + nu)), at
+    # 2^wp: (c0, sum, last term, terms past t_0, wp)
+    _, _, wp, a, inv_gamma, rho = _j_plan(nu, mp.prec)
+    sh = 2 * wp + _RATIO_BITS
+    c0 = (x / 2) ** nu * inv_gamma
+    q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
+    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    floor = to_fixed((_eps() / c0)._mpf_, wp)
+    t = s = 1 << wp
+    for k in range(1, ctl.max_terms + 1):
+        if k == len(rho):
+            rho.append((1 << sh) // (k * ((k << wp) + a)))
+        t = -t * rho[k] * q >> sh
+        s += t
+        if abs(t) << tol_k < tol_n * max(abs(s), floor):
+            break
+    return c0, s, t, k, wp
 
 
 def _cosh_cutoff(x):
@@ -335,10 +366,11 @@ def k_itau_series(tau, x, ctl=None, i_tau=None):
         return _checked(hit, "k_itau_series", tau)
     if i_tau is None:
         i_tau = bessel_i(1j * tau, x, ctl)
-    v = -pi * i_tau.imag / sinh(pi * tau)
+    sinh_pt, exp_pt, _ = _k_plan(tau, mp.prec)
+    v = -pi * i_tau.imag / sinh_pt
     canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
                   else _NO_IMAG_RATIO)
-    rel = _eps() * (exp(pi * tau) + canc_ratio)
+    rel = _eps() * (exp_pt + canc_ratio)
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=canc_ratio > _CANC_FLAG)
     _cache_put(_ks_cache, key, res)
@@ -353,13 +385,23 @@ def series_safe_x(index):
     return (margin + pi * mpf(index)) / 2
 
 
+@functools.lru_cache(maxsize=128)
+def _k_plan(tau, prec):
+    # what K_{i tau} needs of tau alone, the safe argument for k_index
+    return sinh(pi * tau), exp(pi * tau), series_safe_x(tau)
+
+
 def k_index(index, x, i_tau=None):
     """K_{i*index}(x) by the route appropriate for the point: the series
     up to SERIES_INDEX_CAP and inside its safe-argument region,
     the cosine integral otherwise; used by the outer integral evaluators,
-    with caching on their node sets.  i_tau is handed to k_itau_series."""
+    with caching on their node sets.  i_tau is handed to k_itau_series.
+    K is even in the index, so both routes see |index|."""
+    index = mpf(index)
+    if index < 0:  # with I_{-i t}(x) = conj I_{i t}(x) for real x
+        index, i_tau = -index, i_tau and i_tau.conjugate()
     if index == 0:
         return bessel_k_real(0, x)
-    if index <= SERIES_INDEX_CAP and x <= series_safe_x(index):
+    if index <= SERIES_INDEX_CAP and x <= _k_plan(index, mp.prec)[2]:
         return k_itau_series(index, x, i_tau=i_tau).value
     return k_itau_quad(index, x).value

@@ -16,12 +16,12 @@ the node set.
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
-from mpmath import (asinh, cos, exp, factorial, inf, log, pi, quad, re,
-                    sinh, sqrt)
+from mpmath import asinh, cos, exp, inf, log, pi, quad, re, sinh, sqrt
+from mpmath.libmp import to_fixed
 
 from .bessel import asymptotic_table, bessel_j, k_index, series_safe_x
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
-from .special import ln_gamma
+from .special import _GUARD, ln_gamma
 
 # the oscillatory product-kernel quadrature is trusted for tau <= this
 PRODUCT_QUAD_TAU_CAP = 2.0
@@ -79,22 +79,26 @@ def _head_vs_k(mu, a, coeffs, order):
     quadrature on (0, 1]; the series form integrates each power in
     closed form instead."""
     order = mpf(order)
+    tol = mpf(10) ** (-mp.dps - 5)
     s = mpc(0)
     for sigma in (1j * order, -1j * order):
         gk = exp(ln_gamma(sigma + 1))          # Gamma(sigma + k + 1) at k=0
+        two_s = mpc(2) ** (-sigma)
+        p = mpf(1)                             # 4^-k / k!
         ssum = mpc(0)
         k = 0
         while True:
-            w = mpf(2) ** (-2 * k) / (factorial(k) * gk) * mpc(2) ** (-sigma)
+            w = p / gk * two_s
             inner = mpc(0)
             for j, c in enumerate(coeffs):
                 inner += c / (mu + a + 2 * j + 2 * k + sigma)
             term = w * inner
             ssum += term
-            if abs(term) < mpf(10) ** (-mp.dps - 5) * (1 + abs(ssum)) and k > 3:
+            if abs(term) < tol * (1 + abs(ssum)) and k > 3:
                 break
             k += 1
             gk = gk * (sigma + k)
+            p /= 4 * k
             if k > 300:
                 raise NonconvergenceError("head series stalled",
                                           partial=ssum, tail_estimate=None)
@@ -141,17 +145,21 @@ def mehler_fock_sq(mu, tau, x, maxdegree=6):
 
 
 def _hankel0_asym(w):
-    # large-argument H_0^(1) = sqrt(2/(pi w)) e^{i(w - pi/4)} (P + i Q), P
-    # and Q the even and odd parts of sum_{n<12} c_n w^{-n} over the signed
-    # table; valid here with Im w > 0 heading to decay
-    c = asymptotic_table(0)
-    pq = [mpc(0), mpc(0)]
-    r = mpc(1)
-    inv_w = 1 / w
-    for n in range(12):
-        pq[n % 2] += c[n] * r
-        r *= inv_w
-    return sqrt(2 / (pi * w)) * exp(1j * (w - pi / 4)) * (pq[0] + 1j * pq[1])
+    # large-argument H_0^(1) = sqrt(2/(pi w)) e^{i(w - pi/4)} (P + iQ),
+    # valid here with Im w > 0 heading to decay
+    return sqrt(2 / (pi * w)) * exp(1j * (w - pi / 4)) * _hankel0_pq(1 / w)
+
+
+def _hankel0_pq(z):
+    # P + iQ at z = 1/w: the table's signs are those of i^n, so P + iQ =
+    # sum_{n<12} a_n (iz)^n, summed by Horner on fixed-point integers
+    wp = mp.prec + _GUARD
+    ur, ui = to_fixed((-z.imag)._mpf_, wp), to_fixed(z.real._mpf_, wp)
+    pr = pi_ = 0
+    for n, c in reversed(list(enumerate(asymptotic_table(0)[:12]))):
+        pr, pi_ = (pr * ur - pi_ * ui) >> wp, (pr * ui + pi_ * ur) >> wp
+        pr += to_fixed((c if n % 4 < 2 else -c)._mpf_, wp)
+    return mpc(mpf((pr, -wp)), mpf((pi_, -wp)))
 
 
 def product_kernel_quad(tau, x, maxdegree=6):
@@ -182,11 +190,16 @@ def product_kernel_quad(tau, x, maxdegree=6):
     g, box = _counted(f)
     head, err_h = quad(g, pts, error=True, maxdegree=maxdegree)
 
+    # on w = U + is, H_0^(1)(2xw) is amp e^{-2xs} (P + iQ) / sqrt(w), and
+    # asinh w = log(w + r) with r = sqrt(1 + w^2) since Re w > 0
+    amp = sqrt(1 / (pi * x)) * exp(1j * (2 * x * U - pi / 4))
+
     def tail_ray(s):
         box[0] += 1
         w = U + 1j * s
-        return (_hankel0_asym(2 * x * w) * cos(2 * tau * asinh(w))
-                / sqrt(1 + w ** 2))
+        r = sqrt(1 + w * w)
+        return (amp * exp(-2 * x * s) * _hankel0_pq(1 / (2 * x * w))
+                * cos(2 * tau * log(w + r)) / (sqrt(w) * r))
 
     tail, err_t = quad(tail_ray, [0, inf], error=True, maxdegree=maxdegree)
     v = 2 * (head + re(1j * tail))

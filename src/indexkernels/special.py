@@ -42,7 +42,12 @@ def default_ctl():
 
 
 def _eps():
-    return mpf(10) ** (-mp.dps)
+    return _eps_memo(mp.prec)
+
+
+@functools.lru_cache(maxsize=16)
+def _eps_memo(prec):
+    return mpf(10) ** (-mp.dps)  # mp.dps is a function of mp.prec
 
 
 def _is_nonpositive_int(z):

@@ -10,14 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import bessel, config
+from mpmath.libmp import to_fixed
+
+from indexkernels import bessel, config, special
 from indexkernels.bessel import (asymptotic_table, bessel_i, bessel_j,
-                                 bessel_k_real, k_index, k_itau_quad,
-                                 k_itau_series, series_safe_x)
+                                 bessel_k_real, full_precision_ctl, k_index,
+                                 k_itau_quad, k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
 from indexkernels.quadrature import _hankel0_asym
-from indexkernels.special import SeriesControl, ln_gamma
+from indexkernels.special import (_GUARD, SeriesControl, _tol_fraction,
+                                  ln_gamma)
 
 I0_1 = mpf("1.26606587775200833559824462521")
 K0_1 = mpf("0.421024438240708333335627379213")
@@ -130,16 +133,30 @@ class TestBesselJ:
             assert abs(v - ref) <= err
 
 
+# the per-(order, precision) memos: the I and J ratio tables and plans,
+# the K constants of tau, and 10^-dps
+MEMOS = (bessel._i_plan, bessel._j_plan, bessel._k_plan, special._eps_memo)
+
+
 class TestCoefficientTables:
-    def test_call_order_independent(self):
+    def test_call_order_independent(self, monkeypatch):
+        # a value does not depend on which call grew the ratio tables or
+        # filled the memos: a sweep in either order, and a long series
+        # (x = 20) before or after a short one (x = 0.3) at the same order,
+        # each from fresh memos and an empty K cache
         tau, nu = mpf("1.7"), mpf("1.3")
+
+        def values(xs):
+            for memo in MEMOS:
+                memo.cache_clear()
+            monkeypatch.setattr(bessel, "_ks_cache", {})
+            return [(bessel_i(1j * tau, x), bessel_j(nu, x), k_index(tau, x))
+                    for x in xs]
+
         xs = [mpf(k) / 4 for k in range(1, 120, 7)]
-
-        def sweep(order):
-            bessel._inv_gamma.cache_clear()
-            return [(bessel_i(1j * tau, x), bessel_j(nu, x)) for x in order]
-
-        assert sweep(xs) == sweep(xs[::-1])[::-1]
+        assert values(xs) == values(xs[::-1])[::-1]
+        short, long_ = mpf("0.3"), mpf(20)
+        assert values([short, long_]) == values([long_, short])[::-1]
 
     def test_keyed_on_precision(self):
         saved = mp.dps
@@ -158,8 +175,7 @@ class TestCoefficientTables:
             mp.dps = saved
 
     def test_memos_bounded(self):
-        for memo in (bessel._inv_gamma, bessel._asymptotic_memo,
-                     bessel._k0):
+        for memo in MEMOS + (bessel._asymptotic_memo, bessel._k0):
             assert memo.cache_info().maxsize is not None
 
     def test_j_and_h0_across_switch(self):
@@ -220,12 +236,19 @@ def _mpc_i_loop(nu, x, ctl):
     raise AssertionError("reference loop stalled")
 
 
+def _inv_gamma(nu):
+    # 1/Gamma(nu+1) as bessel_j forms it: with guard bits, rounded once
+    with mpmath.workprec(mp.prec + _GUARD):
+        v = mpmath.exp(-ln_gamma(nu + 1).real)
+    return +v
+
+
 def _mpf_j_loop(nu, x, ctl):
     # bessel_j's two branches as mpf loops, with the same prefactors and
     # stop rules; returns the value and the scale of its rounding error
     nu, x = mpf(nu), mpf(x)
     if x <= 20 + nu ** 2 / 2:
-        c0 = (x / 2) ** nu * bessel._inv_gamma(nu, mp.prec)
+        c0 = (x / 2) ** nu * _inv_gamma(nu)
         q, tol = (x / 2) ** 2, mpf(ctl.rel_tol)
         floor = mpf(10) ** -mp.dps / c0
         t = s = total = mpf(1)
@@ -248,6 +271,57 @@ def _mpf_j_loop(nu, x, ctl):
     amp = mpmath.sqrt(2 / (mpmath.pi * x))
     return (amp * (mpmath.cos(omega) * sums[0] - mpmath.sin(omega) * sums[1]),
             amp * total)
+
+
+def _exact_i_sum(nu, x, ctl):
+    # bessel_i's fixed-point sum as it was before the ratio tables: each
+    # term from the last by the exact ratio, one floor division per
+    # component.  Returns the raw sum, wp, the terms past t_0 and the
+    # largest |t_k| in units of t_0
+    wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
+    a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
+    q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
+    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    tr = sr = 1 << wp
+    ti = si = 0
+    prev = top = tr * tr
+    streak = 0
+    for k in range(1, ctl.max_terms + 1):
+        ka = (k << wp) + a
+        d = k * (ka * ka + b * b)
+        tr, ti = (tr * ka + ti * b) * q // d, (ti * ka - tr * b) * q // d
+        sr += tr
+        si += ti
+        mag = tr * tr + ti * ti
+        top = max(top, mag)
+        if (mag <= prev and mag << 2 * tol_k
+                < tol_n * tol_n * (sr * sr + si * si)):
+            streak += 1
+            if streak >= 3:
+                return (sr, si), wp, k, mpmath.sqrt(mpf((top, -2 * wp)))
+        else:
+            streak = 0
+        prev = mag
+    raise AssertionError("reference loop stalled")
+
+
+def _exact_j_sum(nu, x, ctl):
+    # bessel_j's ascending fixed-point sum as it was before the ratio
+    # tables, one floor division per term; returns the raw sum, wp and
+    # the terms past t_0
+    wp = mp.prec + _GUARD
+    c0 = (x / 2) ** nu * _inv_gamma(nu)
+    a = to_fixed(nu._mpf_, wp)
+    q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
+    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    floor = to_fixed((mpf(10) ** -mp.dps / c0)._mpf_, wp)
+    t = s = 1 << wp
+    for k in range(1, ctl.max_terms + 1):
+        t = -t * q // (k * ((k << wp) + a))
+        s += t
+        if abs(t) << tol_k < tol_n * max(abs(s), floor):
+            return s, wp, k
+    raise AssertionError("reference loop stalled")
 
 
 def _i_points():
@@ -367,6 +441,31 @@ class TestFixedPointSeries:
                     assert err <= 10 ** 6 * actual, (dps, nu, x)
                     if x <= 20 + nu ** 2 / 2:
                         assert actual <= 8 * ulp * abs(v), (dps, nu, x)
+
+    def test_ratio_tables_match_exact_division(self):
+        # the stored ratios carry 64 bits beyond wp, so the shift-only
+        # loops take the exact-division loops' term counts, and their raw
+        # sums differ by at most k units of 2^-wp of the largest term (at
+        # large x the growing terms amplify either loop's early floor
+        # errors: up to 2.4e12 units at dps 40, tau = 3, x = 39.3)
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                ctl = SeriesControl(rel_tol=10 ** -dps)
+                for nu, y in _i_points():
+                    nu = mpc(nu)
+                    if nu.imag == 0 and nu.real == int(nu.real) < 0:
+                        nu = -nu  # as bessel_i folds it
+                    (er, ei), wp, k, top = _exact_i_sum(nu, y, ctl)
+                    sr, si, wp2, k2, tail = bessel._i_sum(nu, y, ctl)
+                    assert (wp2, k2, tail) == (wp, k, None), (dps, nu, y)
+                    assert max(abs(sr - er), abs(si - ei)) <= \
+                        k * max(1, top), (dps, nu, y)
+                for nu, x in _j_points():
+                    if x <= 20 + nu ** 2 / 2:
+                        es, wp, k = _exact_j_sum(nu, x, ctl)
+                        _, s, _, k2, wp2 = bessel._j_sum(nu, x, ctl)
+                        assert (wp2, k2) == (wp, k), (dps, nu, x)
+                        assert abs(s - es) <= k, (dps, nu, x)
 
     def test_j_matches_mpf_loop(self):
         # measured up to 4.2 units of the loop's scale
@@ -548,6 +647,18 @@ class TestKIndexRouting:
         v = k_index(mpf(40), mpf(1))
         ref = mpmath.besselk(40j, mpf(1)).real
         assert rel(v, ref) < mpf("1e-15")
+
+    def test_negative_index_is_even(self, monkeypatch):
+        # K is even in the index: the router folds |index| before routing,
+        # as k_itau_quad does, and conjugates an I summed at -|index|
+        x = mpf(1)
+        v = k_index(mpf(-2), x)
+        assert v == k_index(mpf(2), x)
+        assert rel(v, k_itau_quad(mpf(-2), x).value) < mpf("1e-25")
+        assert k_index(mpf(-40), x) == k_itau_quad(mpf(40), x).value
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        i_neg = bessel_i(-2j, x, full_precision_ctl())
+        assert k_index(mpf(-2), x, i_neg) == v
 
     def test_safe_region_grows_with_index(self):
         assert series_safe_x(mpf(10)) > series_safe_x(mpf(1))
