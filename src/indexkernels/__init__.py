@@ -7,9 +7,8 @@ from .config import Config, get as get_config, load_from_env, set_active
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError, PoleError, PrecisionLossError)
 
-from .special import (SeriesControl, binet_r, gamma_c, gamma_via_binet,
-                      hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,
-                      pochhammer)
+from .special import (binet_r, gamma_c, gamma_via_binet, hyp1f1, hyp1f2,
+                      hyp2f1, hyp2f1_term2, ln_gamma, pochhammer)
 from .bessel import (KernelValue, bessel_i, bessel_j, bessel_k_real,
                      k_index, k_itau_quad, k_itau_series)
 from .quadrature import (QuadResult, mehler_fock_sq, olevskii_quad,

@@ -29,8 +29,7 @@ from mpmath.libmp import to_fixed
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
                      PrecisionLossError)
-from .special import (_GUARD, SeriesControl, _eps, _tol_fraction,
-                      default_ctl, ln_gamma)
+from .special import _GUARD, _eps, _tol_fraction, ln_gamma
 
 _CANC_FLAG = mpf(10 ** 6)
 _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
@@ -52,13 +51,14 @@ class KernelValue:
     cancellation: bool = False
 
 
-def bessel_i(nu, x, ctl=None):
-    """Modified Bessel I_nu(x) for complex order, ascending series.
+def bessel_i(nu, x):
+    """Modified Bessel I_nu(x) for complex order, ascending series summed
+    to min(rel_tol, 10^-dps): the config tolerance is for standalone
+    series, and K_{i tau} takes a small imaginary part of this sum.
 
     The (x/2)^nu prefactor takes the principal branch; 1/Gamma poles make
     leading terms vanish exactly (the evaluator is total in nu).
     """
-    ctl = ctl or default_ctl()
     nu = mpc(nu)
     x = mpf(x)
     if not (isfinite(nu) and isfinite(x)):
@@ -84,7 +84,7 @@ def bessel_i(nu, x, ctl=None):
         c0 = -exp(nu * log(x / 2) + ln_gamma(-nu)) * mp.sinpi(nu.real) / pi
     else:
         c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1))
-    sr, si, wp, _, tail = _i_sum(nu, x, ctl)
+    sr, si, wp, _, tail = _i_sum(nu, x)
     v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if tail is not None:
         raise NonconvergenceError(
@@ -102,18 +102,23 @@ def _i_plan(nu, prec):
     return wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp), [0]
 
 
-def _i_sum(nu, x, ctl):
+def _i_tol():
+    # bessel_i's tolerance: the config's rel_tol, or 10^-dps if smaller
+    return min(config.get().rel_tol, 10.0 ** (-mp.dps))
+
+
+def _i_sum(nu, x):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
     wp, a, b, rho = _i_plan(nu, mp.prec)
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    tol_n, tol_k = _tol_fraction(_i_tol())
     tr = sr = 1 << wp
     ti = si = 0
     prev = tr * tr
     streak = 0
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, config.get().max_terms + 1):
         if k == len(rho):
             ka = (k << wp) + a
             d = k * (ka * ka + b * b)
@@ -153,7 +158,7 @@ def _asymptotic_memo(nu, prec):
     return tuple(c if n % 4 < 2 else -c for n, c in enumerate(a))
 
 
-def bessel_j(nu, x, ctl=None, with_error=False):
+def bessel_j(nu, x, with_error=False):
     """J_nu(x) for real nu > -1, x >= 0.
 
     Ascending series for x <= 20 + nu^2/2; beyond that the two-sum
@@ -164,7 +169,6 @@ def bessel_j(nu, x, ctl=None, with_error=False):
     10 eps (1 + x) times the asymptotic terms' sum, which covers the
     reduction of the phase x - pi nu / 2 - pi / 4.
     """
-    ctl = ctl or default_ctl()
     nu = mpf(nu)
     x = mpf(x)
     if not (isfinite(nu) and isfinite(x)):
@@ -179,7 +183,7 @@ def bessel_j(nu, x, ctl=None, with_error=False):
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        c0, s, t, k, wp = _j_sum(nu, x, ctl)
+        c0, s, t, k, wp = _j_sum(nu, x)
         v = c0 * mpf((s, -wp))
         if not with_error:
             return v
@@ -229,24 +233,28 @@ def _j_plan(nu, prec):
             +inv_gamma, [0])
 
 
-def _j_sum(nu, x, ctl):
+def _j_sum(nu, x):
     # J_nu(x) = c0 sum_k t_k, t_k = -t_{k-1} (x/2)^2 / (k (k + nu)), at
-    # 2^wp: (c0, sum, last term, terms past t_0, wp)
+    # 2^wp: (c0, sum, last term, terms past t_0, wp), or a raise if the
+    # terms run out
     _, _, wp, a, inv_gamma, rho = _j_plan(nu, mp.prec)
     sh = 2 * wp + _RATIO_BITS
     c0 = (x / 2) ** nu * inv_gamma
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    cfg = config.get()
+    tol_n, tol_k = _tol_fraction(cfg.rel_tol)
     floor = to_fixed((_eps() / c0)._mpf_, wp)
     t = s = 1 << wp
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, cfg.max_terms + 1):
         if k == len(rho):
             rho.append((1 << sh) // (k * ((k << wp) + a)))
         t = -t * rho[k] * q >> sh
         s += t
         if abs(t) << tol_k < tol_n * max(abs(s), floor):
-            break
-    return c0, s, t, k, wp
+            return c0, s, t, k, wp
+    raise NonconvergenceError(
+        "bessel_j series did not converge in %d terms" % cfg.max_terms,
+        partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
 
 
 def _cosh_cutoff(x):
@@ -335,18 +343,10 @@ def _k0(x, prec):
 _ks_cache = {}
 
 
-def full_precision_ctl(ctl=None):
-    """ctl (default: the config's) summing to 10^-dps: the config
-    tolerance is for standalone series, not the I-series of K_{i tau}."""
-    base = ctl or default_ctl()
-    return SeriesControl(rel_tol=min(base.rel_tol, 10.0 ** (-mp.dps)),
-                         max_terms=base.max_terms)
-
-
-def k_itau_series(tau, x, ctl=None, i_tau=None):
+def k_itau_series(tau, x, i_tau=None):
     """K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau), from one
     ascending I-series, or from i_tau when the caller has already summed
-    bessel_i(1j * tau, x, full_precision_ctl(ctl)).
+    bessel_i(1j * tau, x).
 
     This is pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) with
     I_{-i tau}(x) = conj I_{i tau}(x) for real x, so the second series
@@ -359,13 +359,13 @@ def k_itau_series(tau, x, ctl=None, i_tau=None):
     x = mpf(x)
     if x <= 0 or tau <= 0:
         raise DomainError("k_itau_series requires x > 0, tau > 0")
-    ctl = full_precision_ctl(ctl)
-    key = (tau, x, mp.prec, ctl.rel_tol, ctl.max_terms)
+    # the values bessel_i sums with are part of the key
+    key = (tau, x, mp.prec, _i_tol(), config.get().max_terms)
     hit = _ks_cache.get(key)
     if hit is not None:
         return _checked(hit, "k_itau_series", tau)
     if i_tau is None:
-        i_tau = bessel_i(1j * tau, x, ctl)
+        i_tau = bessel_i(1j * tau, x)
     sinh_pt, exp_pt, _ = _k_plan(tau, mp.prec)
     v = -pi * i_tau.imag / sinh_pt
     canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0

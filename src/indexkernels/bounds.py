@@ -17,6 +17,13 @@ from .special import binet_r, hyp1f1, ln_gamma
 BOUND_IDS = ("kl", "mehler-fock", "product", "whittaker", "olevskii",
              "kummer", "binet")
 
+# the fit grid of fit_lebedev_constants: x from FIT_X_FLOOR, tau over
+# [FIT_TAU_LO, FIT_TAU_HI], at FIT_DPS digits
+FIT_X_FLOOR = mpf("1e-3")
+FIT_TAU_LO = mpf("0.25")
+FIT_TAU_HI = mpf(12)
+FIT_DPS = 25
+
 
 @dataclass
 class BoundReport:
@@ -199,9 +206,7 @@ def _lin_grid(lo, hi, count):
     return [lo + k * step for k in range(count)]
 
 
-def fit_lebedev_constants(T=1, nx=50, ntau=50, x_floor=mpf("1e-3"),
-                          x_cap=20, tau_lo=mpf("0.25"), tau_hi=12,
-                          fit_dps=25):
+def fit_lebedev_constants(T=1, nx=50, ntau=50, x_cap=20):
     """Grid maxima of the two K_{i tau} envelope functionals:
 
     A = max |K_{i tau}(x)| (tau x)^{1/4} sqrt(sinh(pi tau)) on (0, T],
@@ -215,11 +220,11 @@ def fit_lebedev_constants(T=1, nx=50, ntau=50, x_floor=mpf("1e-3"),
         raise DomainError("T must be positive")
     if nx < 2 or ntau < 2:
         raise DomainError("the fit grid needs nx >= 2 and ntau >= 2")
-    with workdps(fit_dps):
-        taus = _lin_grid(tau_lo, tau_hi, ntau)
+    with workdps(FIT_DPS):
+        taus = _lin_grid(FIT_TAU_LO, FIT_TAU_HI, ntau)
         A = mpf(0)
         argA = None
-        for x in _geom_grid(x_floor, T, nx):
+        for x in _geom_grid(FIT_X_FLOOR, T, nx):
             for tau in taus:
                 v = abs(k_index(tau, x)) * (tau * x) ** mpf("0.25") * sqrt(
                     sinh(pi * tau))

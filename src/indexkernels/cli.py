@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from mpmath import exp, mpc, mpf, nstr, pi, workdps
+from mpmath import exp, isfinite, mpc, mpf, nstr, pi, workdps
 
 from . import bounds, config, kernels
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -61,6 +61,24 @@ def parse_grid(spec):
         raise DomainError("bad grid spec %r" % (spec,))
     vals = (start + i * step for i in range((stop - start) // step + 1))
     return axis, [mpf(v.numerator) / v.denominator for v in vals]
+
+
+def _finite(text):
+    """argparse type of the number flags: text that mpf reads as a finite
+    number, kept as text so that each command converts it at the
+    configured precision."""
+    try:
+        if isfinite(mpf(text)):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("%r is not a finite number" % text)
+
+
+def _positive(text):
+    if mpf(_finite(text)) > 0:
+        return text
+    raise argparse.ArgumentTypeError("%r is not positive" % text)
 
 
 def _grids(args, *defaults):
@@ -291,16 +309,15 @@ def cmd_sweep(args):
 
 def cmd_fit_constants(args):
     T, x_cap, nx, ntau = mpf(args.T), mpf(args.X), args.nx, args.ntau
-    if not (mpf("1e-3") < T < x_cap):
-        raise DomainError("need 1e-3 < T < x cap (empty grid otherwise)")
+    x_floor, taus = bounds.FIT_X_FLOOR, (bounds.FIT_TAU_LO, bounds.FIT_TAU_HI)
+    if not (x_floor < T < x_cap):
+        raise DomainError("need x floor < T < x cap (empty grid otherwise)")
     A, argA, B, argB = bounds.fit_lebedev_constants(T=T, nx=nx, ntau=ntau,
                                                     x_cap=x_cap)
     header = ["constant", "value", "arg_tau", "arg_x", "x_lo", "x_hi",
               "tau_lo", "tau_hi", "nx", "ntau"]
-    rows = [["A", A, argA[0], argA[1], mpf("1e-3"), T, mpf("0.25"),
-             mpf(12), nx, ntau],
-            ["B", B, argB[0], argB[1], T, x_cap, mpf("0.25"), mpf(12),
-             nx, ntau]]
+    rows = [["A", A, argA[0], argA[1], x_floor, T, *taus, nx, ntau],
+            ["B", B, argB[0], argB[1], T, x_cap, *taus, nx, ntau]]
     _write_csv(args.out, header, rows)
     print("A = %s at (tau, x) = (%s, %s)" %
           (nstr(A, 10), nstr(argA[0], 6), nstr(argA[1], 6)), file=sys.stderr)
@@ -331,14 +348,14 @@ def build_parser():
     sp = command("eval", cmd_eval)
     add(sp, "--kernel", **kernel)
     add(sp, "--route", default="series")
-    add(sp, "--x", "--tau", required=True)
-    add(sp, "--mu", "--nu", "--rho")
+    add(sp, "--x", "--tau", required=True, type=_finite)
+    add(sp, "--mu", "--nu", "--rho", type=_finite)
 
     sp = command("verify", cmd_verify)
     add(sp, "--bound", required=True, choices=bounds.BOUND_IDS)
     add(sp, "--n", type=int, default=1)
-    add(sp, "--mu", "--nu")
-    add(sp, "--rho", default="0")
+    add(sp, "--mu", "--nu", type=_finite)
+    add(sp, "--rho", default="0", type=_finite)
     add(sp, "--grid", **grid)
     add(sp, "--out")
     add(sp, "--slack", type=float)
@@ -346,32 +363,32 @@ def build_parser():
     sp = command("expand", cmd_expand)
     add(sp, "--kernel", default="kl", choices=EXPANSIONS)
     add(sp, "--N", type=int, default=2)
-    add(sp, "--tau0", default="5")
-    add(sp, "--X", default="2")
-    add(sp, "--rho", default="0")
-    add(sp, "--x0", default="0.5")
+    add(sp, "--tau0", default="5", type=_finite)
+    add(sp, "--X", default="2", type=_finite)
+    add(sp, "--rho", default="0", type=_finite)
+    add(sp, "--x0", default="0.5", type=_finite)
     add(sp, "--grid", **grid)
     add(sp, "--out")
     add(sp, "--slack", type=float)
 
     sp = command("crossover", cmd_crossover)
     add(sp, "--kernel", **kernel)
-    add(sp, "--mu", "--nu", "--rho")
-    add(sp, "--x", default="1")
-    add(sp, "--tol", default="1e-2")
+    add(sp, "--mu", "--nu", "--rho", type=_finite)
+    add(sp, "--x", default="1", type=_finite)
+    add(sp, "--tol", default="1e-2", type=_positive)
     add(sp, "--grid", **grid)
 
     sp = command("sweep", cmd_sweep)
     add(sp, "--kernel", **kernel)
     add(sp, "--route", default="series")
-    add(sp, "--mu", "--nu", "--rho")
+    add(sp, "--mu", "--nu", "--rho", type=_finite)
     add(sp, "--grid", **grid)
     add(sp, "--out")
 
     sp = command("fit-constants", cmd_fit_constants)
-    add(sp, "--T", default="1")
+    add(sp, "--T", default="1", type=_finite)
     add(sp, "--nx", "--ntau", type=int, default=50)
-    add(sp, "--X", default="20")
+    add(sp, "--X", default="20", type=_finite)
     add(sp, "--out")
     return p
 

@@ -13,6 +13,7 @@ over Gamma(1 + 2 i tau) and 1/sin(pi(b - i tau)) are assembled in log
 space so the exp(pi tau) factors cancel before exponentiation.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,13 +22,12 @@ from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
                     tanh)
 
 from . import config
-from .bessel import (bessel_i, full_precision_ctl, k_index, k_itau_quad,
-                     k_itau_series)
-from .errors import DomainError, NumericalFailureError
+from .bessel import bessel_i, k_index, k_itau_quad, k_itau_series
+from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .quadrature import (mehler_fock_sq, olevskii_quad, product_kernel_quad,
                          whittaker_quad)
-from .special import (default_ctl, hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2,
-                      ln_gamma, pochhammer)
+from .special import (hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,
+                      pochhammer)
 
 KERNEL_IDS = ("kl", "lebedev-square", "lebedev-product", "whittaker",
               "mehler-fock", "olevskii")
@@ -172,18 +172,17 @@ def thm1_report(N, tau, x, tau0, X):
 
 # ------------------------------------------------------------- K^2_{i tau}
 
-def k_squared_direct(tau, x, ctl=None):
+def k_squared_direct(tau, x):
     """K_{i tau}(x)^2 by the pair of 1F2 series (no Bessel evaluation)."""
     tau = mpf(tau)
     x = mpf(x)
     if tau <= 0 or x <= 0:
         raise DomainError("k_squared_direct requires tau > 0, x > 0")
-    ctl = ctl or default_ctl()
     t1 = pi / (2 * tau * sinh(pi * tau)) * hyp1f2(
-        mpf(1) / 2, 1 + 1j * tau, 1 - 1j * tau, x ** 2, ctl).real
+        mpf(1) / 2, 1 + 1j * tau, 1 - 1j * tau, x ** 2).real
     g2 = exp(2 * ln_gamma(1j * tau))
     t2 = mpf(1) / 2 * ((x / 2) ** (-2j * tau) * g2 * hyp1f2(
-        mpf(1) / 2 - 1j * tau, 1 - 1j * tau, 1 - 2j * tau, x ** 2, ctl)).real
+        mpf(1) / 2 - 1j * tau, 1 - 1j * tau, 1 - 2j * tau, x ** 2)).real
     return t1 + t2
 
 
@@ -219,23 +218,22 @@ def thm2_main_and_bound(tau, x, tau0, X):
 
 # --------------------------------------------- [I_{i tau}+I_{-i tau}] K
 
-def product_kernel_direct(tau, x, ctl=None):
+def product_kernel_direct(tau, x):
     """[I_{i tau}(x) + I_{-i tau}(x)] K_{i tau}(x) as the real part of a
     single 1F2 expression (gamma ratio in log space)."""
     tau = mpf(tau)
     x = mpf(x)
     if tau <= 0 or x <= 0:
         raise DomainError("product_kernel_direct requires tau > 0, x > 0")
-    ctl = ctl or default_ctl()
     lg = ln_gamma(-1j * tau) - ln_gamma(1 + 1j * tau)
-    f = hyp1f2(mpf(1) / 2 + 1j * tau, 1 + 1j * tau, 1 + 2j * tau, x ** 2, ctl)
+    f = hyp1f2(mpf(1) / 2 + 1j * tau, 1 + 1j * tau, 1 + 2j * tau, x ** 2)
     return ((x / 2) ** (2j * tau) * exp(lg) * f).real
 
 
 def _product_oracle(tau, x):
     # one I-series gives 2 Re I and, on k_index's series route, K
     with workdps(mp.dps + 15):
-        i_tau = bessel_i(1j * tau, x, full_precision_ctl())
+        i_tau = bessel_i(1j * tau, x)
         return 2 * i_tau.real * k_index(tau, x, i_tau)
 
 
@@ -265,7 +263,7 @@ def thm3_main_and_bound(tau, x, tau0, X):
 
 # ------------------------------------------------------- W_{rho, i tau}
 
-def whittaker_direct(rho, tau, x, route="f11", ctl=None):
+def whittaker_direct(rho, tau, x, route="f11"):
     """W_{rho, i tau}(x) by either of two equivalent assemblies:
 
     * route "f11": 2 Re[Gamma(-2 i tau) x^{i tau + 1/2}
@@ -273,32 +271,37 @@ def whittaker_direct(rho, tau, x, route="f11", ctl=None):
       times e^{x/2},
     * route "series218": the 1F1 replaced by its terminating-2F1
       rearrangement e^{-x/2}[1 + sum (x/2)^k / k! * c_k(rho, tau)]
-      (requires |rho| < 1/2 and x < 1).
+      (requires |rho| < 1/2 and x < 1); NonconvergenceError, with the
+      partial 1F1 and its last term, if max_terms terms do not converge.
     """
     rho = mpf(rho)
     tau = mpf(tau)
     x = mpf(x)
     if tau <= 0 or x <= 0:
         raise DomainError("whittaker_direct requires tau > 0, x > 0")
-    ctl = ctl or default_ctl()
     if route == "f11":
-        f = hyp1f1(mpf(1) / 2 + rho + 1j * tau, 1 + 2j * tau, -x, ctl)
+        f = hyp1f1(mpf(1) / 2 + rho + 1j * tau, 1 + 2j * tau, -x)
     elif route == "series218":
         if abs(rho) >= mpf(1) / 2 or x >= 1:
             raise DomainError("series218 route needs |rho| < 1/2 and x < 1")
+        cfg = config.get()
         s = mpc(1)
         streak = 0
-        for k in range(1, 2 * ctl.max_terms):
+        for k in range(1, cfg.max_terms + 1):
             t = (x / 2) ** k / factorial(k) * hyp2f1_term2(k, rho, tau)
             s += t
             # alternate terms vanish identically at rho = 0, so one small
             # term is not evidence of convergence; require two in a row
-            if abs(t) < mpf(ctl.rel_tol) * abs(s) and k > 4:
+            if abs(t) < mpf(cfg.rel_tol) * abs(s) and k > 4:
                 streak += 1
                 if streak >= 2:
                     break
             else:
                 streak = 0
+        else:
+            raise NonconvergenceError(
+                "series218 did not converge in %d terms" % cfg.max_terms,
+                partial=exp(-x / 2) * s, tail_estimate=exp(-x / 2) * abs(t))
         f = exp(-x / 2) * s
     else:
         raise DomainError("unknown whittaker route %r" % (route,))
@@ -315,28 +318,28 @@ def thm4_scale(rho, tau):
                   + rho / 2 * log(1 + (1 + 2 * rho) ** 2 / (4 * tau ** 2))))
 
 
-def thm4_phase(rho, tau, x, mode="printed"):
+def thm4_phase(rho, tau, x):
     """Oscillation phase of the W_{rho, i tau} expansion.  The source
     formula is ambiguous about the small correction under the interior
-    square root ((1+2 rho) vs (1+2 rho)^2 over 4 tau^2); mode picks the
-    reading, "printed" (first power) or "squared"."""
+    square root ((1+2 rho) vs (1+2 rho)^2 over 4 tau^2); this takes the
+    printed reading, the first power."""
     rho = mpf(rho)
     tau = mpf(tau)
     x = mpf(x)
-    inner = (1 + 2 * rho) if mode == "printed" else (1 + 2 * rho) ** 2
-    return (tau * log(e * x / (4 * tau) * sqrt(1 + inner / (4 * tau ** 2)))
+    return (tau * log(e * x / (4 * tau)
+                      * sqrt(1 + (1 + 2 * rho) / (4 * tau ** 2)))
             - rho * atan((1 + 2 * rho) / (2 * tau))
             - pi / 2 * (rho - mpf(1) / 2))
 
 
-def thm4_main(rho, tau, x, mode="printed"):
+def thm4_main(rho, tau, x):
     """Scale sqrt(2 x) thm4_scale(rho, tau) and leading oscillation
-    cos(thm4_phase(rho, tau, x, mode))."""
+    cos(thm4_phase(rho, tau, x))."""
     scale = sqrt(2 * x) * thm4_scale(rho, tau)
-    return scale, cos(_reduce_phase(thm4_phase(rho, tau, x, mode)))
+    return scale, cos(_reduce_phase(thm4_phase(rho, tau, x)))
 
 
-def thm4_main_and_bound(rho, tau, x, tau0, x0, phase_mode="printed"):
+def thm4_main_and_bound(rho, tau, x, tau0, x0):
     """Expansion of W_{rho, i tau}(x) on 0 < x <= x0 < 1, |rho| < 1/2;
     remainder measured against the confluent-hypergeometric route."""
     rho = mpf(rho)
@@ -348,7 +351,7 @@ def thm4_main_and_bound(rho, tau, x, tau0, x0, phase_mode="printed"):
         raise DomainError("need |rho| < 1/2")
     if not (0 < x <= x0 < 1 and tau >= tau0 > 0):
         raise DomainError("need 0 < x <= x0 < 1 and tau >= tau0 > 0")
-    scale, main = thm4_main(rho, tau, x, phase_mode)
+    scale, main = thm4_main(rho, tau, x)
     with workdps(mp.dps + 15):
         W = whittaker_direct(rho, tau, x, "f11")
     rem = W / scale - main
@@ -362,7 +365,7 @@ def thm4_main_and_bound(rho, tau, x, tau0, x0, phase_mode="printed"):
 
 # ------------------------------------------------- conical / Mehler-Fock
 
-def conical_p(mu, tau, z, ctl=None):
+def conical_p(mu, tau, z):
     """P^{-mu}_{-1/2 + i tau}(z) for z > 1 via the Gauss series at
     (1 - z)/2; real for real mu, tau."""
     mu = mpf(mu)
@@ -370,16 +373,15 @@ def conical_p(mu, tau, z, ctl=None):
     z = mpf(z)
     if z <= 1:
         raise DomainError("conical_p requires z > 1")
-    ctl = ctl or default_ctl()
     f = hyp2f1(mpf(1) / 2 - 1j * tau, mpf(1) / 2 + 1j * tau, 1 + mu,
-               (1 - z) / 2, ctl)
+               (1 - z) / 2)
     pref = ((z - 1) / (z + 1)) ** (mu / 2) * exp(-ln_gamma(1 + mu))
     return (pref * f).real
 
 
 # ---------------------------------------------------------- Olevskii 2F1
 
-def olevskii_direct(mu, nu, tau, x, ctl=None):
+def olevskii_direct(mu, nu, tau, x):
     """2F1((mu+nu)/2 + i tau, (mu+nu)/2 - i tau; nu + 1; -x^2).  The
     conjugate parameter pair makes the value real; the imaginary residual
     is checked below 1e-15 relative."""
@@ -391,9 +393,8 @@ def olevskii_direct(mu, nu, tau, x, ctl=None):
         raise DomainError("olevskii_direct requires mu + nu > 0, nu > -1")
     if x <= 0:
         raise DomainError("olevskii_direct requires x > 0")
-    ctl = ctl or default_ctl()
     a = (mu + nu) / 2 + 1j * tau
-    v = hyp2f1(a, a.conjugate(), nu + 1, -x ** 2, ctl)
+    v = hyp2f1(a, a.conjugate(), nu + 1, -x ** 2)
     if abs(v.imag) > mpf("1e-15") * abs(v):
         raise NumericalFailureError(
             "olevskii value lost realness (mu=%s nu=%s tau=%s x=%s)"
@@ -434,19 +435,19 @@ def olevskii_main(mu, nu, tau, x):
     return (pref * br * osc).real
 
 
-def olevskii_decay_slopes(mu, nu, x, tau_lo=10, tau_hi=40):
+def olevskii_decay_slopes(mu, nu, x):
     """Empirical log-log decay rates of the main term and of the measured
-    remainder over [tau_lo, tau_hi].
+    remainder over tau in [10, 40].
 
     The main-term magnitude is sampled at the oscillation peaks
     tau_k = k pi / (2 L), L = log(x + sqrt(x^2+1)), so the cosine factor
     does not contaminate the envelope; the remainder slope uses a dense
     grid reduced to windowed maxima for the same reason."""
-    import math
     mu = mpf(mu)
     nu = mpf(nu)
     x = mpf(x)
     L = log(x + sqrt(x ** 2 + 1))
+    tau_lo, tau_hi = 10, 40
 
     def lsq_slope(pairs):
         lx = [math.log(float(a)) for a, _ in pairs]

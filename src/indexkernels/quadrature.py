@@ -27,6 +27,8 @@ from .special import _GUARD, ln_gamma
 PRODUCT_QUAD_TAU_CAP = 2.0
 # the olevskii quadrature's oscillatory tail is trusted for x <= this
 OLEVSKII_QUAD_X_CAP = 10.0
+# mpmath.quad's maxdegree on every panel of the four routes
+MAXDEGREE = 6
 
 
 @dataclass
@@ -110,7 +112,7 @@ def _head_vs_k(mu, a, coeffs, order):
     return (pi * s / (2j * sinh(pi * order))).real
 
 
-def mehler_fock_sq(mu, tau, x, maxdegree=6):
+def mehler_fock_sq(mu, tau, x):
     """2 int_0^inf J_mu(x y)^2 K_{2 i tau}(y) dy, the squared modulus of
     the conical function times its gamma weight.  Nonnegative real.
 
@@ -135,7 +137,7 @@ def mehler_fock_sq(mu, tau, x, maxdegree=6):
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     g, box = _counted(f)
     pts = [p for p in (mpf(1), mpf(5), mpf(15)) if p < Y] + [Y]
-    tail, err = quad(g, pts, error=True, maxdegree=maxdegree)
+    tail, err = quad(g, pts, error=True, maxdegree=MAXDEGREE)
     err += 2 * exp(-Y)
     v = 2 * (head + tail)
     if v < -2 * err:
@@ -162,7 +164,7 @@ def _hankel0_pq(z):
     return mpc(mpf((pr, -wp)), mpf((pi_, -wp)))
 
 
-def product_kernel_quad(tau, x, maxdegree=6):
+def product_kernel_quad(tau, x):
     """2 int_0^inf J_0(2 x sinh t) cos(2 tau t) dt via u = sinh t.
 
     Finite part on [0, U] split at the J_0 oscillation scale; the tail is
@@ -188,7 +190,7 @@ def product_kernel_quad(tau, x, maxdegree=6):
         p += step
         pts.append(min(p, U))
     g, box = _counted(f)
-    head, err_h = quad(g, pts, error=True, maxdegree=maxdegree)
+    head, err_h = quad(g, pts, error=True, maxdegree=MAXDEGREE)
 
     # on w = U + is, H_0^(1)(2xw) is amp e^{-2xs} (P + iQ) / sqrt(w), and
     # asinh w = log(w + r) with r = sqrt(1 + w^2) since Re w > 0
@@ -201,14 +203,14 @@ def product_kernel_quad(tau, x, maxdegree=6):
         return (amp * exp(-2 * x * s) * _hankel0_pq(1 / (2 * x * w))
                 * cos(2 * tau * log(w + r)) / (sqrt(w) * r))
 
-    tail, err_t = quad(tail_ray, [0, inf], error=True, maxdegree=maxdegree)
+    tail, err_t = quad(tail_ray, [0, inf], error=True, maxdegree=MAXDEGREE)
     v = 2 * (head + re(1j * tail))
     # Hankel truncation floor: first omitted asymptotic term at the corner
     trunc = abs(asymptotic_table(0)[12]) / (2 * x * U) ** 12
     return QuadResult(v, 2 * (err_h + abs(err_t)) + trunc, box[0])
 
 
-def whittaker_quad(mu, tau, x, maxdegree=6):
+def whittaker_quad(mu, tau, x):
     """W_{-mu, i tau}(2x) as the Laplace-type K moment
     (1/Gamma(mu)) sqrt(2x/pi) int_0^inf y^{mu-1} e^{-xy} (y+1)^{-mu-1/2}
     K_{i tau}(x(y+1)) dy; the endpoint singularity for mu < 1 is absorbed
@@ -231,13 +233,13 @@ def whittaker_quad(mu, tau, x, maxdegree=6):
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
     g, box = _counted(f)
     v, err = quad(g, [0, 1, Y] if Y > 1 else [0, Y], error=True,
-                  maxdegree=maxdegree)
+                  maxdegree=MAXDEGREE)
     err += Y ** max(mu - 1, mpf(0)) * exp(-2 * x * Y) / x
     pref = sqrt(2 * x / pi) * exp(-ln_gamma(mu).real)
     return QuadResult(pref * v, pref * err, box[0])
 
 
-def olevskii_quad(mu, nu, tau, x, maxdegree=6):
+def olevskii_quad(mu, nu, tau, x):
     """Conjugate-parameter 2F1 at -x^2 as the J_nu K_{2 i tau} moment,
     normalized by 2^{2-mu} x^{-nu} Gamma(nu+1) / |Gamma((mu+nu)/2+i tau)|^2."""
     mu = mpf(mu)
@@ -269,7 +271,7 @@ def olevskii_quad(mu, nu, tau, x, maxdegree=6):
         p += step
         pts.append(min(p, Y))
     g, box = _counted(f)
-    tail, err = quad(g, pts, error=True, maxdegree=maxdegree)
+    tail, err = quad(g, pts, error=True, maxdegree=MAXDEGREE)
     err += 2 * Y ** max(mu - 1, mpf(0)) * exp(-Y)
     lg2 = 2 * ln_gamma((mu + nu) / 2 + 1j * tau).real
     pref = 2 ** (2 - mu) * x ** (-nu) * exp(ln_gamma(nu + 1).real - lg2)

@@ -11,34 +11,17 @@ the same guard bits and rounds once on return.
 
 import functools
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workprec
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
 from mpmath.libmp import to_fixed
 
 from . import config
-from .errors import DomainError, NonconvergenceError, PoleError
+from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
+                     PoleError)
 
 # binet_r refuses |z| below this floor
 BINET_FLOOR = 1.0 / 16.0
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    rel_tol: float = 1e-24
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-
-
-def default_ctl():
-    cfg = config.get()
-    return SeriesControl(rel_tol=cfg.rel_tol, max_terms=cfg.max_terms)
 
 
 def _eps():
@@ -215,7 +198,7 @@ def _tol_fraction(tol):
     return (n << e, 0) if e >= 0 else (n, -e)
 
 
-def _series_sum(nums, dens, z, ctl):
+def _series_sum(nums, dens, z):
     """Taylor sum of prod (a)_k z^k / (prod (b)_k k!) in fixed point:
     Gaussian integers scaled by 2^(mp.prec + _GUARD), each term the last
     times the exact ratio z prod (a + k) / ((k + 1) prod (b + k)), taken
@@ -225,8 +208,10 @@ def _series_sum(nums, dens, z, ctl):
     Returns (sum, max_term_magnitude, terms_used), rounded to mp.prec.
     Stops after three consecutive terms below rel_tol * |partial sum|
     with non-increasing magnitudes (complex-parameter series are not
-    monotone termwise), compared exactly as squared integers.
+    monotone termwise), compared exactly as squared integers; rel_tol
+    and max_terms are those of the active config.
     """
+    cfg = config.get()
     wp = mp.prec + _GUARD
 
     def fixed(c):
@@ -239,12 +224,12 @@ def _series_sum(nums, dens, z, ctl):
     # the numerator carries 2^(wp (1 + len(nums))), the squared modulus
     # 2^(2 wp len(dens)); needs len(dens) <= len(nums) + 1
     shift = wp * (1 + len(nums) - len(dens))
-    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    tol_n, tol_k = _tol_fraction(cfg.rel_tol)
     tr = sr = 1 << wp
     ti = si = 0
     prev = max_mag = tr * tr
     streak = 0
-    for k in range(ctl.max_terms):
+    for k in range(cfg.max_terms):
         nr, ni, dr, di = zr, zi, k + 1, 0
         for ar, ai in ups:
             ar += k << wp
@@ -269,12 +254,12 @@ def _series_sum(nums, dens, z, ctl):
             streak = 0
         prev = mag
     raise NonconvergenceError(
-        "hypergeometric series did not converge in %d terms" % ctl.max_terms,
+        "hypergeometric series did not converge in %d terms" % cfg.max_terms,
         partial=mpc(mpf((sr, -wp)), mpf((si, -wp))),
         tail_estimate=sqrt(mpf((mag, -2 * wp))))
 
 
-def _series_adaptive(nums, dens, z, ctl):
+def _series_adaptive(nums, dens, z):
     """Sum with automatic precision escalation when interior terms dwarf
     the result (large imaginary parameters), by the rule of mpmath's
     hypsum.
@@ -287,41 +272,39 @@ def _series_adaptive(nums, dens, z, ctl):
     extra = 48
     while True:
         with workprec(mp.prec + extra):
-            s, max_mag, _ = _series_sum(nums, dens, z, ctl)
+            s, max_mag, _ = _series_sum(nums, dens, z)
             loss = mp.mag(max_mag) - mp.mag(s) if s else 0
         if loss <= extra - 16:
             return mpc(s)
         extra = loss + 32
 
 
-def hyp1f2(a, b1, b2, z, ctl=None):
+def hyp1f2(a, b1, b2, z):
     """1F2(a; b1, b2; z), entire in z."""
-    ctl = ctl or default_ctl()
     if _is_nonpositive_int(b1) or _is_nonpositive_int(b2):
         raise PoleError("1F2 lower parameter at a nonpositive integer")
-    return _series_adaptive([mpc(a)], [mpc(b1), mpc(b2)], mpc(z), ctl)
+    return _series_adaptive([mpc(a)], [mpc(b1), mpc(b2)], mpc(z))
 
 
-def hyp1f1(a, b, z, ctl=None):
+def hyp1f1(a, b, z):
     """Kummer 1F1(a; b; z) with the cancellation-guarded Kummer transform.
 
     For Re z < 0 with |z| > |b - a| the transform
     1F1(a;b;z) = e^z 1F1(b-a; b; -z) is applied.
     """
-    ctl = ctl or default_ctl()
     a, b, z = mpc(a), mpc(b), mpc(z)
     if _is_nonpositive_int(b):
         raise PoleError("1F1 lower parameter at a nonpositive integer")
     if z.real < 0 and abs(z) > abs(b - a):
-        return exp(z) * _series_adaptive([b - a], [b], -z, ctl)
-    return _series_adaptive([a], [b], z, ctl)
+        return exp(z) * _series_adaptive([b - a], [b], -z)
+    return _series_adaptive([a], [b], z)
 
 
 # half-width of the dual-evaluation window around the Gauss/Pfaff switch
 _SWITCH_WINDOW = 0.01
 
 
-def hyp2f1(a, b, c, z, ctl=None):
+def hyp2f1(a, b, c, z):
     """Gauss 2F1(a, b; c; z) for real z <= 0.
 
     Direct series for -1 < z <= 0; Pfaff transform to z/(z-1) in [1/2, 1)
@@ -329,7 +312,6 @@ def hyp2f1(a, b, c, z, ctl=None):
     (1-z)^(-a) vs (1-z)^(-b)) both run and must agree to 10*rel_tol,
     otherwise a NumericalFailureError is raised.
     """
-    ctl = ctl or default_ctl()
     a, b, c = mpc(a), mpc(b), mpc(c)
     z = mpf(z)
     if _is_nonpositive_int(c):
@@ -337,31 +319,24 @@ def hyp2f1(a, b, c, z, ctl=None):
     if z > 0:
         raise DomainError("2F1 route restricted to real z <= 0")
 
-    def direct():
-        return _series_adaptive([a, b], [c], mpc(z), ctl)
-
-    def pfaff_a():
+    def pfaff(p, q):
+        # (1-z)^(-p) 2F1(p, c-q; c; z/(z-1)) for {p, q} = {a, b}; the
+        # fixed-point sum is exact in the order of its parameters
         zp = z / (z - 1)
-        return (1 - z) ** (-a) * _series_adaptive([a, c - b], [c], mpc(zp), ctl)
-
-    def pfaff_b():
-        zp = z / (z - 1)
-        return (1 - z) ** (-b) * _series_adaptive([c - a, b], [c], mpc(zp), ctl)
+        return (1 - z) ** (-p) * _series_adaptive([p, c - q], [c], mpc(zp))
 
     if abs(z + 1) < _SWITCH_WINDOW:
         # the direct sum stalls here (term ratio -> 1), so cross-check the
         # two Pfaff variants, which stay geometric at z/(z-1) ~ 1/2
-        v_a = pfaff_a()
-        v_b = pfaff_b()
-        ref = max(abs(v_a), abs(v_b))
-        if ref > 0 and abs(v_a - v_b) > 10 * mpf(ctl.rel_tol) * ref:
-            from .errors import NumericalFailureError
+        v_a, v_b = pfaff(a, b), pfaff(b, a)
+        lim = 10 * mpf(config.get().rel_tol) * max(abs(v_a), abs(v_b))
+        if lim > 0 and abs(v_a - v_b) > lim:
             raise NumericalFailureError(
                 "2F1 Pfaff variant mismatch at z=%s" % z)
         return v_a
     if z <= -1:
-        return pfaff_a()
-    return direct()
+        return pfaff(a, b)
+    return _series_adaptive([a, b], [c], mpc(z))
 
 
 def hyp2f1_term2(k, rho, tau):

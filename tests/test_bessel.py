@@ -3,8 +3,6 @@
 Pinned values computed with mpmath at dps=60.
 """
 
-from dataclasses import replace
-
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +12,12 @@ from mpmath.libmp import to_fixed
 
 from indexkernels import bessel, config, special
 from indexkernels.bessel import (asymptotic_table, bessel_i, bessel_j,
-                                 bessel_k_real, full_precision_ctl, k_index,
-                                 k_itau_quad, k_itau_series, series_safe_x)
+                                 bessel_k_real, k_index, k_itau_quad,
+                                 k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
 from indexkernels.quadrature import _hankel0_asym
-from indexkernels.special import (_GUARD, SeriesControl, _tol_fraction,
-                                  ln_gamma)
+from indexkernels.special import _GUARD, _tol_fraction, ln_gamma
 
 I0_1 = mpf("1.26606587775200833559824462521")
 K0_1 = mpf("0.421024438240708333335627379213")
@@ -46,16 +43,15 @@ class TestBesselI:
 
     def test_conjugate_symmetry(self):
         # exact, not merely close: k_itau_series relies on it to sum one
-        # series in place of two
+        # series in place of two (bessel_i sums to 10^-dps)
         saved = mp.dps
         try:
             for dps in (25, 40, 60):
                 mp.dps = dps
-                ctl = SeriesControl(rel_tol=10 ** -dps)
                 for tau in (mpf("0.3"), mpf(2), mpf(9)):
                     for x in (mpf("0.05"), mpf("0.7"), mpf(12), mpf(24)):
-                        assert bessel_i(-1j * tau, x, ctl) == \
-                            bessel_i(1j * tau, x, ctl).conjugate()
+                        assert bessel_i(-1j * tau, x) == \
+                            bessel_i(1j * tau, x).conjugate()
         finally:
             mp.dps = saved
 
@@ -158,14 +154,14 @@ class TestCoefficientTables:
         short, long_ = mpf("0.3"), mpf(20)
         assert values([short, long_]) == values([long_, short])[::-1]
 
-    def test_keyed_on_precision(self):
+    def test_keyed_on_precision(self, config_override):
         saved = mp.dps
         try:
             for dps in (40, 60):
                 mp.dps = dps
-                ctl = SeriesControl(rel_tol=10 ** -dps)
-                vi = bessel_i(mpc("0.5", "2.5"), mpf(3), ctl)
-                vj = bessel_j(mpf("0.7"), mpf(3), ctl)
+                with config_override(rel_tol=10 ** -dps):
+                    vi = bessel_i(mpc("0.5", "2.5"), mpf(3))
+                    vj = bessel_j(mpf("0.7"), mpf(3))
             with mpmath.workdps(80):
                 ri = mpmath.besseli(mpc("0.5", "2.5"), 3)
                 rj = mpmath.besselj(mpf("0.7"), 3)
@@ -205,7 +201,12 @@ class TestCoefficientTables:
             mp.dps = saved
 
 
-def _mpc_i_loop(nu, x, ctl):
+def _i_tol():
+    # the tolerance bessel_i sums to: the config's, or 10^-dps if smaller
+    return min(config.get().rel_tol, 10.0 ** -mp.dps)
+
+
+def _mpc_i_loop(nu, x):
     # bessel_i as it was summed before fixed point: mpc terms under the
     # same stop rule.  Returns the value, the scale |c0| sum |t_k| of its
     # rounding error, and the number of terms past t_0.
@@ -217,11 +218,11 @@ def _mpc_i_loop(nu, x, ctl):
               * mp.sinpi(nu.real) / mpmath.pi)
     else:
         c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
-    q, tol = (x / 2) ** 2, mpf(ctl.rel_tol)
+    q, tol = (x / 2) ** 2, mpf(_i_tol())
     t = s = mpc(1)
     total = prev = mpf(1)
     streak = 0
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, config.get().max_terms + 1):
         t = t * q / (k * (k + nu))
         s += t
         mag = abs(t)
@@ -243,16 +244,17 @@ def _inv_gamma(nu):
     return +v
 
 
-def _mpf_j_loop(nu, x, ctl):
+def _mpf_j_loop(nu, x):
     # bessel_j's two branches as mpf loops, with the same prefactors and
     # stop rules; returns the value and the scale of its rounding error
     nu, x = mpf(nu), mpf(x)
     if x <= 20 + nu ** 2 / 2:
         c0 = (x / 2) ** nu * _inv_gamma(nu)
-        q, tol = (x / 2) ** 2, mpf(ctl.rel_tol)
+        cfg = config.get()
+        q, tol = (x / 2) ** 2, mpf(cfg.rel_tol)
         floor = mpf(10) ** -mp.dps / c0
         t = s = total = mpf(1)
-        for k in range(1, ctl.max_terms + 1):
+        for k in range(1, cfg.max_terms + 1):
             t = -t * q / (k * (k + nu))
             s += t
             total += abs(t)
@@ -273,7 +275,7 @@ def _mpf_j_loop(nu, x, ctl):
             amp * total)
 
 
-def _exact_i_sum(nu, x, ctl):
+def _exact_i_sum(nu, x):
     # bessel_i's fixed-point sum as it was before the ratio tables: each
     # term from the last by the exact ratio, one floor division per
     # component.  Returns the raw sum, wp, the terms past t_0 and the
@@ -281,12 +283,12 @@ def _exact_i_sum(nu, x, ctl):
     wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
     a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    tol_n, tol_k = _tol_fraction(_i_tol())
     tr = sr = 1 << wp
     ti = si = 0
     prev = top = tr * tr
     streak = 0
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, config.get().max_terms + 1):
         ka = (k << wp) + a
         d = k * (ka * ka + b * b)
         tr, ti = (tr * ka + ti * b) * q // d, (ti * ka - tr * b) * q // d
@@ -305,7 +307,7 @@ def _exact_i_sum(nu, x, ctl):
     raise AssertionError("reference loop stalled")
 
 
-def _exact_j_sum(nu, x, ctl):
+def _exact_j_sum(nu, x):
     # bessel_j's ascending fixed-point sum as it was before the ratio
     # tables, one floor division per term; returns the raw sum, wp and
     # the terms past t_0
@@ -313,10 +315,11 @@ def _exact_j_sum(nu, x, ctl):
     c0 = (x / 2) ** nu * _inv_gamma(nu)
     a = to_fixed(nu._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(ctl.rel_tol)
+    cfg = config.get()
+    tol_n, tol_k = _tol_fraction(cfg.rel_tol)
     floor = to_fixed((mpf(10) ** -mp.dps / c0)._mpf_, wp)
     t = s = 1 << wp
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, cfg.max_terms + 1):
         t = -t * q // (k * ((k << wp) + a))
         s += t
         if abs(t) << tol_k < tol_n * max(abs(s), floor):
@@ -346,8 +349,8 @@ def _j_points():
 
 class TestFixedPointSeries:
     """The fixed-point sums of bessel_i and bessel_j, at full precision
-    (rel_tol = 10^-dps), against mpmath at dps+20 and against the mpf
-    loops they replaced."""
+    (bessel_i sums to 10^-dps; bessel_j does under rel_tol = 10^-dps),
+    against mpmath at dps+20 and against the mpf loops they replaced."""
 
     DPS = (25, 40, 60)
 
@@ -357,10 +360,9 @@ class TestFixedPointSeries:
         # (measured at dps 25); the sum adds ~1
         for dps in self.DPS:
             with mpmath.workdps(dps):
-                ctl = SeriesControl(rel_tol=10 ** -dps)
                 ulp = mpf(2) ** -mp.prec
                 for nu, y in _i_points():
-                    v = bessel_i(nu, y, ctl)
+                    v = bessel_i(nu, y)
                     with mpmath.workdps(dps + 20):
                         ref = mpmath.besseli(nu, y)
                     assert abs(v - ref) <= 64 * ulp * abs(ref), (dps, nu, y)
@@ -371,12 +373,11 @@ class TestFixedPointSeries:
         # near the 1/Gamma pole is the mpc loop's too.
         for dps in self.DPS:
             with mpmath.workdps(dps):
-                ctl = SeriesControl(rel_tol=10 ** -dps)
                 ulp = mpf(2) ** -mp.prec
                 for nu in (mpc(-2, "1e-60"), mpc(-3, "-1e-200"),
                            mpc(-1, "-1e-300")):
-                    ref, scale, k = _mpc_i_loop(nu, mpf("1.5"), ctl)
-                    v = bessel_i(nu, mpf("1.5"), ctl)
+                    ref, scale, k = _mpc_i_loop(nu, mpf("1.5"))
+                    v = bessel_i(nu, mpf("1.5"))
                     assert abs(v - ref) <= k * ulp * scale, (dps, nu)
 
     def test_i_matches_mpc_loop(self):
@@ -384,14 +385,13 @@ class TestFixedPointSeries:
         # scale per term, measured up to 0.3
         for dps in self.DPS:
             with mpmath.workdps(dps):
-                ctl = SeriesControl(rel_tol=10 ** -dps)
                 ulp = mpf(2) ** -mp.prec
                 for nu, y in _i_points():
-                    ref, scale, k = _mpc_i_loop(nu, y, ctl)
-                    v = bessel_i(nu, y, ctl)
+                    ref, scale, k = _mpc_i_loop(nu, y)
+                    v = bessel_i(nu, y)
                     assert abs(v - ref) <= k * ulp * scale, (dps, nu, y)
 
-    def test_i_stop_rule(self):
+    def test_i_stop_rule(self, config_override):
         # three consecutive non-increasing terms below rel_tol |sum|: the
         # series converges with the reference loop's term count and stalls
         # with one term fewer
@@ -399,20 +399,21 @@ class TestFixedPointSeries:
             with mpmath.workdps(dps):
                 for nu, y in ((3j, mpf("0.7")), (mpc("0.5", "2.5"), mpf(3)),
                               (mpf("-2.5"), mpf(9)), (12j, mpf(20))):
-                    ctl = SeriesControl(rel_tol=10 ** -dps)
-                    _, _, k = _mpc_i_loop(nu, y, ctl)
-                    bessel_i(nu, y, replace(ctl, max_terms=k))
-                    with pytest.raises(NonconvergenceError):
-                        bessel_i(nu, y, replace(ctl, max_terms=k - 1))
+                    _, _, k = _mpc_i_loop(nu, y)
+                    with config_override(max_terms=k):
+                        bessel_i(nu, y)
+                    with config_override(max_terms=k - 1), \
+                            pytest.raises(NonconvergenceError):
+                        bessel_i(nu, y)
 
-    def test_stall_carries_partial_and_tail(self):
-        ctl = SeriesControl(max_terms=3)
+    def test_stall_carries_partial_and_tail(self, config_override):
         ulp = mpf(2) ** -mp.prec
         x = mpf(5)
-        with pytest.raises(NonconvergenceError) as up:
-            bessel_i(3j, x, ctl)
-        with pytest.raises(NonconvergenceError) as down:
-            bessel_i(-3j, x, ctl)
+        with config_override(max_terms=3):
+            with pytest.raises(NonconvergenceError) as up:
+                bessel_i(3j, x)
+            with pytest.raises(NonconvergenceError) as down:
+                bessel_i(-3j, x)
         # the partial is c0 (t_0 + ... + t_3), the tail |c0| |t_3|
         c0 = mpmath.exp(3j * mpmath.log(x / 2) - ln_gamma(1 + 3j))
         t, s = mpc(1), mpc(1)
@@ -425,16 +426,31 @@ class TestFixedPointSeries:
             64 * ulp * abs(c0 * t)
         assert down.value.tail_estimate == up.value.tail_estimate
 
-    def test_j_against_mpmath(self):
+    def test_j_stall_carries_partial_and_tail(self, config_override):
+        # J_0.7(3) = c0 (t_0 + ... + t_3), the tail |c0 t_3|
+        nu, x = mpf("0.7"), mpf(3)
+        with config_override(max_terms=3), \
+                pytest.raises(NonconvergenceError) as exc:
+            bessel_j(nu, x)
+        c0 = (x / 2) ** nu * _inv_gamma(nu)
+        t = s = mpf(1)
+        for k in (1, 2, 3):
+            t = -t * (x / 2) ** 2 / (k * (k + nu))
+            s += t
+        ulp = mpf(2) ** -mp.prec
+        assert abs(exc.value.partial - c0 * s) <= 8 * ulp * abs(c0 * s)
+        assert abs(exc.value.tail_estimate - abs(c0 * t)) <= \
+            8 * ulp * abs(c0 * t)
+
+    def test_j_against_mpmath(self, config_override):
         # ascending: within a few units in the last place, also next to
         # the switch, where the alternating sum cancels seven digits;
         # asymptotic: within the truncation the estimate reports
         for dps in self.DPS:
-            with mpmath.workdps(dps):
-                ctl = SeriesControl(rel_tol=10 ** -dps)
+            with mpmath.workdps(dps), config_override(rel_tol=10 ** -dps):
                 ulp = mpf(2) ** -mp.prec
                 for nu, x in _j_points():
-                    v, err = bessel_j(nu, x, ctl, with_error=True)
+                    v, err = bessel_j(nu, x, with_error=True)
                     with mpmath.workdps(dps + 20):
                         actual = abs(v - mpmath.besselj(nu, x))
                     assert actual <= err, (dps, nu, x)
@@ -442,40 +458,38 @@ class TestFixedPointSeries:
                     if x <= 20 + nu ** 2 / 2:
                         assert actual <= 8 * ulp * abs(v), (dps, nu, x)
 
-    def test_ratio_tables_match_exact_division(self):
+    def test_ratio_tables_match_exact_division(self, config_override):
         # the stored ratios carry 64 bits beyond wp, so the shift-only
         # loops take the exact-division loops' term counts, and their raw
         # sums differ by at most k units of 2^-wp of the largest term (at
         # large x the growing terms amplify either loop's early floor
         # errors: up to 2.4e12 units at dps 40, tau = 3, x = 39.3)
         for dps in self.DPS:
-            with mpmath.workdps(dps):
-                ctl = SeriesControl(rel_tol=10 ** -dps)
+            with mpmath.workdps(dps), config_override(rel_tol=10 ** -dps):
                 for nu, y in _i_points():
                     nu = mpc(nu)
                     if nu.imag == 0 and nu.real == int(nu.real) < 0:
                         nu = -nu  # as bessel_i folds it
-                    (er, ei), wp, k, top = _exact_i_sum(nu, y, ctl)
-                    sr, si, wp2, k2, tail = bessel._i_sum(nu, y, ctl)
+                    (er, ei), wp, k, top = _exact_i_sum(nu, y)
+                    sr, si, wp2, k2, tail = bessel._i_sum(nu, y)
                     assert (wp2, k2, tail) == (wp, k, None), (dps, nu, y)
                     assert max(abs(sr - er), abs(si - ei)) <= \
                         k * max(1, top), (dps, nu, y)
                 for nu, x in _j_points():
                     if x <= 20 + nu ** 2 / 2:
-                        es, wp, k = _exact_j_sum(nu, x, ctl)
-                        _, s, _, k2, wp2 = bessel._j_sum(nu, x, ctl)
+                        es, wp, k = _exact_j_sum(nu, x)
+                        _, s, _, k2, wp2 = bessel._j_sum(nu, x)
                         assert (wp2, k2) == (wp, k), (dps, nu, x)
                         assert abs(s - es) <= k, (dps, nu, x)
 
-    def test_j_matches_mpf_loop(self):
+    def test_j_matches_mpf_loop(self, config_override):
         # measured up to 4.2 units of the loop's scale
         for dps in self.DPS:
-            with mpmath.workdps(dps):
-                ctl = SeriesControl(rel_tol=10 ** -dps)
+            with mpmath.workdps(dps), config_override(rel_tol=10 ** -dps):
                 ulp = mpf(2) ** -mp.prec
                 for nu, x in _j_points():
-                    ref, scale = _mpf_j_loop(nu, x, ctl)
-                    assert abs(bessel_j(nu, x, ctl) - ref) <= \
+                    ref, scale = _mpf_j_loop(nu, x)
+                    assert abs(bessel_j(nu, x) - ref) <= \
                         16 * ulp * scale, (dps, nu, x)
 
 
@@ -497,11 +511,8 @@ class TestBesselKReal:
 def _two_series_k(tau, x):
     # the series route as it was before it used conjugate symmetry: both
     # I-series summed and the difference assembled in complex arithmetic
-    cfg = config.get()
-    ctl = SeriesControl(rel_tol=min(cfg.rel_tol, 10.0 ** (-mp.dps)),
-                        max_terms=cfg.max_terms)
-    ip = bessel_i(1j * tau, x, ctl)
-    im = bessel_i(-1j * tau, x, ctl)
+    ip = bessel_i(1j * tau, x)
+    im = bessel_i(-1j * tau, x)
     assembled = mpmath.pi * (im - ip) / (2j * mpmath.sinh(mpmath.pi * tau))
     v = assembled.real
     resid = abs(assembled.imag)
@@ -558,25 +569,24 @@ class TestImaginaryOrderK:
         with pytest.raises(PrecisionLossError):
             k_itau_series(mpf(200), mpf(1))
 
-    def test_cache_hit_obeys_current_threshold(self):
+    def test_cache_hit_obeys_current_threshold(self, config_override):
         tau, x = mpf(8), mpf(3)
         k_itau_series(tau, x)
         k_itau_quad(tau, x)
-        saved = config.get()
-        config.set_active(replace(saved, precision_loss_threshold=1e-40))
-        try:
+        with config_override(precision_loss_threshold=1e-40):
             with pytest.raises(PrecisionLossError):
                 k_itau_series(tau, x)
             with pytest.raises(PrecisionLossError):
                 k_itau_quad(tau, x)
-        finally:
-            config.set_active(saved)
 
-    def test_series_cache_keys_on_control(self):
+    def test_series_cache_keys_on_control(self, config_override):
+        # the value cached under the default config is not served under
+        # max_terms = 3, and none is cached by the raising call
         tau, x = mpf(3), mpf("1.5")
-        k_itau_series(tau, x)
-        with pytest.raises(NonconvergenceError):
-            k_itau_series(tau, x, SeriesControl(max_terms=3))
+        v = k_itau_series(tau, x).value
+        with config_override(max_terms=3), pytest.raises(NonconvergenceError):
+            k_itau_series(tau, x)
+        assert k_itau_series(tau, x).value == v
 
     def test_values_are_real_type(self):
         v = k_itau_series(mpf(3), mpf("0.4")).value
@@ -611,6 +621,29 @@ class TestImaginaryOrderK:
             mp.dps = saved_dps
             bessel._ks_cache.clear()
             bessel._ks_cache.update(saved_cache)
+
+
+class TestConfigAtCallTime:
+    # each series leaf reads max_terms from the config in force when it is
+    # called: a value summed first does not shield a later call (for
+    # k_itau_series, its cached value is not served), and the default
+    # config applies again once restored
+    CALLS = [
+        (special.hyp1f1, (mpc(1, 3), 2, mpf("-0.5"))),
+        (special.hyp2f1, (mpc("0.5", -4), mpc("0.5", 4), mpf("1.7"),
+                          mpf("-0.3"))),
+        (bessel_j, (mpf("0.7"), mpf(3))),
+        (bessel_i, (3j, mpf(5))),
+        (k_itau_series, (mpf(3), mpf("1.5"))),
+    ]
+
+    @pytest.mark.parametrize("f, args", CALLS,
+                             ids=[f.__name__ for f, _ in CALLS])
+    def test_max_terms_read_at_call_time(self, config_override, f, args):
+        before = f(*args)
+        with config_override(max_terms=3), pytest.raises(NonconvergenceError):
+            f(*args)
+        assert f(*args) == before
 
 
 class TestKCacheBound:
@@ -657,7 +690,7 @@ class TestKIndexRouting:
         assert rel(v, k_itau_quad(mpf(-2), x).value) < mpf("1e-25")
         assert k_index(mpf(-40), x) == k_itau_quad(mpf(40), x).value
         monkeypatch.setattr(bessel, "_ks_cache", {})
-        i_neg = bessel_i(-2j, x, full_precision_ctl())
+        i_neg = bessel_i(-2j, x)
         assert k_index(mpf(-2), x, i_neg) == v
 
     def test_safe_region_grows_with_index(self):

@@ -80,6 +80,18 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    def test_series218_terms_run_out(self, capsys, tmp_path, monkeypatch):
+        # a numerical failure, as on the f11 route, not a truncated value
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text("max_terms = 3\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
+        for route in ("series218", "f11"):
+            code, out, err = run(["eval", "--kernel", "whittaker", "--rho",
+                                  "0.3", "--x", "0.5", "--tau", "2",
+                                  "--route", route], capsys)
+            assert (code, out) == (3, ""), route
+            assert "did not converge in 3 terms" in err
+
     def test_near_one_limit(self, capsys):
         code, out, _ = run(["eval", "--kernel", "olevskii", "--mu", "1.3",
                             "--nu", "0.2", "--x", "1e-4", "--tau", "1"],
@@ -245,6 +257,30 @@ class TestFitConstants:
         assert code == 2
         assert out == ""
         assert "nx >= 2 and ntau >= 2" in err
+
+
+class TestNumberFlags:
+    # a non-finite number flag, or a tolerance that is not positive, is a
+    # usage error at parse time, not a failure of the points it reaches
+    GRID = ["--grid", "tau=1:1:1", "--grid", "x=0.5:0.5:1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--bound", "mehler-fock", "--mu", "nan"] + GRID,
+        ["verify", "--bound", "olevskii", "--mu", "0.5", "--nu", "nan"]
+        + GRID,
+        ["verify", "--bound", "kummer", "--rho", "nan"] + GRID,
+        ["expand", "--kernel", "whittaker", "--rho", "nan",
+         "--grid", "tau=6:6:1", "--grid", "x=0.25:0.25:1"],
+        ["fit-constants", "--X", "inf", "--nx", "2", "--ntau", "2"],
+        ["crossover", "--kernel", "kl", "--tol", "nan"],
+        ["crossover", "--kernel", "kl", "--tol", "-1"],
+        ["crossover", "--kernel", "kl", "--tol", "0"],
+    ])
+    def test_rejected_as_usage_error(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "is not a finite number" in err or "is not positive" in err
 
 
 class TestSubcommandFlags:

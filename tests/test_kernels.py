@@ -3,17 +3,16 @@
 Pinned values computed with mpmath at dps=60.
 """
 
-from dataclasses import replace
-
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workdps
 
-from indexkernels import bessel, config, kernels
-from indexkernels.bessel import (bessel_i, full_precision_ctl, k_index,
-                                 k_itau_quad, k_itau_series, series_safe_x)
-from indexkernels.errors import DomainError, PrecisionLossError
+from indexkernels import bessel, kernels
+from indexkernels.bessel import (bessel_i, k_index, k_itau_quad,
+                                 k_itau_series, series_safe_x)
+from indexkernels.errors import (DomainError, NonconvergenceError,
+                                 PrecisionLossError)
 from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
                                   _thm1_phase, conical_p, eval,
                                   k_squared_direct, olevskii_decay_slopes,
@@ -185,18 +184,15 @@ class TestExpansionOracles:
             monkeypatch.setattr(bessel, "_ks_cache", {})
             with workdps(mp.dps + 15):
                 K = k_index(tau, x)
-                ref = 2 * bessel_i(1j * tau, x, full_precision_ctl()).real * K
+                ref = 2 * bessel_i(1j * tau, x).real * K
             assert v == ref, x
 
-    def test_product_oracle_checks_precision_loss(self, monkeypatch):
+    def test_product_oracle_checks_precision_loss(self, monkeypatch,
+                                                  config_override):
         monkeypatch.setattr(bessel, "_ks_cache", {})  # the summing path
-        saved = config.get()
-        config.set_active(replace(saved, precision_loss_threshold=1e-60))
-        try:
-            with pytest.raises(PrecisionLossError):
-                _product_oracle(mpf(8), mpf(1))
-        finally:
-            config.set_active(saved)
+        with config_override(precision_loss_threshold=1e-60), \
+                pytest.raises(PrecisionLossError):
+            _product_oracle(mpf(8), mpf(1))
 
     def test_product_oracle_sums_to_working_precision(self):
         # summed only to the config rel_tol of 1e-24, the I factor leaves
@@ -235,11 +231,35 @@ class TestWhittaker:
                                   mpf("0.99"))
         assert mpmath.isfinite(rep.remainder_bound)
 
-    def test_phase_modes_both_finite(self):
-        for mode in ("printed", "squared"):
-            rep = thm4_main_and_bound(mpf(0), mpf(10), mpf("0.5"), mpf(5),
-                                      mpf("0.5"), phase_mode=mode)
-            assert mpmath.isfinite(rep.empirical_remainder)
+    def test_printed_phase_remainder_finite(self):
+        # the phase takes the printed (1 + 2 rho) / (4 tau^2) correction
+        rho, tau, x = mpf("0.3"), mpf(10), mpf("0.5")
+        printed = (tau * mpmath.log(mpmath.e * x / (4 * tau) * mpmath.sqrt(
+            1 + (1 + 2 * rho) / (4 * tau ** 2)))
+            - rho * mpmath.atan((1 + 2 * rho) / (2 * tau))
+            - mpmath.pi / 2 * (rho - mpf(1) / 2))
+        assert kernels.thm4_phase(rho, tau, x) == printed
+        rep = thm4_main_and_bound(rho, tau, x, mpf(5), mpf("0.5"))
+        assert mpmath.isfinite(rep.empirical_remainder)
+
+    def test_series218_raises_when_terms_run_out(self, config_override):
+        # terms running out is an error, as in every other series, not a
+        # truncated value
+        rho, tau, x = mpf("0.3"), mpf(2), mpf("0.5")
+        with config_override(max_terms=3), \
+                pytest.raises(NonconvergenceError) as exc:
+            whittaker_direct(rho, tau, x, "series218")
+        # the partial is the 1F1 e^{-x/2} (1 + t_1 + t_2 + t_3), the tail
+        # e^{-x/2} |t_3|, t_k = (x/2)^k / k! c_k
+        t = [(x / 2) ** k / mpmath.factorial(k)
+             * kernels.hyp2f1_term2(k, rho, tau) for k in (1, 2, 3)]
+        ulp = mpf(2) ** -mp.prec
+        partial = mpmath.exp(-x / 2) * (1 + sum(t))
+        tail = mpmath.exp(-x / 2) * abs(t[-1])
+        assert abs(exc.value.partial - partial) <= 8 * ulp * abs(partial)
+        assert abs(exc.value.tail_estimate - tail) <= 8 * ulp * tail
+        v = whittaker_direct(rho, tau, x, "series218")
+        assert rel(v, W_03_2I_05) < mpf("1e-20")
 
 
 class TestConical:

@@ -4,7 +4,6 @@ Pinned values were computed with mpmath at dps=60 and frozen here; the
 package routes must reproduce them at the default working precision.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -12,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import cli, special
+from indexkernels import cli, config, special
 from indexkernels.errors import DomainError, NonconvergenceError, PoleError
-from indexkernels.special import (SeriesControl, _ln_gamma_memo, binet_r,
-                                  gamma_c, gamma_via_binet, hyp1f1, hyp1f2,
-                                  hyp2f1, hyp2f1_term2, ln_gamma, pochhammer)
+from indexkernels.special import (_ln_gamma_memo, binet_r, gamma_c,
+                                  gamma_via_binet, hyp1f1, hyp1f2, hyp2f1,
+                                  hyp2f1_term2, ln_gamma, pochhammer)
 
 LN_GAMMA_1PI = mpc("-0.650923199301856338885216831504",
                    "-0.301640320467533197887531657797")
@@ -198,13 +197,13 @@ class TestHypergeometric:
         assert rel(hyp2f1_term2(1, rho, tau), expect) < mpf("1e-35")
 
 
-def _two_pass_adaptive(nums, dens, z, ctl):
+def _two_pass_adaptive(nums, dens, z):
     # the loop _series_adaptive replaced: a first pass at mp.dps only
     # supplies the loss digits, then the escalation recomputes the sum
     extra = 0
     while True:
         with mpmath.workdps(mp.dps + extra):
-            s, max_mag, _ = special._series_sum(nums, dens, z, ctl)
+            s, max_mag, _ = special._series_sum(nums, dens, z)
             if s == 0:
                 loss = 0
             else:
@@ -313,28 +312,29 @@ class TestSeriesPrecision:
         assert len(passes) == 2  # the first pass, then the escalation
         assert v == _two_pass(monkeypatch, hyp2f1, *args)
 
-    def test_declines_when_terms_run_out(self, monkeypatch):
+    def test_declines_when_terms_run_out(self, monkeypatch, config_override):
         # five terms do not converge; the first pass raises the old error,
         # its partial sum carried at 48 more bits
-        ctl = SeriesControl(max_terms=5)
-        args = (mpc(1, 3), 2, mpf("-0.5"), ctl)
-        with pytest.raises(NonconvergenceError) as new:
-            hyp1f1(*args)
-        with pytest.raises(NonconvergenceError) as old:
-            _two_pass(monkeypatch, hyp1f1, *args)
+        args = (mpc(1, 3), 2, mpf("-0.5"))
+        with config_override(max_terms=5):
+            with pytest.raises(NonconvergenceError) as new:
+                hyp1f1(*args)
+            with pytest.raises(NonconvergenceError) as old:
+                _two_pass(monkeypatch, hyp1f1, *args)
         assert str(new.value) == str(old.value)
         assert abs(new.value.partial - old.value.partial) <= \
             mpf(10) ** -mp.dps * abs(old.value.partial)
 
 
-def _mpc_series_loop(nums, dens, z, ctl):
+def _mpc_series_loop(nums, dens, z):
     # the mpc loop the fixed-point sum replaced, rounding every term; it
     # also returns its scale, the sum of the term magnitudes
+    cfg = config.get()
     term = s = mpc(1)
     max_mag = prev_mag = scale = mpf(1)
-    tol = mpf(ctl.rel_tol, prec=53)
+    tol = mpf(cfg.rel_tol, prec=53)
     streak = 0
-    for k in range(ctl.max_terms):
+    for k in range(cfg.max_terms):
         num = mpc(z)
         for a in nums:
             num *= a + k
@@ -388,14 +388,14 @@ class TestFixedPointSeriesSum:
 
     @staticmethod
     def passes(monkeypatch, dps):
-        # (nums, dens, z, ctl, mp.prec) of each pass of the cases and of
-        # a real-parameter 1F1 with alternating terms
+        # (nums, dens, z, mp.prec) of each pass of the cases and of a
+        # real-parameter 1F1 with alternating terms
         seen = []
         fn = special._series_sum
 
-        def spy(nums, dens, z, ctl):
-            seen.append((nums, dens, z, ctl, mp.prec))
-            return fn(nums, dens, z, ctl)
+        def spy(nums, dens, z):
+            seen.append((nums, dens, z, mp.prec))
+            return fn(nums, dens, z)
         runs = [(hyp1f1, mpf("0.7"), mpf("1.9"), mpf("-0.8"))]
         for tau in CASE_TAUS:
             runs += cases(tau)
@@ -410,12 +410,10 @@ class TestFixedPointSeriesSum:
         # its scale (measured up to 4.1), the largest terms within the
         # loop's k roundings of a term (measured up to 0.05 k)
         for dps in (25, 40, 60):
-            for nums, dens, z, ctl, prec in self.passes(monkeypatch, dps):
+            for nums, dens, z, prec in self.passes(monkeypatch, dps):
                 with mpmath.workprec(prec):
-                    ref, ref_max, k, scale = _mpc_series_loop(nums, dens,
-                                                              z, ctl)
-                    s, max_mag, terms = special._series_sum(nums, dens, z,
-                                                            ctl)
+                    ref, ref_max, k, scale = _mpc_series_loop(nums, dens, z)
+                    s, max_mag, terms = special._series_sum(nums, dens, z)
                     ulp = mpf(2) ** -prec
                 if scale < 2 ** (prec - 20) * abs(ref):
                     # a pass that cancels all its digits stops on a noisy
@@ -424,28 +422,28 @@ class TestFixedPointSeriesSum:
                 assert abs(s - ref) <= 8 * ulp * scale, (dps, nums, dens, z)
                 assert abs(max_mag - ref_max) <= k * ulp * ref_max
 
-    def test_stop_rule(self, monkeypatch):
+    def test_stop_rule(self, monkeypatch, config_override):
         # three consecutive non-increasing terms below rel_tol |sum|: the
         # sum converges with the loop's term count and stalls one short
-        for nums, dens, z, ctl, prec in self.passes(monkeypatch, 40):
+        for nums, dens, z, prec in self.passes(monkeypatch, 40):
             with mpmath.workprec(prec):
-                k = special._series_sum(nums, dens, z, ctl)[2]
-                assert special._series_sum(
-                    nums, dens, z, replace(ctl, max_terms=k))[2] == k
-                with pytest.raises(NonconvergenceError):
-                    special._series_sum(nums, dens, z,
-                                        replace(ctl, max_terms=k - 1))
+                k = special._series_sum(nums, dens, z)[2]
+                with config_override(max_terms=k):
+                    assert special._series_sum(nums, dens, z)[2] == k
+                with config_override(max_terms=k - 1), \
+                        pytest.raises(NonconvergenceError):
+                    special._series_sum(nums, dens, z)
 
-    def test_stall_carries_partial_and_tail(self):
-        ctl = SeriesControl(max_terms=3)
+    def test_stall_carries_partial_and_tail(self, config_override):
         ulp = mpf(2) ** -mp.prec
         for nums, dens, z in (([mpc(1, 3)], [mpc(2)], mpc("-0.5")),
                               ([mpc("0.5", -4), mpc("0.5", 4)],
                                [mpc("1.7")], mpc("-0.3"))):
-            with pytest.raises(NonconvergenceError) as new:
-                special._series_sum(nums, dens, z, ctl)
-            with pytest.raises(NonconvergenceError) as old:
-                _mpc_series_loop(nums, dens, z, ctl)
+            with config_override(max_terms=3):
+                with pytest.raises(NonconvergenceError) as new:
+                    special._series_sum(nums, dens, z)
+                with pytest.raises(NonconvergenceError) as old:
+                    _mpc_series_loop(nums, dens, z)
             new, old = new.value, old.value
             assert abs(new.partial - old.partial) <= 8 * ulp * abs(old.partial)
             assert abs(new.tail_estimate - old.tail_estimate) <= \
@@ -463,11 +461,10 @@ class TestFixedPointSeriesSum:
         # without guard bits the rounding of each term shows in the sum:
         # it is the exact recurrence floored per component, bit for bit
         monkeypatch.setattr(special, "_GUARD", 0)
-        ctl = special.default_ctl()
         for nums, dens, z in (([mpc("0.7")], [mpc("1.9")], mpc("-0.8")),
                               ([mpc("0.5", -2), mpc("0.5", 2)],
                                [mpc("1.7")], mpc("-0.45"))):
-            s, _, k = special._series_sum(nums, dens, z, ctl)
+            s, _, k = special._series_sum(nums, dens, z)
             re, im = _floored_sum(nums, dens, z, mp.prec, k)
             assert s == mpc(mpf(re.numerator) / re.denominator,
                             mpf(im.numerator) / im.denominator)
