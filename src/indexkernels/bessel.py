@@ -77,13 +77,14 @@ def bessel_i(nu, x):
     conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
     if conj:
         nu = nu.conjugate()
+    lg = _i_plan(nu, mp.prec)[4]
     if nu.imag == 0 and nu.real < 0:
         # reflection 1/Gamma(nu+1) = -Gamma(-nu) sin(pi nu)/pi keeps the
         # log-gamma argument off the negative real axis; sinpi stays fully
         # accurate near the removable zeros at integer order
-        c0 = -exp(nu * log(x / 2) + ln_gamma(-nu)) * mp.sinpi(nu.real) / pi
+        c0 = -exp(nu * log(x / 2) + lg) * mp.sinpi(nu.real) / pi
     else:
-        c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1))
+        c0 = exp(nu * log(x / 2) - lg)
     sr, si, wp, _, tail = _i_sum(nu, x)
     v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if tail is not None:
@@ -97,9 +98,13 @@ def bessel_i(nu, x):
 def _i_plan(nu, prec):
     # nu = a + ib at 2^wp (k + nu can be as small as ib, so b keeps prec
     # bits of its own) and at index k the ratio (k + a - ib) / (k |k +
-    # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used
+    # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used,
+    # and bessel_i's ln Gamma(nu + 1), or ln Gamma(-nu) on its reflection
+    # branch
     wp = prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
-    return wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp), [0]
+    lg = ln_gamma(-nu) if nu.imag == 0 and nu.real < 0 else ln_gamma(nu + 1)
+    return (wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp),
+            [0], lg)
 
 
 def _i_tol():
@@ -110,7 +115,7 @@ def _i_tol():
 def _i_sum(nu, x):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
-    wp, a, b, rho = _i_plan(nu, mp.prec)
+    wp, a, b, rho, _ = _i_plan(nu, mp.prec)
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
     tol_n, tol_k = _tol_fraction(_i_tol())
@@ -394,8 +399,8 @@ def _k_plan(tau, prec):
 def k_index(index, x, i_tau=None):
     """K_{i*index}(x) by the route appropriate for the point: the series
     up to SERIES_INDEX_CAP and inside its safe-argument region,
-    the cosine integral otherwise; used by the outer integral evaluators,
-    with caching on their node sets.  i_tau is handed to k_itau_series.
+    the cosine integral otherwise; used by the outer integral evaluators.
+    i_tau is handed to k_itau_series.
     K is even in the index, so both routes see |index|."""
     index = mpf(index)
     if index < 0:  # with I_{-i t}(x) = conj I_{i t}(x) for real x

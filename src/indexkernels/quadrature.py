@@ -9,8 +9,11 @@ independent of the series/hypergeometric routes in `kernels`:
 * olevskii_quad      -- J_nu K moment for the conjugate-parameter 2F1.
 
 The imaginary-order K factor inside the integrands is supplied by the
-bessel module (series route for small index, quadrature above), cached on
-the node set.
+bessel module (series route for small index, quadrature above).
+
+Panels on which the integrand is analytic on and near the panel (the
+product head, the olevskii and mehler-fock tails) run Gauss-Legendre;
+the product's infinite tail ray and both Whittaker panels run tanh-sinh.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,8 @@ from .special import _GUARD, ln_gamma
 PRODUCT_QUAD_TAU_CAP = 2.0
 # the olevskii quadrature's oscillatory tail is trusted for x <= this
 OLEVSKII_QUAD_X_CAP = 10.0
-# mpmath.quad's maxdegree on every panel of the four routes
+# mpmath.quad's maxdegree on every panel of the four routes; Gauss-Legendre
+# degree m is 3 * 2^(m-1) nodes, computed once per process and precision
 MAXDEGREE = 6
 
 
@@ -135,9 +139,9 @@ def mehler_fock_sq(mu, tau, x):
     # keep the K argument inside the series-safe region; beyond it the
     # K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
-    g, box = _counted(f)
     pts = [p for p in (mpf(1), mpf(5), mpf(15)) if p < Y] + [Y]
-    tail, err = quad(g, pts, error=True, maxdegree=MAXDEGREE)
+    tail, err = quad(f, pts, error=True, maxdegree=MAXDEGREE,
+                     method="gauss-legendre")
     err += 2 * exp(-Y)
     v = 2 * (head + tail)
     if v < -2 * err:
@@ -181,8 +185,14 @@ def product_kernel_quad(tau, x):
             partial=None, tail_estimate=None)
 
     U = max(mpf(25), 25 / (2 * x))
-    f = lambda u: (bessel_j(0, 2 * x * u) * cos(2 * tau * asinh(u))
-                   / sqrt(1 + u ** 2))
+    worst = [mpf(0)]  # largest |J_0 error| times its node's other factor
+
+    def f(u):
+        j, j_err = bessel_j(0, 2 * x * u, with_error=True)
+        w = cos(2 * tau * asinh(u)) / sqrt(1 + u ** 2)
+        worst[0] = max(worst[0], abs(j_err * w))
+        return j * w
+
     pts = [mpf(0), mpf(1)]
     step = max(pi / (2 * x), mpf(1))
     p = mpf(1)
@@ -190,7 +200,9 @@ def product_kernel_quad(tau, x):
         p += step
         pts.append(min(p, U))
     g, box = _counted(f)
-    head, err_h = quad(g, pts, error=True, maxdegree=MAXDEGREE)
+    head, err_h = quad(g, pts, error=True, maxdegree=MAXDEGREE,
+                       method="gauss-legendre")
+    err_h += U * worst[0]
 
     # on w = U + is, H_0^(1)(2xw) is amp e^{-2xs} (P + iQ) / sqrt(w), and
     # asinh w = log(w + r) with r = sqrt(1 + w^2) since Re w > 0
@@ -212,9 +224,10 @@ def product_kernel_quad(tau, x):
 
 def whittaker_quad(mu, tau, x):
     """W_{-mu, i tau}(2x) as the Laplace-type K moment
-    (1/Gamma(mu)) sqrt(2x/pi) int_0^inf y^{mu-1} e^{-xy} (y+1)^{-mu-1/2}
-    K_{i tau}(x(y+1)) dy; the endpoint singularity for mu < 1 is absorbed
-    by tanh-sinh."""
+    (1/Gamma(mu)) sqrt(2x/pi) int_0^inf y^{mu-1} h(y) dy, with
+    h(y) = e^{-xy} (y+1)^{-mu-1/2} K_{i tau}(x(y+1)).  On [0, 1] the
+    substitution s = y^mu turns the y^{mu-1} endpoint singularity into
+    (1/mu) int_0^1 h(s^{1/mu}) ds."""
     mu = mpf(mu)
     tau = mpf(tau)
     x = mpf(x)
@@ -223,20 +236,20 @@ def whittaker_quad(mu, tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("whittaker_quad requires tau > 0, x > 0")
 
-    def f(y):
-        if y <= 0:
-            return mpf(0)
-        return (y ** (mu - 1) * exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2)
+    def h(y):
+        return (exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2)
                 * k_index(tau, x * (y + 1)))
 
-    # keep the K argument x(y+1) inside the series-safe region
+    # keep the K argument x(y+1) inside the series-safe region; Y > 1
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
-    g, box = _counted(f)
-    v, err = quad(g, [0, 1, Y] if Y > 1 else [0, Y], error=True,
-                  maxdegree=MAXDEGREE)
-    err += Y ** max(mu - 1, mpf(0)) * exp(-2 * x * Y) / x
+    g, box = _counted(h)
+    head, err_h = quad(lambda s: g(s ** (1 / mu)), [0, 1], error=True,
+                       maxdegree=MAXDEGREE)
+    tail, err = quad(lambda y: y ** (mu - 1) * g(y), [1, Y], error=True,
+                     maxdegree=MAXDEGREE)
+    err += err_h / mu + Y ** max(mu - 1, mpf(0)) * exp(-2 * x * Y) / x
     pref = sqrt(2 * x / pi) * exp(-ln_gamma(mu).real)
-    return QuadResult(pref * v, pref * err, box[0])
+    return QuadResult(pref * (head / mu + tail), pref * err, box[0])
 
 
 def olevskii_quad(mu, nu, tau, x):
@@ -271,7 +284,8 @@ def olevskii_quad(mu, nu, tau, x):
         p += step
         pts.append(min(p, Y))
     g, box = _counted(f)
-    tail, err = quad(g, pts, error=True, maxdegree=MAXDEGREE)
+    tail, err = quad(g, pts, error=True, maxdegree=MAXDEGREE,
+                     method="gauss-legendre")
     err += 2 * Y ** max(mu - 1, mpf(0)) * exp(-Y)
     lg2 = 2 * ln_gamma((mu + nu) / 2 + 1j * tau).real
     pref = 2 ** (2 - mu) * x ** (-nu) * exp(ln_gamma(nu + 1).real - lg2)

@@ -1,6 +1,8 @@
-"""Source checks that need no linter: every import in the package is used.
+"""Source checks that need no linter: every import in the package is
+used, and every local a function binds is read.
 
-`__init__.py` is left out: its imports are the public re-exports.
+`__init__.py` is left out of the import check: its imports are the public
+re-exports.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "indexkernels"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source):
@@ -36,3 +39,39 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_locals(source):
+    """(function, name) for each name that a top-level function stores in
+    its body, nested functions included, and loads nowhere in it; `_` is
+    exempt.  In order of the functions, then of the names' first store."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    loaded.add(node.id)
+        found += [(fn.name, name)
+                  for name, _ in sorted(stored.items(), key=lambda kv: kv[1])
+                  if name != "_" and name not in loaded]
+    return found
+
+
+def test_detects_unused_local():
+    src = ("x = 1\n"
+           "def f(a):\n    b, _ = a\n    c = 2\n    for i in a:\n"
+           "        pass\n    def g():\n        d = c\n        e = 3\n"
+           "        return d\n    return g\n"
+           "def h():\n    n = 0\n    n += 1\n    return x\n")
+    assert unused_locals(src) == [("f", "b"), ("f", "i"), ("f", "e"),
+                                  ("h", "n")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_local(path):
+    assert unused_locals(path.read_text()) == []

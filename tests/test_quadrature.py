@@ -35,6 +35,21 @@ class TestProductKernelQuad:
         with pytest.raises(NonconvergenceError):
             product_kernel_quad(mpf(PRODUCT_QUAD_TAU_CAP) + 1, mpf(1))
 
+    @pytest.mark.parametrize("tau", ["0.25", "1", "2"])
+    @pytest.mark.parametrize("x", ["0.2", "1", "3"])
+    def test_estimate_covers_error(self, tau, x):
+        # the estimate carries J_0's own error, which jumps where J_0
+        # switches to its asymptotic series and dominates at x = 3
+        r = product_kernel_quad(mpf(tau), mpf(x))
+        with mpmath.workdps(60):
+            it = 1j * mpf(tau)
+            ref = (2 * mpmath.besseli(it, mpf(x)).real
+                   * mpmath.besselk(it, mpf(x)).real)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+
+    def test_node_count(self):
+        assert product_kernel_quad(mpf("0.5"), mpf(1)).nodes_used <= 1500
+
 
 class TestMehlerFockSq:
     def test_matches_conical_square(self):
@@ -62,12 +77,36 @@ class TestWhittakerQuad:
         ref = mpmath.whitw(mpf("-0.2"), 1j, mpf("0.8")).real
         assert rel(r.value, ref) < mpf("1e-8")
 
+    @pytest.mark.parametrize("rho", ["-0.2", "-0.3"])
+    @pytest.mark.parametrize("tau", ["0.5", "2", "6", "14"])
+    @pytest.mark.parametrize("x", ["0.3", "1", "3"])
+    def test_estimate_tracks_error(self, rho, tau, x):
+        # the y^(mu-1) endpoint singularity is substituted away, so the
+        # estimate covers the error without exceeding it by more than 1e6;
+        # an error below one unit of 10^-dps is rounding, and the upper
+        # bound reads that unit in its place
+        r = whittaker_quad(-mpf(rho), mpf(tau), mpf(x))
+        with mpmath.workdps(60):
+            ref = mpmath.whitw(mpf(rho), 1j * mpf(tau), 2 * mpf(x)).real
+        err = abs(r.value - ref)
+        assert err <= r.abs_error_estimate
+        unit = mpf(10) ** -mpmath.mp.dps * abs(ref)
+        assert r.abs_error_estimate <= 10 ** 6 * max(err, unit)
+
+    def test_node_count(self):
+        r = whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
+        assert r.nodes_used <= 600
+
 
 class TestOlevskiiQuad:
     def test_pinned(self):
         r = olevskii_quad(mpf("1.3"), mpf("0.2"), mpf(1), mpf("0.5"))
         assert rel(r.value, OLEV_PIN) < mpf("1e-14")
         assert abs(r.value - OLEV_PIN) <= r.abs_error_estimate * 10
+
+    def test_node_count(self):
+        r = olevskii_quad(mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3"))
+        assert r.nodes_used <= 600
 
     def test_large_argument_refused(self):
         with pytest.raises(NonconvergenceError):
