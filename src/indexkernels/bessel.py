@@ -8,7 +8,10 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
   I-series: for real x, I_{-i tau}(x) is the conjugate of I_{i tau}(x).
 
 Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
-series / large-argument expansion.
+series / large-argument expansion.  The K integrals (K_nu, K_{i tau} and
+K_0) integrate e^{x - x cosh t} and scale by e^{-x}: mpmath.quad stops on
+an absolute error, which the bare e^{-x cosh t} would turn into a loss of
+relative digits as x grows.
 
 The I and J series are summed in fixed point, each term the last times
 a ratio from a per-(order, precision) table grown to the terms used; the
@@ -262,10 +265,15 @@ def _j_sum(nu, x):
         partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
 
 
-def _cosh_cutoff(x):
-    # x cosh T >= x + (digits ln 10 + 5) makes the truncated tail negligible
-    d = mpf(mp.dps) * log(mpf(10)) + 5
-    return acosh(1 + d / x)
+def _cosh_quad(x, g, maxdegree=None):
+    # (value, error) of int_0^T e^{-x cosh t} g(t) dt by tanh-sinh, where
+    # x cosh T = x + digits ln 10 + 5 leaves a negligible tail.  quad's
+    # stop is absolute, so it sees e^{x - x cosh t} g(t), which is g(0) at
+    # t = 0, and e^{-x} scales the result: the stop is relative for any x
+    T = acosh(1 + (mpf(mp.dps) * log(mpf(10)) + 5) / x)
+    v, err = quad(lambda t: exp(x - x * cosh(t)) * g(t), [0, T],
+                  error=True, maxdegree=maxdegree)
+    return v * exp(-x), err * exp(-x)
 
 
 def bessel_k_real(nu, x):
@@ -277,15 +285,10 @@ def bessel_k_real(nu, x):
         raise DomainError("bessel_k_real requires x > 0")
     if x > 700:
         raise OverflowGuardError("x too large for the cosh-integral route")
-    T = _cosh_cutoff(x)
-    v, err = quad(lambda t: exp(-x * cosh(t)) * cosh(nu * t), [0, T],
-                  error=True)
-    if err > mpf("1e-24") * abs(v):
-        v, err = quad(lambda t: exp(-x * cosh(t)) * cosh(nu * t), [0, T],
-                      error=True, maxdegree=10)
-        if err > mpf("1e-20") * abs(v):
-            raise NonconvergenceError("bessel_k_real quadrature stalled",
-                                      partial=v, tail_estimate=err)
+    v, err = _cosh_quad(x, lambda t: cosh(nu * t), 10)
+    if err > _ROUNDING * _eps() * abs(v):
+        raise NonconvergenceError("bessel_k_real quadrature stalled",
+                                  partial=v, tail_estimate=err)
     return v
 
 
@@ -327,8 +330,7 @@ def k_itau_quad(tau, x):
     hit = _kq_cache.get(key)
     if hit is not None:
         return _checked(hit, "k_itau_quad", tau)
-    v, qerr = quad(lambda t: exp(-x * cosh(t)) * cos(tau * t),
-                   [0, _cosh_cutoff(x)], error=True, maxdegree=9)
+    v, qerr = _cosh_quad(x, lambda t: cos(tau * t), 9)
     # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
     k0 = _k0(x, mp.prec)
     abs_err = qerr + _eps() * k0
@@ -342,7 +344,7 @@ def k_itau_quad(tau, x):
 @functools.lru_cache(maxsize=128)
 def _k0(x, prec):
     # K_0(x) by the same quadrature, shared by every tau at this x
-    return quad(lambda t: exp(-x * cosh(t)), [0, _cosh_cutoff(x)])
+    return _cosh_quad(x, lambda t: 1)[0]
 
 
 _ks_cache = {}

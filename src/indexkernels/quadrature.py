@@ -14,6 +14,8 @@ bessel module (series route for small index, quadrature above).
 Panels on which the integrand is analytic on and near the panel (the
 product head, the olevskii and mehler-fock tails) run Gauss-Legendre;
 the product's infinite tail ray and both Whittaker panels run tanh-sinh.
+Every integral goes through _quad, which caps the degree and counts the
+integrand calls; _panels cuts the oscillatory ranges at a fixed step.
 """
 
 from dataclasses import dataclass
@@ -42,22 +44,34 @@ class QuadResult:
     nodes_used: int
 
 
-def _counted(f):
-    box = [0]
+def _quad(f, pts, method="tanh-sinh"):
+    # mpmath.quad at MAXDEGREE: (value, error estimate, integrand calls)
+    calls = [0]
 
     def g(t):
-        box[0] += 1
+        calls[0] += 1
         return f(t)
 
-    return g, box
+    v, err = quad(g, pts, error=True, maxdegree=MAXDEGREE, method=method)
+    return v, err, calls[0]
+
+
+def _panels(a, b, step):
+    # a, a + step, a + 2 step, ..., with the last point cut back to b
+    pts = [a]
+    while pts[-1] < b:
+        pts.append(min(pts[-1] + step, b))
+    return pts
 
 
 def _k_cutoff():
     return mpf(mp.dps) * log(mpf(10)) + 15
 
 
-def _j_coeffs(nu, x, tol):
-    """Ascending coefficients of J_nu(x y) = sum_j c_j y^{nu + 2j}."""
+def _j_coeffs(nu, x):
+    """Ascending coefficients of J_nu(x y) = sum_j c_j y^{nu + 2j}, down
+    to 10^-(dps+5)."""
+    tol = mpf(10) ** (-mp.dps - 5)
     c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1).real)
     coeffs = [c0]
     q = (x / 2) ** 2
@@ -79,41 +93,37 @@ def _square_coeffs(coeffs):
 
 def _head_vs_k(mu, a, coeffs, order):
     """int_0^1 y^{mu-1} [sum_j c_j y^{a+2j}] K_{i*order}(y) dy, exactly,
-    by termwise integration against the ascending I_{+-i*order} series.
+    by termwise integration against the ascending I_{i*order} series.
 
     The K factor oscillates in log y near 0, which defeats direct
     quadrature on (0, 1]; the series form integrates each power in
-    closed form instead."""
+    closed form instead.  As in k_itau_series, the I_{-i*order} sum is
+    the conjugate of the I_{i*order} one S, so K contributes
+    -pi Im S / sinh(pi order)."""
     order = mpf(order)
+    sigma = 1j * order
     tol = mpf(10) ** (-mp.dps - 5)
+    gk = exp(ln_gamma(sigma + 1))              # Gamma(sigma + k + 1) at k=0
+    two_s = mpc(2) ** (-sigma)
+    p = mpf(1)                                 # 4^-k / k!
     s = mpc(0)
-    for sigma in (1j * order, -1j * order):
-        gk = exp(ln_gamma(sigma + 1))          # Gamma(sigma + k + 1) at k=0
-        two_s = mpc(2) ** (-sigma)
-        p = mpf(1)                             # 4^-k / k!
-        ssum = mpc(0)
-        k = 0
-        while True:
-            w = p / gk * two_s
-            inner = mpc(0)
-            for j, c in enumerate(coeffs):
-                inner += c / (mu + a + 2 * j + 2 * k + sigma)
-            term = w * inner
-            ssum += term
-            if abs(term) < tol * (1 + abs(ssum)) and k > 3:
-                break
-            k += 1
-            gk = gk * (sigma + k)
-            p /= 4 * k
-            if k > 300:
-                raise NonconvergenceError("head series stalled",
-                                          partial=ssum, tail_estimate=None)
-        if sigma.imag > 0:
-            s -= ssum
-        else:
-            s += ssum
-    # pi [I_{-i order} - I_{i order}] / (2 i sinh(pi order)), termwise
-    return (pi * s / (2j * sinh(pi * order))).real
+    k = 0
+    while True:
+        w = p / gk * two_s
+        inner = mpc(0)
+        for j, c in enumerate(coeffs):
+            inner += c / (mu + a + 2 * j + 2 * k + sigma)
+        term = w * inner
+        s += term
+        if abs(term) < tol * (1 + abs(s)) and k > 3:
+            break
+        k += 1
+        gk = gk * (sigma + k)
+        p /= 4 * k
+        if k > 300:
+            raise NonconvergenceError("head series stalled",
+                                      partial=s, tail_estimate=None)
+    return -pi * s.imag / sinh(pi * order)
 
 
 def mehler_fock_sq(mu, tau, x):
@@ -129,8 +139,7 @@ def mehler_fock_sq(mu, tau, x):
         raise DomainError("mehler_fock_sq requires mu > -1/2")
     if tau <= 0 or x <= 0:
         raise DomainError("mehler_fock_sq requires tau > 0, x > 0")
-    tol = mpf(10) ** (-mp.dps - 5)
-    cj = _square_coeffs(_j_coeffs(mu, x, tol))
+    cj = _square_coeffs(_j_coeffs(mu, x))
     head = _head_vs_k(mpf(1), 2 * mu, cj, 2 * tau)
 
     def f(y):
@@ -140,20 +149,13 @@ def mehler_fock_sq(mu, tau, x):
     # K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     pts = [p for p in (mpf(1), mpf(5), mpf(15)) if p < Y] + [Y]
-    tail, err = quad(f, pts, error=True, maxdegree=MAXDEGREE,
-                     method="gauss-legendre")
+    tail, err, _ = _quad(f, pts, "gauss-legendre")
     err += 2 * exp(-Y)
     v = 2 * (head + tail)
     if v < -2 * err:
         raise NumericalFailureError(
             "mehler_fock_sq negative beyond error estimate")
     return max(v, mpf(0))
-
-
-def _hankel0_asym(w):
-    # large-argument H_0^(1) = sqrt(2/(pi w)) e^{i(w - pi/4)} (P + iQ),
-    # valid here with Im w > 0 heading to decay
-    return sqrt(2 / (pi * w)) * exp(1j * (w - pi / 4)) * _hankel0_pq(1 / w)
 
 
 def _hankel0_pq(z):
@@ -193,15 +195,8 @@ def product_kernel_quad(tau, x):
         worst[0] = max(worst[0], abs(j_err * w))
         return j * w
 
-    pts = [mpf(0), mpf(1)]
-    step = max(pi / (2 * x), mpf(1))
-    p = mpf(1)
-    while p < U:
-        p += step
-        pts.append(min(p, U))
-    g, box = _counted(f)
-    head, err_h = quad(g, pts, error=True, maxdegree=MAXDEGREE,
-                       method="gauss-legendre")
+    pts = [mpf(0)] + _panels(mpf(1), U, max(pi / (2 * x), mpf(1)))
+    head, err_h, n_h = _quad(f, pts, "gauss-legendre")
     err_h += U * worst[0]
 
     # on w = U + is, H_0^(1)(2xw) is amp e^{-2xs} (P + iQ) / sqrt(w), and
@@ -209,17 +204,16 @@ def product_kernel_quad(tau, x):
     amp = sqrt(1 / (pi * x)) * exp(1j * (2 * x * U - pi / 4))
 
     def tail_ray(s):
-        box[0] += 1
         w = U + 1j * s
         r = sqrt(1 + w * w)
         return (amp * exp(-2 * x * s) * _hankel0_pq(1 / (2 * x * w))
                 * cos(2 * tau * log(w + r)) / (sqrt(w) * r))
 
-    tail, err_t = quad(tail_ray, [0, inf], error=True, maxdegree=MAXDEGREE)
+    tail, err_t, n_t = _quad(tail_ray, [0, inf])
     v = 2 * (head + re(1j * tail))
     # Hankel truncation floor: first omitted asymptotic term at the corner
     trunc = abs(asymptotic_table(0)[12]) / (2 * x * U) ** 12
-    return QuadResult(v, 2 * (err_h + abs(err_t)) + trunc, box[0])
+    return QuadResult(v, 2 * (err_h + abs(err_t)) + trunc, n_h + n_t)
 
 
 def whittaker_quad(mu, tau, x):
@@ -242,14 +236,11 @@ def whittaker_quad(mu, tau, x):
 
     # keep the K argument x(y+1) inside the series-safe region; Y > 1
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
-    g, box = _counted(h)
-    head, err_h = quad(lambda s: g(s ** (1 / mu)), [0, 1], error=True,
-                       maxdegree=MAXDEGREE)
-    tail, err = quad(lambda y: y ** (mu - 1) * g(y), [1, Y], error=True,
-                     maxdegree=MAXDEGREE)
+    head, err_h, n_h = _quad(lambda s: h(s ** (1 / mu)), [0, 1])
+    tail, err, n_t = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y])
     err += err_h / mu + Y ** max(mu - 1, mpf(0)) * exp(-2 * x * Y) / x
     pref = sqrt(2 * x / pi) * exp(-ln_gamma(mu).real)
-    return QuadResult(pref * (head / mu + tail), pref * err, box[0])
+    return QuadResult(pref * (head / mu + tail), pref * err, n_h + n_t)
 
 
 def olevskii_quad(mu, nu, tau, x):
@@ -270,23 +261,15 @@ def olevskii_quad(mu, nu, tau, x):
             "oscillatory tail beyond the trusted x range",
             partial=None, tail_estimate=None)
 
-    tol = mpf(10) ** (-mp.dps - 5)
-    head = _head_vs_k(mu, nu, _j_coeffs(nu, x, tol), 2 * tau)
+    head = _head_vs_k(mu, nu, _j_coeffs(nu, x), 2 * tau)
 
     def f(y):
         return y ** (mu - 1) * bessel_j(nu, x * y) * k_index(2 * tau, y)
 
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
-    pts = [mpf(1)]
-    step = max(pi / x, mpf(4))
-    p = mpf(1)
-    while p < Y:
-        p += step
-        pts.append(min(p, Y))
-    g, box = _counted(f)
-    tail, err = quad(g, pts, error=True, maxdegree=MAXDEGREE,
-                     method="gauss-legendre")
+    pts = _panels(mpf(1), Y, max(pi / x, mpf(4)))
+    tail, err, nodes = _quad(f, pts, "gauss-legendre")
     err += 2 * Y ** max(mu - 1, mpf(0)) * exp(-Y)
     lg2 = 2 * ln_gamma((mu + nu) / 2 + 1j * tau).real
     pref = 2 ** (2 - mu) * x ** (-nu) * exp(ln_gamma(nu + 1).real - lg2)
-    return QuadResult(pref * (head + tail), pref * err, box[0])
+    return QuadResult(pref * (head + tail), pref * err, nodes)

@@ -16,7 +16,7 @@ from indexkernels.bessel import (asymptotic_table, bessel_i, bessel_j,
                                  k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
-from indexkernels.quadrature import _hankel0_asym
+from indexkernels.quadrature import _hankel0_pq
 from indexkernels.special import _GUARD, _tol_fraction, ln_gamma
 
 I0_1 = mpf("1.26606587775200833559824462521")
@@ -31,6 +31,13 @@ I_COMPLEX = mpc("1.11266191222958989118698547262",
 
 def rel(a, b):
     return abs(a - b) / max(abs(b), mpf("1e-30"))
+
+
+def _hankel0_asym(w):
+    # large-argument H_0^(1) = sqrt(2/(pi w)) e^{i(w - pi/4)} (P + iQ),
+    # valid here with Im w > 0 heading to decay
+    return (mpmath.sqrt(2 / (mpmath.pi * w))
+            * mpmath.exp(1j * (w - mpmath.pi / 4)) * _hankel0_pq(1 / w))
 
 
 class TestBesselI:
@@ -508,6 +515,19 @@ class TestBesselKReal:
         with pytest.raises(OverflowGuardError):
             bessel_k_real(mpf(0), mpf(800))
 
+    @pytest.mark.parametrize("dps", [15, 25, 40, 60])
+    def test_working_precision_for_every_x(self, dps):
+        # one call whose stop follows dps; the unscaled integrand lost
+        # the stop at large x and raised at dps 15 from x = 1
+        with mpmath.workdps(dps):
+            for nu in (mpf(0), mpf("2.5")):
+                for x in ("0.1", "1", "10", "50", "90", "300"):
+                    v = bessel_k_real(nu, mpf(x))
+                    with mpmath.workdps(dps + 20):
+                        ref = mpmath.besselk(nu, mpf(x))
+                    assert abs(v - ref) <= \
+                        10 * mpf(10) ** -dps * ref, (nu, x)
+
 
 def _two_series_k(tau, x):
     # the series route as it was before it used conjugate symmetry: both
@@ -557,8 +577,7 @@ class TestImaginaryOrderK:
         x = mpf("1.3")
         for dps in (40, 60):
             with mpmath.workdps(dps):
-                ref = mpmath.quad(lambda t: mpmath.exp(-x * mpmath.cosh(t)),
-                                  [0, bessel._cosh_cutoff(x)])
+                ref = bessel._cosh_quad(x, lambda t: 1)[0]
                 assert bessel._k0(x, mp.prec) == ref
                 hits = bessel._k0.cache_info().hits
                 k_itau_quad(mpf("2.1"), x)
@@ -693,6 +712,19 @@ class TestKIndexRouting:
         monkeypatch.setattr(bessel, "_ks_cache", {})
         i_neg = bessel_i(-2j, x)
         assert k_index(mpf(-2), x, i_neg) == v
+
+    @pytest.mark.parametrize("tau", [3, 6, 12])
+    @pytest.mark.parametrize("x", [90, 200])
+    def test_large_argument(self, tau, x):
+        # past series_safe_x both calls take the cosine integral, whose
+        # integrand is scaled by e^x so that quad's absolute stop is a
+        # relative one; unscaled, they raised PrecisionLossError here
+        with mpmath.workdps(40):
+            r = k_itau_quad(mpf(tau), mpf(x))
+            assert k_index(mpf(tau), mpf(x)) == r.value
+            with mpmath.workdps(80):
+                ref = mpmath.besselk(1j * tau, x).real
+            assert abs(r.value - ref) <= r.rel_error * abs(ref)
 
     def test_safe_region_grows_with_index(self):
         assert series_safe_x(mpf(10)) > series_safe_x(mpf(1))

@@ -65,6 +65,14 @@ class TestEval:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_quadrature_at_large_argument(self, capsys):
+        # K_{3i}(90) is about 1e-40; the cosine integral holds working
+        # precision there because its stop is relative to the integral
+        code, out, _ = run(["eval", "--kernel", "kl", "--x", "90",
+                            "--tau", "3", "--route", "quadrature"], capsys)
+        assert code == 0
+        assert "value_re = " in out
+
     def test_missing_argument(self, capsys):
         code, _, err = run(["eval", "--kernel", "kl", "--tau", "2"], capsys)
         assert code == 2

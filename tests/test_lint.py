@@ -1,5 +1,6 @@
 """Source checks that need no linter: every import in the package is
-used, and every local a function binds is read.
+used, every local a function binds is read, and every top-level name is
+used somewhere in the package or re-exported.
 
 `__init__.py` is left out: its imports are the public re-exports, and it
 defines no function.
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "indexkernels"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+INIT = PACKAGE / "__init__.py"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p != INIT)
 
 
 def unused_imports(source):
@@ -74,3 +76,56 @@ def test_detects_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_local(path):
     assert unused_locals(path.read_text()) == []
+
+
+def _top_level_names(tree):
+    # (name, line) for each def, class and assigned name of the module body
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node.lineno
+
+
+def unused_top_level(sources, init_source):
+    """(module, name) for each top-level def, class or assigned name of
+    `sources` (module name to source) that no module loads, as a name or
+    as an attribute, and that `init_source` does not import; in order of
+    the modules, then of the lines."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Store):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    exported = {alias.name for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return [(mod, name) for mod, tree in trees.items()
+            for name, _ in sorted(_top_level_names(tree), key=lambda nl: nl[1])
+            if name not in loaded and name not in exported]
+
+
+def test_detects_unused_top_level():
+    sources = {
+        "a": ("X, (Y, Z) = 1, (2, 3)\nW: int = 4\n"
+              "def f():\n    return b.g() + Y\n"
+              "def h():\n    return h()\nclass C:\n    pass\n"),
+        "b": "from .a import f\ndef g():\n    return f\ndef k():\n    pass\n",
+    }
+    init = "from .a import C as Public\n"
+    assert unused_top_level(sources, init) == [("a", "X"), ("a", "Z"),
+                                               ("a", "W"), ("b", "k")]
+
+
+def test_no_unused_top_level():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unused_top_level(sources, INIT.read_text()) == []

@@ -5,10 +5,11 @@ Pinned values computed with mpmath at dps=60.
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
 
 from indexkernels.errors import NonconvergenceError
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
+                                     _head_vs_k, _j_coeffs, _square_coeffs,
                                      mehler_fock_sq, olevskii_quad,
                                      product_kernel_quad, whittaker_quad)
 from indexkernels.special import ln_gamma
@@ -112,3 +113,59 @@ class TestOlevskiiQuad:
         with pytest.raises(NonconvergenceError):
             olevskii_quad(mpf("1.3"), mpf("0.2"), mpf(1),
                           mpf(OLEVSKII_QUAD_X_CAP) + 5)
+
+
+def _two_series_head(mu, a, coeffs, order):
+    # the termwise head as it was before it used conjugate symmetry: the
+    # I_{i order} and I_{-i order} series both summed and assembled in
+    # complex arithmetic
+    order = mpf(order)
+    tol = mpf(10) ** (-mp.dps - 5)
+    s = mpc(0)
+    for sigma in (1j * order, -1j * order):
+        gk = mpmath.exp(ln_gamma(sigma + 1))
+        two_s = mpc(2) ** (-sigma)
+        p = mpf(1)
+        ssum = mpc(0)
+        k = 0
+        while True:
+            w = p / gk * two_s
+            inner = mpc(0)
+            for j, c in enumerate(coeffs):
+                inner += c / (mu + a + 2 * j + 2 * k + sigma)
+            term = w * inner
+            ssum += term
+            if abs(term) < tol * (1 + abs(ssum)) and k > 3:
+                break
+            k += 1
+            gk = gk * (sigma + k)
+            p /= 4 * k
+        if sigma.imag > 0:
+            s -= ssum
+        else:
+            s += ssum
+    return (mpmath.pi * s / (2j * mpmath.sinh(mpmath.pi * order))).real
+
+
+class TestHeadVsK:
+    # (mu, nu, x, order): the olevskii head (mu, nu), and the mehler-fock
+    # head (1, 2 mu) with squared coefficients, marked by mu = None
+    POINTS = [(mpf("0.5"), mpf("0.25"), mpf("0.3"), 6),
+              (mpf("1.3"), mpf("0.2"), mpf("0.5"), 2),
+              (mpf("0.7"), mpf(1), mpf(4), 1),
+              (mpf("0.2"), mpf(0), mpf(2), mpf("0.5")),
+              (None, mpf("0.7"), mpf("0.8"), 6),
+              (None, mpf("0.4"), mpf("0.5"), 4),
+              (None, mpf(0), mpf(3), 1)]
+
+    @pytest.mark.parametrize("dps", [25, 40, 60])
+    def test_matches_two_series_sum(self, dps):
+        with mpmath.workdps(dps):
+            for mu, nu, x, order in self.POINTS:
+                if mu is None:
+                    args = (mpf(1), 2 * nu,
+                            _square_coeffs(_j_coeffs(nu, x)), order)
+                else:
+                    args = (mu, nu, _j_coeffs(nu, x), order)
+                assert _head_vs_k(*args) == _two_series_head(*args), \
+                    (mu, nu, x, order)
