@@ -32,7 +32,7 @@ from mpmath.libmp import to_fixed
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
                      PrecisionLossError)
-from .special import _GUARD, _eps, _tol_fraction, ln_gamma
+from .special import _GUARD, _eps, ln_gamma
 
 _CANC_FLAG = mpf(10 ** 6)
 _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
@@ -108,6 +108,12 @@ def _i_plan(nu, prec):
     lg = ln_gamma(-nu) if nu.imag == 0 and nu.real < 0 else ln_gamma(nu + 1)
     return (wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp),
             [0], lg)
+
+
+def _tol_fraction(tol):
+    # the series tolerance as n / 2^k, exactly, with k >= 0
+    _, n, e, _ = mpf(tol)._mpf_
+    return (n << e, 0) if e >= 0 else (n, -e)
 
 
 def _i_tol():
@@ -265,12 +271,18 @@ def _j_sum(nu, x):
         partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
 
 
-def _cosh_quad(x, g, maxdegree=None):
-    # (value, error) of int_0^T e^{-x cosh t} g(t) dt by tanh-sinh, where
-    # x cosh T = x + digits ln 10 + 5 leaves a negligible tail.  quad's
-    # stop is absolute, so it sees e^{x - x cosh t} g(t), which is g(0) at
-    # t = 0, and e^{-x} scales the result: the stop is relative for any x
-    T = acosh(1 + (mpf(mp.dps) * log(mpf(10)) + 5) / x)
+def _cosh_quad(x, g, maxdegree=None, growth=0):
+    # (value, error) of int_0^T e^{-x cosh t} g(t) dt by tanh-sinh, for
+    # |g(t)| <= e^{growth t}: x cosh T - growth T = x + digits ln 10 + 5
+    # leaves a negligible tail.  T is the fixed point of T = acosh(1 +
+    # (cut + growth T) / x), approached from below until within one unit
+    # of the exponent.  quad's stop is absolute, so it sees
+    # e^{x - x cosh t} g(t), which is g(0) at t = 0, and e^{-x} scales
+    # the result: the stop is relative for any x
+    cut = mpf(mp.dps) * log(mpf(10)) + 5
+    T = acosh(1 + cut / x)
+    while growth and x * cosh(T) - growth * T < x + cut - 1:
+        T = acosh(1 + (cut + growth * T) / x)
     v, err = quad(lambda t: exp(x - x * cosh(t)) * g(t), [0, T],
                   error=True, maxdegree=maxdegree)
     return v * exp(-x), err * exp(-x)
@@ -285,7 +297,7 @@ def bessel_k_real(nu, x):
         raise DomainError("bessel_k_real requires x > 0")
     if x > 700:
         raise OverflowGuardError("x too large for the cosh-integral route")
-    v, err = _cosh_quad(x, lambda t: cosh(nu * t), 10)
+    v, err = _cosh_quad(x, lambda t: cosh(nu * t), 10, growth=nu)
     if err > _ROUNDING * _eps() * abs(v):
         raise NonconvergenceError("bessel_k_real quadrature stalled",
                                   partial=v, tail_estimate=err)

@@ -16,8 +16,9 @@ class OverflowGuardError(ArithmeticError):
 class NonconvergenceError(ArithmeticError):
     """A series or quadrature failed to converge within its budget.
 
-    Carries the partial value and a tail estimate so callers can decide
-    whether the partial result is still usable.
+    Carries the partial value and a tail estimate, where the routine has
+    them, so callers can decide whether the partial result is still
+    usable.
     """
 
     def __init__(self, msg, partial=None, tail_estimate=None):

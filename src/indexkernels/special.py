@@ -3,10 +3,11 @@
 Everything here works in mpmath extended precision (>= 30 significant
 digits, see config.Config.dps) so that later kernel assemblies can resolve
 terms of size exp(-pi*tau/2) inside quantities of size 1.  The 1F1, 1F2
-and 2F1 series are summed in fixed point, as mpmath's libhyper does: on
-Python integers scaled by 2^(mp.prec + _GUARD), each term from the last
-by its exact ratio, the sum rounded to mp.prec once.  ln_gamma runs with
-the same guard bits and rounds once on return.
+and 2F1 series are summed by mpmath's hypsum, to working precision: in
+fixed point, with guard bits that grow with the cancellation it measures
+(F. Johansson, "Computing hypergeometric functions rigorously", ACM TOMS
+45(3), 2019).  ln_gamma carries _GUARD extra bits and rounds once on
+return.
 """
 
 import functools
@@ -14,7 +15,7 @@ import math
 
 from mpmath import mp, mpf, mpc, workprec
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
-from mpmath.libmp import to_fixed
+from mpmath.libmp import NoConvergence, to_fixed
 
 from . import config
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -188,95 +189,33 @@ def pochhammer(a, m):
     return p
 
 
-# bits that ln_gamma and the fixed-point sums carry beyond mp.prec
+# bits that ln_gamma and the fixed-point Bessel and Hankel sums carry
+# beyond mp.prec
 _GUARD = 24
 
 
-def _tol_fraction(tol):
-    # the series tolerance as n / 2^k, exactly, with k >= 0
-    _, n, e, _ = mpf(tol)._mpf_
-    return (n << e, 0) if e >= 0 else (n, -e)
-
-
-def _series_sum(nums, dens, z):
-    """Taylor sum of prod (a)_k z^k / (prod (b)_k k!) in fixed point:
-    Gaussian integers scaled by 2^(mp.prec + _GUARD), each term the last
-    times the exact ratio z prod (a + k) / ((k + 1) prod (b + k)), taken
-    as one floor division per component by the denominator's squared
-    modulus after a product with its conjugate.
-
-    Returns (sum, max_term_magnitude, terms_used), rounded to mp.prec.
-    Stops after three consecutive terms below rel_tol * |partial sum|
-    with non-increasing magnitudes (complex-parameter series are not
-    monotone termwise), compared exactly as squared integers; rel_tol
-    and max_terms are those of the active config.
+def _series_adaptive(nums, dens, z):
+    """Taylor sum of prod (a)_k z^k / (prod (b)_k k!) to working precision
+    by mpmath's hypsum: fixed-point terms at 50 or more bits beyond
+    mp.prec, rerun at more bits while cancellation leaves the sum short.
+    max_terms is that of the active config.
     """
     cfg = config.get()
-    wp = mp.prec + _GUARD
-
-    def fixed(c):
-        if not mp.isfinite(c):  # to_fixed would read it as 0
+    params = nums + dens
+    for c in params + [z]:
+        if not mp.isfinite(c):  # hypsum would read it as 0
             raise NonconvergenceError("hypergeometric series at %s" % c)
-        return to_fixed(c.real._mpf_, wp), to_fixed(c.imag._mpf_, wp)
-    zr, zi = fixed(z)
-    ups = [fixed(a) for a in nums]
-    lows = [fixed(b) for b in dens]
-    # the numerator carries 2^(wp (1 + len(nums))), the squared modulus
-    # 2^(2 wp len(dens)); needs len(dens) <= len(nums) + 1
-    shift = wp * (1 + len(nums) - len(dens))
-    tol_n, tol_k = _tol_fraction(cfg.rel_tol)
-    tr = sr = 1 << wp
-    ti = si = 0
-    prev = max_mag = tr * tr
-    streak = 0
-    for k in range(cfg.max_terms):
-        nr, ni, dr, di = zr, zi, k + 1, 0
-        for ar, ai in ups:
-            ar += k << wp
-            nr, ni = nr * ar - ni * ai, nr * ai + ni * ar
-        for br, bi in lows:
-            br += k << wp
-            dr, di = dr * br - di * bi, dr * bi + di * br
-        nr, ni = tr * nr - ti * ni, tr * ni + ti * nr
-        d = (dr * dr + di * di) << shift
-        tr, ti = (nr * dr + ni * di) // d, (ni * dr - nr * di) // d
-        sr += tr
-        si += ti
-        mag = tr * tr + ti * ti
-        max_mag = max(max_mag, mag)
-        if (mag <= prev and mag << 2 * tol_k
-                < tol_n * tol_n * (sr * sr + si * si)):
-            streak += 1
-            if streak >= 3:
-                return (mpc(mpf((sr, -wp)), mpf((si, -wp))),
-                        sqrt(mpf((max_mag, -2 * wp))), k + 1)
-        else:
-            streak = 0
-        prev = mag
-    raise NonconvergenceError(
-        "hypergeometric series did not converge in %d terms" % cfg.max_terms,
-        partial=mpc(mpf((sr, -wp)), mpf((si, -wp))),
-        tail_estimate=sqrt(mpf((mag, -2 * wp))))
-
-
-def _series_adaptive(nums, dens, z):
-    """Sum with automatic precision escalation when interior terms dwarf
-    the result (large imaginary parameters), by the rule of mpmath's
-    hypsum.
-
-    The bits lost to cancellation are mag(max term) - mag(sum).  The
-    first pass carries 48 bits beyond mp.prec and is kept when it lost at
-    most 32 of them; otherwise the sum runs again with 32 bits beyond the
-    loss it measured.
-    """
-    extra = 48
-    while True:
-        with workprec(mp.prec + extra):
-            s, max_mag, _ = _series_sum(nums, dens, z)
-            loss = mp.mag(max_mag) - mp.mag(s) if s else 0
-        if loss <= extra - 16:
-            return mpc(s)
-        extra = loss + 32
+    try:
+        return mpc(mp.hypsum(len(nums), len(dens), ("C",) * len(params),
+                             params, z, maxterms=cfg.max_terms))
+    except NoConvergence:
+        raise NonconvergenceError(
+            "hypergeometric series did not converge in %d terms"
+            % cfg.max_terms) from None
+    except ValueError:  # hypsum's precision cap
+        raise NonconvergenceError(
+            "hypergeometric series cancelled past mpmath's precision "
+            "cap") from None
 
 
 def hyp1f2(a, b1, b2, z):
@@ -320,8 +259,7 @@ def hyp2f1(a, b, c, z):
         raise DomainError("2F1 route restricted to real z <= 0")
 
     def pfaff(p, q):
-        # (1-z)^(-p) 2F1(p, c-q; c; z/(z-1)) for {p, q} = {a, b}; the
-        # fixed-point sum is exact in the order of its parameters
+        # (1-z)^(-p) 2F1(p, c-q; c; z/(z-1)) for {p, q} = {a, b}
         zp = z / (z - 1)
         return (1 - z) ** (-p) * _series_adaptive([p, c - q], [c], mpc(zp))
 

@@ -309,6 +309,27 @@ class TestOlevskii:
         assert abs(s_rem - (mpf("-0.85"))) < mpf("0.15")
 
 
+class TestSeriesKernelDigits:
+    """The Gauss-series kernels hold working precision: at dps 40 they
+    held 24 and 25 digits while the series stopped at rel_tol."""
+
+    def test_olevskii_and_conical_at_working_precision(self):
+        half = mpf(1) / 2
+        for dps in (25, 40, 60):
+            with workdps(dps):
+                z = mpmath.sqrt(37)  # 1 + x^2 at x = 3, the olevskii point
+                got = (olevskii_direct(half, mpf("0.25"), half, 3),
+                       conical_p(half, half, z))
+                with workdps(dps + 40):
+                    a = mpf("0.375") + 0.5j
+                    ref = (mpmath.hyp2f1(a, a.conjugate(), mpf("1.25"),
+                                         -9).real,
+                           mpmath.legenp(-half + 0.5j, -half, z,
+                                         type=3).real)
+                for v, r in zip(got, ref):
+                    assert rel(v, r) <= 100 * mpf(10) ** -dps, (dps, v, r)
+
+
 class TestDispatch:
     def test_point_validation(self):
         with pytest.raises(DomainError):

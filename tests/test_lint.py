@@ -1,6 +1,6 @@
-"""Source checks that need no linter: every import in the package is
-used, every local a function binds is read, and every top-level name is
-used somewhere in the package or re-exported.
+"""Source checks that need no linter: every import in the package and
+in the tests is used, every local a function binds is read, and every
+top-level name is used somewhere in the package or re-exported.
 
 `__init__.py` is left out: its imports are the public re-exports, and it
 defines no function.
@@ -14,6 +14,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "indexkernels"
 INIT = PACKAGE / "__init__.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p != INIT)
+SOURCES = MODULES + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -37,7 +38,7 @@ def test_detects_unused_import():
     assert unused_imports(src) == ["math", "c", "json"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -73,7 +74,7 @@ def test_detects_unused_local():
                                   ("h", "n")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_local(path):
     assert unused_locals(path.read_text()) == []
 

@@ -4,14 +4,11 @@ Pinned values were computed with mpmath at dps=60 and frozen here; the
 package routes must reproduce them at the default working precision.
 """
 
-from fractions import Fraction
-
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from indexkernels import cli, config, special
 from indexkernels.errors import DomainError, NonconvergenceError, PoleError
 from indexkernels.special import (_ln_gamma_memo, binet_r, gamma_c,
                                   gamma_via_binet, hyp1f1, hyp1f2, hyp2f1,
@@ -197,40 +194,6 @@ class TestHypergeometric:
         assert rel(hyp2f1_term2(1, rho, tau), expect) < mpf("1e-35")
 
 
-def _two_pass_adaptive(nums, dens, z):
-    # the loop _series_adaptive replaced: a first pass at mp.dps only
-    # supplies the loss digits, then the escalation recomputes the sum
-    extra = 0
-    while True:
-        with mpmath.workdps(mp.dps + extra):
-            s, max_mag, _ = special._series_sum(nums, dens, z)
-            if s == 0:
-                loss = 0
-            else:
-                loss = int(mp.log10(max_mag / abs(s))) + 1
-        if loss <= extra:
-            return mpc(s)
-        extra = loss + 10
-
-
-def _two_pass(monkeypatch, f, *args):
-    with monkeypatch.context() as m:
-        m.setattr(special, "_series_adaptive", _two_pass_adaptive)
-        return f(*args)
-
-
-def _count_calls(monkeypatch, name):
-    calls = []
-    fn = getattr(special, name)
-
-    def counted(*args):
-        out = fn(*args)
-        calls.append(out)
-        return out
-    monkeypatch.setattr(special, name, counted)
-    return calls
-
-
 def cases(tau):
     # the front ends' sums with cancellation growing in tau
     half, mu, x = mpf(1) / 2, mpf("0.7"), mpf("1.3")
@@ -250,221 +213,63 @@ def cases(tau):
 CASE_TAUS = (mpf("0.3"), mpf("2.5"), mpf(7), mpf(13), mpf(20))
 
 
-class TestSeriesPrecision:
-    """_series_adaptive's first pass carries 48 extra bits and escalates
-    past a larger loss; its values match the two-pass loop it replaced."""
+class TestHypergeometricAccuracy:
+    """hypsum sums to working precision.  mpmath's oracle runs the same
+    summer for |z| <= 0.8, so the closed forms below, and the
+    series-vs-quadrature tests of the kernels, check it independently."""
 
-    def test_matches_two_pass_loop(self, monkeypatch):
+    ORACLE = {"hyp1f1": mpmath.hyp1f1, "hyp1f2": mpmath.hyp1f2,
+              "hyp2f1": mpmath.hyp2f1}
+
+    def test_cases_against_mpmath(self):
+        # worst measured: 15.7 units of 10^-dps, at dps 25
         for dps in (25, 40, 60):
             with mpmath.workdps(dps):
                 for tau in CASE_TAUS:
                     for f, *args in cases(tau):
-                        ref = _two_pass(monkeypatch, f, *args)
-                        assert f(*args) == ref, (dps, tau, f.__name__, args)
+                        v = f(*args)
+                        with mpmath.workdps(dps + 20):
+                            ref = self.ORACLE[f.__name__](*args)
+                            err = abs(v - ref) / abs(ref)
+                        assert err <= 100 * mpf(10) ** -dps, \
+                            (dps, tau, f.__name__, args)
 
-    def test_one_pass_when_loss_is_small(self, monkeypatch):
-        passes = _count_calls(monkeypatch, "_series_sum")
-        # no cancellation: 1F1(1; 2; 1/2) = 2 (e^(1/2) - 1)
-        v = hyp1f1(1, 2, mpf("0.5"))
-        assert len(passes) == 1
-        assert rel(v, 2 * mpmath.expm1(mpf("0.5"))) < mpf("1e-23")
-        # 2F1 with conjugate parameters at tau = 5 loses ~5 digits
-        half = mpf(1) / 2
-        v = hyp2f1(half - 5j, half + 5j, mpf("1.7"), mpf("-0.3"))
-        assert len(passes) == 2
-        assert rel(v, mpmath.hyp2f1(half - 5j, half + 5j, mpf("1.7"),
-                                    mpf("-0.3"))) < mpf("1e-23")
-        # the loop it replaced summed each twice
-        _two_pass(monkeypatch, hyp1f1, 1, 2, mpf("0.5"))
-        _two_pass(monkeypatch, hyp2f1, half - 5j, half + 5j, mpf("1.7"),
-                  mpf("-0.3"))
-        assert len(passes) == 6
+    def test_1f1_closed_form(self):
+        # 1F1(1; 2; z) = expm1(z) / z: at z = 800 the terms overflow a
+        # float, at z = -3 the Kummer transform runs
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for z in (mpf("0.5"), mpf(-3), mpf(800)):
+                    assert rel(hyp1f1(1, 2, z), mpmath.expm1(z) / z) <= \
+                        100 * mpf(10) ** -dps, (dps, z)
 
-    def test_one_pass_per_sum_in_the_bound_sweeps(self, monkeypatch):
-        # the criterion-4 verify sweeps at the corners of their grid
-        grids = ["--grid", "tau=0.5:10:9.5", "--grid", "x=0.1:2:1.9"]
-        runs = [["verify", "--bound", "kl", "--n", n] for n in "123"]
-        runs += [["verify", "--bound", "mehler-fock", "--n", "1", "--mu", mu]
-                 for mu in ("0.5", "1")]
-        runs.append(["verify", "--bound", "product"])
-        runs += [["verify", "--bound", "whittaker", "--n", "1", "--mu", mu]
-                 for mu in ("0.5", "1")]
-        runs += [["verify", "--bound", "olevskii", "--mu", mu, "--nu", nu]
-                 for mu, nu in (("0.5", "0.25"), ("0.75", "0"))]
-        sums = _count_calls(monkeypatch, "_series_adaptive")
-        passes = _count_calls(monkeypatch, "_series_sum")
-        assert [cli.main(argv + grids) for argv in runs] == [0] * 10
-        assert len(sums) > 0
-        assert len(passes) == len(sums)
-
-    def test_declines_on_overflow(self, monkeypatch):
-        # 1F1(1; 2; 800) = (e^800 - 1) / 800: its terms overflow a float
-        ref = _two_pass(monkeypatch, hyp1f1, 1, 2, 800)
-        assert hyp1f1(1, 2, 800) == ref
-        assert rel(ref, mpmath.expm1(800) / 800) < mpf("1e-23")
-
-    def test_declines_on_large_loss(self, monkeypatch):
-        # 37 bits (11 digits) cancel, more than the first pass's 32 to spare
-        half, tau = mpf(1) / 2, mpf(16)
-        args = (half - 1j * tau, half + 1j * tau, mpf("1.5"), mpf("-0.6"))
-        passes = _count_calls(monkeypatch, "_series_sum")
-        v = hyp2f1(*args)
-        assert len(passes) == 2  # the first pass, then the escalation
-        assert v == _two_pass(monkeypatch, hyp2f1, *args)
-
-    def test_declines_when_terms_run_out(self, monkeypatch, config_override):
-        # five terms do not converge; the first pass raises the old error,
-        # its partial sum carried at 48 more bits
-        args = (mpc(1, 3), 2, mpf("-0.5"))
-        with config_override(max_terms=5):
-            with pytest.raises(NonconvergenceError) as new:
-                hyp1f1(*args)
-            with pytest.raises(NonconvergenceError) as old:
-                _two_pass(monkeypatch, hyp1f1, *args)
-        assert str(new.value) == str(old.value)
-        assert abs(new.value.partial - old.value.partial) <= \
-            mpf(10) ** -mp.dps * abs(old.value.partial)
-
-
-def _mpc_series_loop(nums, dens, z):
-    # the mpc loop the fixed-point sum replaced, rounding every term; it
-    # also returns its scale, the sum of the term magnitudes
-    cfg = config.get()
-    term = s = mpc(1)
-    max_mag = prev_mag = scale = mpf(1)
-    tol = mpf(cfg.rel_tol, prec=53)
-    streak = 0
-    for k in range(cfg.max_terms):
-        num = mpc(z)
-        for a in nums:
-            num *= a + k
-        den = mpc(k + 1)
-        for b in dens:
-            den *= b + k
-        term = term * num / den
-        s += term
-        mag = abs(term)
-        scale += mag
-        max_mag = max(max_mag, mag)
-        if mag < tol * abs(s) and mag <= prev_mag:
-            streak += 1
-            if streak >= 3:
-                return s, max_mag, k + 1, scale
-        else:
-            streak = 0
-        prev_mag = mag
-    raise NonconvergenceError("stalled", partial=s, tail_estimate=abs(term))
-
-
-def _floored_sum(nums, dens, z, wp, terms):
-    # exact rationals: each term the last times the exact ratio of the
-    # 2^-wp-floored parameters, each component floored to 2^-wp
-    unit = Fraction(1, 2 ** wp)
-
-    def fixed(c):
-        return tuple(int(mpmath.floor(mpmath.ldexp(v, wp))) * unit
-                     for v in (mpc(c).real, mpc(c).imag))
-
-    def mul(u, v):
-        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
-    ups, lows = [fixed(a) for a in nums], [fixed(b) for b in dens]
-    t = s = (Fraction(1), Fraction(0))
-    for k in range(terms):
-        num, den = fixed(z), (Fraction(k + 1), Fraction(0))
-        for a in ups:
-            num = mul(num, (a[0] + k, a[1]))
-        for b in lows:
-            den = mul(den, (b[0] + k, b[1]))
-        r = mul(mul(t, num), (den[0], -den[1]))
-        m = den[0] ** 2 + den[1] ** 2
-        t = tuple((c / m // unit) * unit for c in r)
-        s = (s[0] + t[0], s[1] + t[1])
-    return s
+    def test_2f1_closed_form(self):
+        # 2F1(1, 1; 2; z) = -log1p(-z) / z: the direct series, the Pfaff
+        # pair's window around z = -1 and the Pfaff transform
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for z in (mpf("-0.3"), mpf("-1.004"), mpf("-3.5")):
+                    assert rel(hyp2f1(1, 1, 2, z), -mpmath.log1p(-z) / z) <= \
+                        100 * mpf(10) ** -dps, (dps, z)
 
 
 class TestFixedPointSeriesSum:
-    """_series_sum on integers scaled by 2^(mp.prec + _GUARD), against
-    the mpc loop it replaced, on the passes the front ends run."""
-
-    @staticmethod
-    def passes(monkeypatch, dps):
-        # (nums, dens, z, mp.prec) of each pass of the cases and of a
-        # real-parameter 1F1 with alternating terms
-        seen = []
-        fn = special._series_sum
-
-        def spy(nums, dens, z):
-            seen.append((nums, dens, z, mp.prec))
-            return fn(nums, dens, z)
-        runs = [(hyp1f1, mpf("0.7"), mpf("1.9"), mpf("-0.8"))]
-        for tau in CASE_TAUS:
-            runs += cases(tau)
-        with monkeypatch.context() as m, mpmath.workdps(dps):
-            m.setattr(special, "_series_sum", spy)
-            for f, *args in runs:
-                f(*args)
-        return seen
-
-    def test_matches_mpc_loop(self, monkeypatch):
-        # the loop rounds each term: the sums agree within a few units of
-        # its scale (measured up to 4.1), the largest terms within the
-        # loop's k roundings of a term (measured up to 0.05 k)
-        for dps in (25, 40, 60):
-            for nums, dens, z, prec in self.passes(monkeypatch, dps):
-                with mpmath.workprec(prec):
-                    ref, ref_max, k, scale = _mpc_series_loop(nums, dens, z)
-                    s, max_mag, terms = special._series_sum(nums, dens, z)
-                    ulp = mpf(2) ** -prec
-                if scale < 2 ** (prec - 20) * abs(ref):
-                    # a pass that cancels all its digits stops on a noisy
-                    # |sum|; the escalation then sums it again
-                    assert terms == k, (dps, nums, dens, z)
-                assert abs(s - ref) <= 8 * ulp * scale, (dps, nums, dens, z)
-                assert abs(max_mag - ref_max) <= k * ulp * ref_max
-
-    def test_stop_rule(self, monkeypatch, config_override):
-        # three consecutive non-increasing terms below rel_tol |sum|: the
-        # sum converges with the loop's term count and stalls one short
-        for nums, dens, z, prec in self.passes(monkeypatch, 40):
-            with mpmath.workprec(prec):
-                k = special._series_sum(nums, dens, z)[2]
-                with config_override(max_terms=k):
-                    assert special._series_sum(nums, dens, z)[2] == k
-                with config_override(max_terms=k - 1), \
-                        pytest.raises(NonconvergenceError):
-                    special._series_sum(nums, dens, z)
-
-    def test_stall_carries_partial_and_tail(self, config_override):
-        ulp = mpf(2) ** -mp.prec
-        for nums, dens, z in (([mpc(1, 3)], [mpc(2)], mpc("-0.5")),
-                              ([mpc("0.5", -4), mpc("0.5", 4)],
-                               [mpc("1.7")], mpc("-0.3"))):
-            with config_override(max_terms=3):
-                with pytest.raises(NonconvergenceError) as new:
-                    special._series_sum(nums, dens, z)
-                with pytest.raises(NonconvergenceError) as old:
-                    _mpc_series_loop(nums, dens, z)
-            new, old = new.value, old.value
-            assert abs(new.partial - old.partial) <= 8 * ulp * abs(old.partial)
-            assert abs(new.tail_estimate - old.tail_estimate) <= \
-                8 * ulp * old.tail_estimate
+    """What _series_adaptive adds to mpmath's hypsum: a check of its
+    inputs."""
 
     def test_non_finite_input_does_not_converge(self):
-        # as the mpc loop's inf and nan terms never did, but at once: the
-        # fixed-point form of inf or nan would be 0
+        # hypsum's fixed-point form of inf or nan would be 0
         for args in ((mpf("inf"), 2, mpf("0.5")), (1, 2, mpf("nan")),
                      (mpc(1, 1), mpc(2, "inf"), mpf("0.5"))):
             with pytest.raises(NonconvergenceError):
                 hyp1f1(*args)
 
-    def test_sum_is_the_floored_recurrence(self, monkeypatch):
-        # without guard bits the rounding of each term shows in the sum:
-        # it is the exact recurrence floored per component, bit for bit
-        monkeypatch.setattr(special, "_GUARD", 0)
-        for nums, dens, z in (([mpc("0.7")], [mpc("1.9")], mpc("-0.8")),
-                              ([mpc("0.5", -2), mpc("0.5", 2)],
-                               [mpc("1.7")], mpc("-0.45"))):
-            s, _, k = special._series_sum(nums, dens, z)
-            re, im = _floored_sum(nums, dens, z, mp.prec, k)
-            assert s == mpc(mpf(re.numerator) / re.denominator,
-                            mpf(im.numerator) / im.denominator)
+    def test_precision_cap_does_not_converge(self, monkeypatch):
+        # hypsum raises ValueError once the cancellation it measures needs
+        # more than its precision cap; no test input reaches that cap
+        # within max_terms, so the raise is stood in for
+        def capped(*args, **kwargs):
+            raise ValueError("hypsum() failed to converge")
+        monkeypatch.setattr(mp, "hypsum", capped)
+        with pytest.raises(NonconvergenceError):
+            hyp1f1(mpc(1, 3), 2, mpf("-0.5"))
