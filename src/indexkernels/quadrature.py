@@ -16,13 +16,18 @@ product head, the olevskii and mehler-fock tails) run Gauss-Legendre;
 the product's infinite tail ray and both Whittaker panels run tanh-sinh.
 Every integral goes through _quad, which caps the degree and counts the
 integrand calls; _panels cuts the oscillatory ranges at a fixed step.
+_GaussLegendre builds the Gauss-Legendre nodes in fixed point and keeps
+them in this module, not in mpmath's global rule: 0.012 s for degrees
+1-6 at dps 40, where mpmath's mpf builder takes 0.20 s.
 """
 
+import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf, mpc, workprec
 from mpmath import asinh, cos, exp, inf, log, pi, quad, re, sinh, sqrt
-from mpmath.libmp import to_fixed
+from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import from_float, to_fixed
 
 from .bessel import asymptotic_table, bessel_j, k_index, series_safe_x
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
@@ -33,7 +38,7 @@ PRODUCT_QUAD_TAU_CAP = 2.0
 # the olevskii quadrature's oscillatory tail is trusted for x <= this
 OLEVSKII_QUAD_X_CAP = 10.0
 # mpmath.quad's maxdegree on every panel of the four routes; Gauss-Legendre
-# degree m is 3 * 2^(m-1) nodes, computed once per process and precision
+# degree m is 3 * 2^(m-1) nodes, built by _GaussLegendre once per precision
 MAXDEGREE = 6
 
 
@@ -42,6 +47,58 @@ class QuadResult:
     value: object
     abs_error_estimate: object
     nodes_used: int
+
+
+# Gauss-Legendre nodes on [-1, 1] by (degree, quad precision), shared by
+# every _GaussLegendre: mpmath.quad makes a new rule object per call
+_GL_NODES = {}
+
+
+class _GaussLegendre(GaussLegendre):
+    """mpmath's Gauss-Legendre rule with its nodes built by Newton's method
+    on fixed-point integers and kept in _GL_NODES, not in mpmath's rule."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.standard_cache = _GL_NODES
+
+    def calc_nodes(self, degree, prec, verbose=False):
+        # mpmath's nodes in mpmath's order, rounded to its 1.5 prec
+        wp = int(prec * 1.5)
+        if degree == 1:
+            with workprec(wp):
+                x, w = sqrt(mpf(3) / 5), mpf(5) / 9
+                return [(-x, w), (mpf(0), mpf(8) / 9), (x, w)]
+        n = 3 * 2 ** (degree - 1)
+        W = wp + _GUARD
+        one = 1 << W
+        # a last Newton step a leaves the weight off by 2x/(1-x^2) a < n^2 a:
+        # stop that far below mpmath's 2^-(prec+8)
+        stop = 1 << (W - prec - 8 - 2 * n.bit_length())
+        nodes = []
+        for j in range(1, n // 2 + 1):
+            # float Newton on P_n from mpmath's cosine guess, to about 50 bits
+            x = math.cos(math.pi * (j - 0.25) / (n + 0.5))
+            for _ in range(3):
+                p, q = x, 1.0
+                for k in range(2, n + 1):
+                    p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+                x -= p * (x * x - 1) / (n * (x * p - q))
+            # then on integers scaled by 2^W
+            r = to_fixed(from_float(x), W)
+            while True:
+                p, q = r, one
+                for k in range(2, n + 1):
+                    p, q = ((2 * k - 1) * (r * p >> W) - (k - 1) * q) // k, p
+                dp = (n * ((r * p >> W) - q) << W) // ((r * r >> W) - one)
+                a = (p << W) // dp
+                r -= a
+                if abs(a) < stop:
+                    break
+            w = (2 << 4 * W) // ((one - (r * r >> W)) * dp * dp)
+            w = mpf((w, -W), prec=wp)
+            nodes += [(mpf((r, -W), prec=wp), w), (mpf((-r, -W), prec=wp), w)]
+        return nodes
 
 
 def _quad(f, pts, method="tanh-sinh"):
@@ -149,7 +206,7 @@ def mehler_fock_sq(mu, tau, x):
     # K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     pts = [p for p in (mpf(1), mpf(5), mpf(15)) if p < Y] + [Y]
-    tail, err, _ = _quad(f, pts, "gauss-legendre")
+    tail, err, _ = _quad(f, pts, _GaussLegendre)
     err += 2 * exp(-Y)
     v = 2 * (head + tail)
     if v < -2 * err:
@@ -196,7 +253,7 @@ def product_kernel_quad(tau, x):
         return j * w
 
     pts = [mpf(0)] + _panels(mpf(1), U, max(pi / (2 * x), mpf(1)))
-    head, err_h, n_h = _quad(f, pts, "gauss-legendre")
+    head, err_h, n_h = _quad(f, pts, _GaussLegendre)
     err_h += U * worst[0]
 
     # on w = U + is, H_0^(1)(2xw) is amp e^{-2xs} (P + iQ) / sqrt(w), and
@@ -268,7 +325,7 @@ def olevskii_quad(mu, nu, tau, x):
 
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     pts = _panels(mpf(1), Y, max(pi / x, mpf(4)))
-    tail, err, nodes = _quad(f, pts, "gauss-legendre")
+    tail, err, nodes = _quad(f, pts, _GaussLegendre)
     err += 2 * Y ** max(mu - 1, mpf(0)) * exp(-Y)
     lg2 = 2 * ln_gamma((mu + nu) / 2 + 1j * tau).real
     pref = 2 ** (2 - mu) * x ** (-nu) * exp(ln_gamma(nu + 1).real - lg2)

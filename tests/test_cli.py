@@ -24,7 +24,7 @@ class TestParseGrid:
         assert [float(v) for v in vals] == [1.0, 2.0, 3.0]
 
     def test_single_point(self):
-        axis, vals = parse_grid("x=2:2:1")
+        _, vals = parse_grid("x=2:2:1")
         assert len(vals) == 1
 
     @pytest.mark.parametrize("spec", ["x=nan:nan:1", "x=0:inf:1",
@@ -74,7 +74,7 @@ class TestEval:
         assert "value_re = " in out
 
     def test_missing_argument(self, capsys):
-        code, _, err = run(["eval", "--kernel", "kl", "--tau", "2"], capsys)
+        code, _, _ = run(["eval", "--kernel", "kl", "--tau", "2"], capsys)
         assert code == 2
 
     @pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--tau", "inf"),
@@ -152,10 +152,10 @@ class TestVerify:
 
 class TestExpand:
     def test_small_grid(self, capsys):
-        code, out, err = run(["expand", "--kernel", "kl", "--N", "2",
-                              "--tau0", "5", "--X", "1",
-                              "--grid", "tau=6:8:2", "--grid", "x=0.5:1:0.5"],
-                             capsys)
+        code, _, err = run(["expand", "--kernel", "kl", "--N", "2",
+                            "--tau0", "5", "--X", "1",
+                            "--grid", "tau=6:8:2", "--grid", "x=0.5:1:0.5"],
+                           capsys)
         assert code == 0
         assert "violations=0" in err
 

@@ -43,14 +43,23 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _functions(body, prefix=""):
+    # (qualified name, node) for each function defined in a module or
+    # class body, methods of nested classes included
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, prefix + node.name + ".")
+
+
 def unused_locals(source):
-    """(function, name) for each name that a top-level function stores in
-    its body, nested functions included, and loads nowhere in it; `_` is
-    exempt.  In order of the functions, then of the names' first store."""
+    """(function, name) for each name that a top-level function or a
+    method stores in its body, nested functions included, and loads
+    nowhere in it; `_` is exempt.  A method is named `Class.method`.  In
+    order of the functions, then of the names' first store."""
     found = []
-    for fn in ast.parse(source).body:
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for qualname, fn in _functions(ast.parse(source).body):
         stored, loaded = {}, set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Name):
@@ -58,7 +67,7 @@ def unused_locals(source):
                     stored.setdefault(node.id, node.lineno)
                 else:
                     loaded.add(node.id)
-        found += [(fn.name, name)
+        found += [(qualname, name)
                   for name, _ in sorted(stored.items(), key=lambda kv: kv[1])
                   if name != "_" and name not in loaded]
     return found
@@ -69,9 +78,12 @@ def test_detects_unused_local():
            "def f(a):\n    b, _ = a\n    c = 2\n    for i in a:\n"
            "        pass\n    def g():\n        d = c\n        e = 3\n"
            "        return d\n    return g\n"
-           "def h():\n    n = 0\n    n += 1\n    return x\n")
+           "def h():\n    n = 0\n    n += 1\n    return x\n"
+           "class C:\n    y = 2\n    def m(self):\n        u, v = self\n"
+           "        return v\n    class D:\n        def k(self):\n"
+           "            w = 1\n")
     assert unused_locals(src) == [("f", "b"), ("f", "i"), ("f", "e"),
-                                  ("h", "n")]
+                                  ("h", "n"), ("C.m", "u"), ("C.D.k", "w")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

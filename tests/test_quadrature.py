@@ -3,15 +3,20 @@
 Pinned values computed with mpmath at dps=60.
 """
 
+import functools
+
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.calculus.quadrature import GaussLegendre
 
+from indexkernels import quadrature
 from indexkernels.errors import NonconvergenceError
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
-                                     _head_vs_k, _j_coeffs, _square_coeffs,
-                                     mehler_fock_sq, olevskii_quad,
-                                     product_kernel_quad, whittaker_quad)
+                                     _GaussLegendre, _head_vs_k, _j_coeffs,
+                                     _square_coeffs, mehler_fock_sq,
+                                     olevskii_quad, product_kernel_quad,
+                                     whittaker_quad)
 from indexkernels.special import ln_gamma
 
 PROD_15_08 = mpf("0.39963824944900481601009080283")
@@ -169,3 +174,69 @@ class TestHeadVsK:
                     args = (mu, nu, _j_coeffs(nu, x), order)
                 assert _head_vs_k(*args) == _two_series_head(*args), \
                     (mu, nu, x, order)
+
+
+def _gauss_legendre_routes():
+    # one call of each route with a Gauss-Legendre panel
+    product_kernel_quad(mpf("0.5"), mpf(1))
+    olevskii_quad(mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3"))
+    mehler_fock_sq(mpf("0.7"), mpf(3), mpf("0.8"))
+
+
+@functools.cache
+def _reference_nodes(degree):
+    # mpmath's own builder at 400 bits
+    with mpmath.workprec(420):
+        return GaussLegendre(mp).calc_nodes(degree, 400)
+
+
+@pytest.fixture
+def empty_mpmath_rule(monkeypatch):
+    """mpmath's global Gauss-Legendre rule with its three caches emptied
+    for the test, and restored after it."""
+    rule = mp._gauss_legendre
+    for name in ("standard_cache", "transformed_cache", "interval_count"):
+        monkeypatch.setattr(rule, name, {})
+    return rule
+
+
+class TestGaussLegendreNodes:
+    @pytest.mark.parametrize("dps", [25, 40, 60])
+    def test_match_reference(self, dps):
+        # within 2^-(prec+8), the Newton stop of mpmath's own builder
+        with mpmath.workdps(dps):
+            prec = mp.prec
+        for degree in range(1, 7):
+            nodes = _GaussLegendre(mp).calc_nodes(degree, prec)
+            ref = _reference_nodes(degree)
+            assert len(nodes) == len(ref) == 3 * 2 ** (degree - 1)
+            with mpmath.workprec(420):
+                worst = max(max(abs(x - xr), abs(w - wr))
+                            for (x, w), (xr, wr) in zip(nodes, ref))
+            assert worst < mpf(2) ** -(prec + 8), (degree, worst)
+
+    def test_cache_keys_on_precision(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(quadrature, "_GL_NODES", cache)
+        precs = set()
+        for dps in (40, 25):
+            with mpmath.workdps(dps):
+                olevskii_quad(mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3"))
+                precs.add(mp.prec)
+        assert {prec for _, prec in cache} == precs
+
+    def test_routes_leave_mpmath_state_alone(self, empty_mpmath_rule):
+        prec = mp.prec
+        _gauss_legendre_routes()
+        assert empty_mpmath_rule.standard_cache == {}
+        assert empty_mpmath_rule.transformed_cache == {}
+        assert empty_mpmath_rule.interval_count == {}
+        assert mp.prec == prec
+
+    def test_no_mpmath_node_builder(self, monkeypatch, empty_mpmath_rule):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath's Gauss-Legendre builder ran")
+
+        monkeypatch.setattr(GaussLegendre, "calc_nodes", refuse)
+        monkeypatch.setattr(quadrature, "_GL_NODES", {})
+        _gauss_legendre_routes()
