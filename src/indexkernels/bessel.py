@@ -17,9 +17,12 @@ The I and J series are summed in fixed point, each term the last times
 a ratio from a per-(order, precision) table grown to the terms used; the
 guard bits also absorb the cancellation of the alternating J sum.
 bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
-orders give exactly conjugate values.  The memos (I and J plans, K
-constants, asymptotic coefficients, K_0) share mp's global precision
-and, like mpmath itself, assume one thread.
+orders give exactly conjugate values.  The quadrature routes' integrands
+call _k_evaluator and _j_evaluator, which fetch the plans once per
+integral and run the same per-point routines as k_index and bessel_j.
+The memos (I and J plans, K constants, asymptotic coefficients, K_0,
+tanh-sinh nodes) share mp's global precision and, like mpmath itself,
+assume one thread.
 """
 
 import functools
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
+from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import to_fixed
 
 from . import config
@@ -80,15 +84,22 @@ def bessel_i(nu, x):
     conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
     if conj:
         nu = nu.conjugate()
-    lg = _i_plan(nu, mp.prec)[4]
+    cfg = config.get()
+    return _i_series(nu, x, _i_plan(nu, mp.prec),
+                     _tol_fraction(_i_tol(cfg.rel_tol)), cfg.max_terms, conj)
+
+
+def _i_series(nu, x, plan, tol, max_terms, conj):
+    # I_nu(x), conjugated if conj, at Im nu >= 0, x > 0 from nu's plan at
+    # mp.prec: the per-point work of bessel_i and _k_evaluator
     if nu.imag == 0 and nu.real < 0:
         # reflection 1/Gamma(nu+1) = -Gamma(-nu) sin(pi nu)/pi keeps the
         # log-gamma argument off the negative real axis; sinpi stays fully
         # accurate near the removable zeros at integer order
-        c0 = -exp(nu * log(x / 2) + lg) * mp.sinpi(nu.real) / pi
+        c0 = -exp(nu * log(x / 2) + plan[4]) * mp.sinpi(nu.real) / pi
     else:
-        c0 = exp(nu * log(x / 2) - lg)
-    sr, si, wp, _, tail = _i_sum(nu, x)
+        c0 = exp(nu * log(x / 2) - plan[4])
+    sr, si, wp, _, tail = _i_sum(plan, x, tol, max_terms)
     v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if tail is not None:
         raise NonconvergenceError(
@@ -116,23 +127,23 @@ def _tol_fraction(tol):
     return (n << e, 0) if e >= 0 else (n, -e)
 
 
-def _i_tol():
+def _i_tol(rel_tol):
     # bessel_i's tolerance: the config's rel_tol, or 10^-dps if smaller
-    return min(config.get().rel_tol, 10.0 ** (-mp.dps))
+    return min(rel_tol, 10.0 ** (-mp.dps))
 
 
-def _i_sum(nu, x):
+def _i_sum(plan, x, tol, max_terms):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
-    wp, a, b, rho, _ = _i_plan(nu, mp.prec)
+    wp, a, b, rho, _ = plan
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(_i_tol())
+    tol_n, tol_k = tol
     tr = sr = 1 << wp
     ti = si = 0
     prev = tr * tr
     streak = 0
-    for k in range(1, config.get().max_terms + 1):
+    for k in range(1, max_terms + 1):
         if k == len(rho):
             ka = (k << wp) + a
             d = k * (ka * ka + b * b)
@@ -192,25 +203,31 @@ def bessel_j(nu, x, with_error=False):
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
 
-    switch, phase = _j_plan(nu, mp.prec)[:2]
-    if x <= switch:
+    cfg = config.get()
+    return _j_point(nu, x, _j_plan(nu, mp.prec), _tol_fraction(cfg.rel_tol),
+                    cfg.max_terms, _eps(), with_error)
+
+
+def _j_point(nu, x, plan, tol, max_terms, eps, with_error):
+    # bessel_j past its checks, from nu's plan at mp.prec: the per-point
+    # work of bessel_j and _j_evaluator
+    if x <= plan[0]:
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        c0, s, t, k, wp = _j_sum(nu, x)
+        c0, s, t, k, wp = _j_sum(nu, x, plan, tol, max_terms, eps)
         v = c0 * mpf((s, -wp))
         if not with_error:
             return v
         # each shift leaves a unit of 2^-wp, and the propagated ones
         # cancel along the alternating tail
-        return v, (c0 * mpf((abs(t) + 4 * k, -wp))
-                   + _ROUNDING * _eps() * abs(v))
+        return v, (c0 * mpf((abs(t) + 4 * k, -wp)) + _ROUNDING * eps * abs(v))
 
     # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum,
     # t_n = t_{n-1} (4 nu^2 - (2n-1)^2) / (8 n x) scaled by 2^wp
-    wp = mp.prec + _GUARD
+    _, phase, wp, a = plan[:4]
     xf = to_fixed(x._mpf_, wp)
-    nu4 = to_fixed(nu._mpf_, wp) ** 2 >> (wp - 2)
+    nu4 = a ** 2 >> (wp - 2)
     omega = x - phase - pi / 4
     sums = [0, 0]
     t, total = 1 << wp, 0
@@ -232,7 +249,7 @@ def bessel_j(nu, x, with_error=False):
     # truncation plus rounding, dominated by the phase omega, whose
     # absolute error grows like eps * x
     return v, amp * (mpf((mag, -wp))
-                     + _ROUNDING * _eps() * (1 + x) * mpf((total, -wp)))
+                     + _ROUNDING * eps * (1 + x) * mpf((total, -wp)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -247,19 +264,18 @@ def _j_plan(nu, prec):
             +inv_gamma, [0])
 
 
-def _j_sum(nu, x):
+def _j_sum(nu, x, plan, tol, max_terms, eps):
     # J_nu(x) = c0 sum_k t_k, t_k = -t_{k-1} (x/2)^2 / (k (k + nu)), at
     # 2^wp: (c0, sum, last term, terms past t_0, wp), or a raise if the
     # terms run out
-    _, _, wp, a, inv_gamma, rho = _j_plan(nu, mp.prec)
+    _, _, wp, a, inv_gamma, rho = plan
     sh = 2 * wp + _RATIO_BITS
     c0 = (x / 2) ** nu * inv_gamma
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    cfg = config.get()
-    tol_n, tol_k = _tol_fraction(cfg.rel_tol)
-    floor = to_fixed((_eps() / c0)._mpf_, wp)
+    tol_n, tol_k = tol
+    floor = to_fixed((eps / c0)._mpf_, wp)
     t = s = 1 << wp
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, max_terms + 1):
         if k == len(rho):
             rho.append((1 << sh) // (k * ((k << wp) + a)))
         t = -t * rho[k] * q >> sh
@@ -267,8 +283,21 @@ def _j_sum(nu, x):
         if abs(t) << tol_k < tol_n * max(abs(s), floor):
             return c0, s, t, k, wp
     raise NonconvergenceError(
-        "bessel_j series did not converge in %d terms" % cfg.max_terms,
+        "bessel_j series did not converge in %d terms" % max_terms,
         partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
+
+
+# tanh-sinh nodes on [-1, 1] by (degree, quad precision), shared by every
+# _TanhSinh: mpmath.quad makes a new rule object per call
+_TS_NODES = {}
+
+
+class _TanhSinh(TanhSinh):
+    """mpmath's tanh-sinh rule, its nodes in _TS_NODES, not mpmath's rule."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.standard_cache = _TS_NODES
 
 
 def _cosh_quad(x, g, maxdegree=None, growth=0):
@@ -284,7 +313,7 @@ def _cosh_quad(x, g, maxdegree=None, growth=0):
     while growth and x * cosh(T) - growth * T < x + cut - 1:
         T = acosh(1 + (cut + growth * T) / x)
     v, err = quad(lambda t: exp(x - x * cosh(t)) * g(t), [0, T],
-                  error=True, maxdegree=maxdegree)
+                  error=True, maxdegree=maxdegree, method=_TanhSinh)
     return v * exp(-x), err * exp(-x)
 
 
@@ -304,10 +333,10 @@ def bessel_k_real(nu, x):
     return v
 
 
-def _checked(res, route, tau):
+def _checked(res, route, tau, cfg):
     # runs on cache hits too: a cached value obeys the threshold in force
     # at call time, not the one it was computed under
-    if res.rel_error > config.get().precision_loss_threshold:
+    if res.rel_error > cfg.precision_loss_threshold:
         raise PrecisionLossError("%s precision loss (tau=%s)" % (route, tau),
                                  value=res.value, rel_error=res.rel_error)
     return res
@@ -341,7 +370,7 @@ def k_itau_quad(tau, x):
     key = (tau, x, mp.prec)
     hit = _kq_cache.get(key)
     if hit is not None:
-        return _checked(hit, "k_itau_quad", tau)
+        return _checked(hit, "k_itau_quad", tau, config.get())
     v, qerr = _cosh_quad(x, lambda t: cos(tau * t), 9)
     # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
     k0 = _k0(x, mp.prec)
@@ -350,7 +379,7 @@ def k_itau_quad(tau, x):
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
     _cache_put(_kq_cache, key, res)
-    return _checked(res, "k_itau_quad", tau)
+    return _checked(res, "k_itau_quad", tau, config.get())
 
 
 @functools.lru_cache(maxsize=128)
@@ -379,21 +408,27 @@ def k_itau_series(tau, x, i_tau=None):
     if x <= 0 or tau <= 0:
         raise DomainError("k_itau_series requires x > 0, tau > 0")
     # the values bessel_i sums with are part of the key
-    key = (tau, x, mp.prec, _i_tol(), config.get().max_terms)
+    cfg = config.get()
+    key = (tau, x, mp.prec, _i_tol(cfg.rel_tol), cfg.max_terms)
     hit = _ks_cache.get(key)
     if hit is not None:
-        return _checked(hit, "k_itau_series", tau)
+        return _checked(hit, "k_itau_series", tau, cfg)
     if i_tau is None:
         i_tau = bessel_i(1j * tau, x)
-    sinh_pt, exp_pt, _ = _k_plan(tau, mp.prec)
+    res = _k_series(i_tau, _k_plan(tau, mp.prec), _eps())
+    _cache_put(_ks_cache, key, res)
+    return _checked(res, "k_itau_series", tau, cfg)
+
+
+def _k_series(i_tau, plan, eps):
+    # K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) with its error model,
+    # from tau's _k_plan: for k_itau_series and _k_evaluator
+    sinh_pt, exp_pt, _ = plan
     v = -pi * i_tau.imag / sinh_pt
     canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
                   else _NO_IMAG_RATIO)
-    rel = _eps() * (exp_pt + canc_ratio)
-    res = KernelValue(value=v, rel_error=rel,
-                      cancellation=canc_ratio > _CANC_FLAG)
-    _cache_put(_ks_cache, key, res)
-    return _checked(res, "k_itau_series", tau)
+    return KernelValue(value=v, rel_error=eps * (exp_pt + canc_ratio),
+                       cancellation=canc_ratio > _CANC_FLAG)
 
 
 def series_safe_x(index):
@@ -424,3 +459,52 @@ def k_index(index, x, i_tau=None):
     if index <= SERIES_INDEX_CAP and x <= _k_plan(index, mp.prec)[2]:
         return k_itau_series(index, x, i_tau=i_tau).value
     return k_itau_quad(index, x).value
+
+
+# The quadrature integrands' evaluators: y -> k_index(index, y) and y ->
+# bessel_j(nu, y, with_error) for the nodes of one integral, bit for bit.
+# The config is read when one is made, the order's plans, tolerance and
+# 10^-dps once per precision, on the first node (quad runs 20 bits up), so
+# a node costs its sum and prefactor.  Off the series route, and at an
+# order the public function refuses, that function is called.
+
+def _k_evaluator(index):
+    if not 0 < abs(index) <= SERIES_INDEX_CAP:
+        return lambda y: k_index(index, y)
+    cfg, plans, last = config.get(), {}, [None, None]
+
+    def k(y):
+        y, prec = mpf(y), mp.prec
+        if last[0] == (y, prec):  # a repeated argument: the last value
+            return last[1]
+        if prec not in plans:
+            tau = abs(mpf(index))
+            nu = mpc(1j * tau)
+            plans[prec] = (tau, nu, _i_plan(nu, prec), _k_plan(tau, prec),
+                           _tol_fraction(_i_tol(cfg.rel_tol)), _eps())
+        tau, nu, ip, kp, tol, eps = plans[prec]
+        if 0 < y <= kp[2]:
+            i_tau = _i_series(nu, y, ip, tol, cfg.max_terms, False)
+            v = _checked(_k_series(i_tau, kp, eps), "k_itau_series", tau,
+                         cfg).value
+        else:
+            v = k_index(tau, y)
+        last[:] = (y, prec), v
+        return v
+    return k
+
+
+def _j_evaluator(nu, with_error):
+    if not (isfinite(nu) and nu > -1):
+        return lambda y: bessel_j(nu, y, with_error)
+    cfg, plans = config.get(), {}
+
+    def j(y):
+        y, prec = mpf(y), mp.prec
+        if prec not in plans:
+            n = mpf(nu)
+            plans[prec] = (n, _j_plan(n, prec), _tol_fraction(cfg.rel_tol),
+                           _eps())
+        n, plan, tol, eps = plans[prec]
+        return _j_point(n, y, plan, tol, cfg.max_terms, eps, with_error)
+    return j

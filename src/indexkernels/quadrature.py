@@ -8,30 +8,34 @@ independent of the series/hypergeometric routes in `kernels`:
 * whittaker_quad     -- Laplace-type K moment for W_{-mu, i tau}(2x),
 * olevskii_quad      -- J_nu K moment for the conjugate-parameter 2F1.
 
-The imaginary-order K factor inside the integrands is supplied by the
-bessel module (series route for small index, quadrature above).
+The K_{i index} and J_nu factors inside the integrands come from the
+bessel module's per-integral evaluators, which return k_index's and
+bessel_j's values with the order's work done once per integral.
 
 Panels on which the integrand is analytic on and near the panel (the
-product head, the olevskii and mehler-fock tails) run Gauss-Legendre;
-the product's infinite tail ray and both Whittaker panels run tanh-sinh.
-Every integral goes through _quad, which caps the degree and counts the
-integrand calls; _panels cuts the oscillatory ranges at a fixed step.
-_GaussLegendre builds the Gauss-Legendre nodes in fixed point and keeps
-them in this module, not in mpmath's global rule: 0.012 s for degrees
-1-6 at dps 40, where mpmath's mpf builder takes 0.20 s.
+product head and its tail ray, cut where it has decayed below quad's
+stop, the olevskii and mehler-fock tails) run Gauss-Legendre; both
+Whittaker panels run tanh-sinh (bessel._TanhSinh).  Every integral goes
+through _quad, which caps the degree and counts the integrand calls;
+_panels cuts the oscillatory ranges at a fixed step.  _GaussLegendre
+builds the Gauss-Legendre nodes in fixed point and keeps them in this
+module, not in mpmath's global rule: 0.012 s for degrees 1-6 at dps 40,
+where mpmath's mpf builder takes 0.20 s.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workprec
-from mpmath import asinh, cos, exp, inf, log, pi, quad, re, sinh, sqrt
+from mpmath import asinh, cos, exp, log, pi, quad, re, sinh, sqrt
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_float, to_fixed
 
-from .bessel import asymptotic_table, bessel_j, k_index, series_safe_x
+from .bessel import (_ROUNDING, _TanhSinh, _j_evaluator, _k_evaluator,
+                     asymptotic_table, series_safe_x)
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
-from .special import _GUARD, ln_gamma
+from .special import _GUARD, _eps, ln_gamma
 
 # the oscillatory product-kernel quadrature is trusted for tau <= this
 PRODUCT_QUAD_TAU_CAP = 2.0
@@ -101,7 +105,7 @@ class _GaussLegendre(GaussLegendre):
         return nodes
 
 
-def _quad(f, pts, method="tanh-sinh"):
+def _quad(f, pts, method):
     # mpmath.quad at MAXDEGREE: (value, error estimate, integrand calls)
     calls = [0]
 
@@ -199,8 +203,10 @@ def mehler_fock_sq(mu, tau, x):
     cj = _square_coeffs(_j_coeffs(mu, x))
     head = _head_vs_k(mpf(1), 2 * mu, cj, 2 * tau)
 
+    j, k = _j_evaluator(mu, False), _k_evaluator(2 * tau)
+
     def f(y):
-        return bessel_j(mu, x * y) ** 2 * k_index(2 * tau, y)
+        return j(x * y) ** 2 * k(y)
 
     # keep the K argument inside the series-safe region; beyond it the
     # K_0 envelope bounds the dropped tail
@@ -218,13 +224,22 @@ def mehler_fock_sq(mu, tau, x):
 def _hankel0_pq(z):
     # P + iQ at z = 1/w: the table's signs are those of i^n, so P + iQ =
     # sum_{n<12} a_n (iz)^n, summed by Horner on fixed-point integers
-    wp = mp.prec + _GUARD
+    wp, coeffs = _hankel0_coeffs(mp.prec)
     ur, ui = to_fixed((-z.imag)._mpf_, wp), to_fixed(z.real._mpf_, wp)
     pr = pi_ = 0
-    for n, c in reversed(list(enumerate(asymptotic_table(0)[:12]))):
+    for c in coeffs:
         pr, pi_ = (pr * ur - pi_ * ui) >> wp, (pr * ui + pi_ * ur) >> wp
-        pr += to_fixed((c if n % 4 < 2 else -c)._mpf_, wp)
+        pr += c
     return mpc(mpf((pr, -wp)), mpf((pi_, -wp)))
+
+
+@functools.lru_cache(maxsize=16)
+def _hankel0_coeffs(prec):
+    # _hankel0_pq's a_n at 2^(prec + _GUARD), from n = 11 down to 0
+    wp = prec + _GUARD
+    table = asymptotic_table(0)[:12]
+    return wp, [to_fixed((c if n % 4 < 2 else -c)._mpf_, wp)
+                for n, c in reversed(list(enumerate(table)))]
 
 
 def product_kernel_quad(tau, x):
@@ -245,9 +260,10 @@ def product_kernel_quad(tau, x):
 
     U = max(mpf(25), 25 / (2 * x))
     worst = [mpf(0)]  # largest |J_0 error| times its node's other factor
+    j0 = _j_evaluator(0, True)
 
     def f(u):
-        j, j_err = bessel_j(0, 2 * x * u, with_error=True)
+        j, j_err = j0(2 * x * u)
         w = cos(2 * tau * asinh(u)) / sqrt(1 + u ** 2)
         worst[0] = max(worst[0], abs(j_err * w))
         return j * w
@@ -256,6 +272,14 @@ def product_kernel_quad(tau, x):
     head, err_h, n_h = _quad(f, pts, _GaussLegendre)
     err_h += U * worst[0]
 
+    tail, err_t, n_t = _product_tail(tau, x, U)
+    v = 2 * (head + re(1j * tail))
+    # Hankel truncation floor: first omitted asymptotic term at the corner
+    trunc = abs(asymptotic_table(0)[12]) / (2 * x * U) ** 12
+    return QuadResult(v, 2 * (err_h + err_t) + trunc, n_h + n_t)
+
+
+def _tail_ray(tau, x, U):
     # on w = U + is, H_0^(1)(2xw) is amp e^{-2xs} (P + iQ) / sqrt(w), and
     # asinh w = log(w + r) with r = sqrt(1 + w^2) since Re w > 0
     amp = sqrt(1 / (pi * x)) * exp(1j * (2 * x * U - pi / 4))
@@ -265,12 +289,22 @@ def product_kernel_quad(tau, x):
         r = sqrt(1 + w * w)
         return (amp * exp(-2 * x * s) * _hankel0_pq(1 / (2 * x * w))
                 * cos(2 * tau * log(w + r)) / (sqrt(w) * r))
+    return tail_ray
 
-    tail, err_t, n_t = _quad(tail_ray, [0, inf])
-    v = 2 * (head + re(1j * tail))
-    # Hankel truncation floor: first omitted asymptotic term at the corner
-    trunc = abs(asymptotic_table(0)[12]) / (2 * x * U) ** 12
-    return QuadResult(v, 2 * (err_h + abs(err_t)) + trunc, n_h + n_t)
+
+def _product_tail(tau, x, U):
+    # (value, error estimate, nodes) of the tail ray on [0, S].  With 2xU >=
+    # 25, |P + iQ| < 2, |cos(2 tau log(w + r))| <= e^{pi tau} (0 <= arg(w +
+    # r) < pi/2) and |sqrt(w) r| >= U^{3/2}, so |tail_ray| <= 2x bound
+    # e^{-2xs}: past S it adds under 2^-prec e^{-10} bound, and the rounding
+    # of its prefactors, tens of eps, under eps bound.  Panels of length 3U
+    # keep the singularities at w = 0, +-i, at height U over s = 0, far
+    # enough for a degree-6 panel to converge
+    bound = exp(pi * tau) / (x * sqrt(pi * x) * U ** 1.5)
+    S = (mp.prec * log(2) + pi * tau + 10) / (2 * x)
+    tail, err, nodes = _quad(_tail_ray(tau, x, U), _panels(mpf(0), S, 3 * U),
+                             _GaussLegendre)
+    return tail, err + bound * (exp(-2 * x * S) + _ROUNDING * _eps()), nodes
 
 
 def whittaker_quad(mu, tau, x):
@@ -287,14 +321,15 @@ def whittaker_quad(mu, tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("whittaker_quad requires tau > 0, x > 0")
 
+    k = _k_evaluator(tau)
+
     def h(y):
-        return (exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2)
-                * k_index(tau, x * (y + 1)))
+        return exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2) * k(x * (y + 1))
 
     # keep the K argument x(y+1) inside the series-safe region; Y > 1
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
-    head, err_h, n_h = _quad(lambda s: h(s ** (1 / mu)), [0, 1])
-    tail, err, n_t = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y])
+    head, err_h, n_h = _quad(lambda s: h(s ** (1 / mu)), [0, 1], _TanhSinh)
+    tail, err, n_t = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y], _TanhSinh)
     err += err_h / mu + Y ** max(mu - 1, mpf(0)) * exp(-2 * x * Y) / x
     pref = sqrt(2 * x / pi) * exp(-ln_gamma(mu).real)
     return QuadResult(pref * (head / mu + tail), pref * err, n_h + n_t)
@@ -320,8 +355,10 @@ def olevskii_quad(mu, nu, tau, x):
 
     head = _head_vs_k(mu, nu, _j_coeffs(nu, x), 2 * tau)
 
+    j, k = _j_evaluator(nu, False), _k_evaluator(2 * tau)
+
     def f(y):
-        return y ** (mu - 1) * bessel_j(nu, x * y) * k_index(2 * tau, y)
+        return y ** (mu - 1) * j(x * y) * k(y)
 
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     pts = _panels(mpf(1), Y, max(pi / x, mpf(4)))

@@ -10,13 +10,13 @@ from mpmath import mp, mpf, mpc
 
 from mpmath.libmp import to_fixed
 
-from indexkernels import bessel, config, special
+from indexkernels import bessel, config, quadrature, special
 from indexkernels.bessel import (_tol_fraction, asymptotic_table, bessel_i,
                                  bessel_j, bessel_k_real, k_index,
                                  k_itau_quad, k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
-from indexkernels.quadrature import _hankel0_pq
+from indexkernels.quadrature import _hankel0_pq, mehler_fock_sq, whittaker_quad
 from indexkernels.special import _GUARD, ln_gamma
 
 I0_1 = mpf("1.26606587775200833559824462521")
@@ -179,7 +179,8 @@ class TestCoefficientTables:
             mp.dps = saved
 
     def test_memos_bounded(self):
-        for memo in MEMOS + (bessel._asymptotic_memo, bessel._k0):
+        for memo in MEMOS + (bessel._asymptotic_memo, bessel._k0,
+                             quadrature._hankel0_coeffs):
             assert memo.cache_info().maxsize is not None
 
     def test_j_and_h0_across_switch(self):
@@ -479,14 +480,19 @@ class TestFixedPointSeries:
                     if nu.imag == 0 and nu.real == int(nu.real) < 0:
                         nu = -nu  # as bessel_i folds it
                     (er, ei), wp, k, top = _exact_i_sum(nu, y)
-                    sr, si, wp2, k2, tail = bessel._i_sum(nu, y)
+                    sr, si, wp2, k2, tail = bessel._i_sum(
+                        bessel._i_plan(nu, mp.prec), y,
+                        _tol_fraction(_i_tol()), config.get().max_terms)
                     assert (wp2, k2, tail) == (wp, k, None), (dps, nu, y)
                     assert max(abs(sr - er), abs(si - ei)) <= \
                         k * max(1, top), (dps, nu, y)
                 for nu, x in _j_points():
                     if x <= 20 + nu ** 2 / 2:
                         es, wp, k = _exact_j_sum(nu, x)
-                        _, s, _, k2, wp2 = bessel._j_sum(nu, x)
+                        _, s, _, k2, wp2 = bessel._j_sum(
+                            nu, x, bessel._j_plan(nu, mp.prec),
+                            _tol_fraction(config.get().rel_tol),
+                            config.get().max_terms, special._eps())
                         assert (wp2, k2) == (wp, k), (dps, nu, x)
                         assert abs(s - es) <= k, (dps, nu, x)
 
@@ -743,3 +749,79 @@ class TestKIndexRouting:
         v = k_index(mpf(tau), mpf(x))
         ref = mpmath.besselk(1j * mpf(tau), mpf(x)).real
         assert rel(v, ref) < mpf("1e-18")
+
+
+def _outcome(f, *args):
+    # the value of a call, or the type and message of its raise
+    try:
+        return f(*args)
+    except PrecisionLossError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegrandEvaluators:
+    """The K and J evaluators of the quadrature integrands: made at the
+    caller's precision and run at quad's, 20 bits above, they return
+    k_index's and bessel_j's values bit for bit, and raise as they do."""
+
+    @pytest.mark.parametrize("dps", [25, 40, 60])
+    def test_k_matches_k_index(self, dps):
+        # orders exact and inexact in binary, arguments on both sides of
+        # series_safe_x, the first one twice in a row (the one-entry
+        # memo), then the evaluator at the caller's precision.  At dps 25
+        # the e^{pi tau} loss model refuses tau = 15.9 on the series route
+        with mpmath.workdps(dps):
+            for tau in map(mpf, ("6", "6.054", "1.5", "0.5", "12", "15.9")):
+                k = bessel._k_evaluator(tau)
+                with mpmath.workprec(mp.prec + 20):
+                    safe = series_safe_x(tau)
+                    ys = [mpf("0.3"), mpf("0.3"), mpf("2.7"),
+                          safe - mpf("0.2"), safe + mpf("0.2")]
+                    for y in ys:
+                        assert _outcome(k, y) == _outcome(k_index, tau, y), \
+                            (dps, tau, y)
+                for y in ys[1:3]:
+                    assert _outcome(k, y) == _outcome(k_index, tau, y), \
+                        (dps, tau, y)
+
+    @pytest.mark.parametrize("dps", [25, 40, 60])
+    def test_j_matches_bessel_j(self, dps):
+        # the ascending sum, both sides of its switch, and the asymptotic
+        # branch, with and without the error estimate
+        with mpmath.workdps(dps):
+            for nu in map(mpf, ("0", "0.25", "0.7")):
+                switch = 20 + nu ** 2 / 2
+                for with_error in (False, True):
+                    j = bessel._j_evaluator(nu, with_error)
+                    with mpmath.workprec(mp.prec + 20):
+                        for y in (mpf(0), mpf("0.3"), mpf("5.1"),
+                                  switch - mpf("0.1"), switch + mpf("0.1"),
+                                  mpf(60)):
+                            assert j(y) == bessel_j(nu, y, with_error), \
+                                (dps, nu, y, with_error)
+
+    def test_refusals_are_the_public_ones(self):
+        with pytest.raises(DomainError, match="nu > -1"):
+            bessel._j_evaluator(mpf(-1), False)(mpf(1))
+        with pytest.raises(DomainError, match="k_itau_series"):
+            bessel._k_evaluator(mpf(2))(mpf(0))
+
+    def test_loss_threshold_in_force(self, config_override):
+        # the K factor's rel_error, about 1e-32 here, against a tightened
+        # threshold, and the same value once the default is back
+        args = (mpf("0.7"), mpf(3), mpf("0.8"))
+        v = mehler_fock_sq(*args)
+        with config_override(precision_loss_threshold=1e-40), \
+                pytest.raises(PrecisionLossError, match="k_itau_series"):
+            mehler_fock_sq(*args)
+        assert mehler_fock_sq(*args) == v
+
+    @pytest.mark.parametrize("route, args, message", [
+        (mehler_fock_sq, (mpf("0.7"), mpf(3), mpf("0.8")),
+         "bessel_j series did not converge in 3 terms"),
+        (whittaker_quad, (mpf("0.3"), mpf(3), mpf(1)),
+         "bessel_i series stalled")], ids=["mehler-fock", "whittaker"])
+    def test_max_terms_in_force(self, config_override, route, args, message):
+        with config_override(max_terms=3), \
+                pytest.raises(NonconvergenceError, match=message):
+            route(*args)

@@ -10,13 +10,14 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.calculus.quadrature import GaussLegendre
 
-from indexkernels import quadrature
+from indexkernels import bessel, quadrature
+from indexkernels.bessel import bessel_k_real, k_itau_quad
 from indexkernels.errors import NonconvergenceError
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
                                      _GaussLegendre, _head_vs_k, _j_coeffs,
-                                     _square_coeffs, mehler_fock_sq,
-                                     olevskii_quad, product_kernel_quad,
-                                     whittaker_quad)
+                                     _product_tail, _square_coeffs, _tail_ray,
+                                     mehler_fock_sq, olevskii_quad,
+                                     product_kernel_quad, whittaker_quad)
 from indexkernels.special import ln_gamma
 
 PROD_15_08 = mpf("0.39963824944900481601009080283")
@@ -54,7 +55,35 @@ class TestProductKernelQuad:
         assert abs(r.value - ref) <= r.abs_error_estimate
 
     def test_node_count(self):
-        assert product_kernel_quad(mpf("0.5"), mpf(1)).nodes_used <= 1500
+        assert product_kernel_quad(mpf("0.5"), mpf(1)).nodes_used <= 1100
+
+
+@functools.cache
+def _tail_reference(tau, x):
+    # U and the rotated tail ray on [0, inf) by mpmath's tanh-sinh at
+    # maxdegree 10 and dps 90, 30 digits past the grid's largest dps
+    with mpmath.workdps(90):
+        U = max(mpf(25), 25 / (2 * x))
+        return U, mpmath.quad(_tail_ray(tau, x, U), [0, mpmath.inf],
+                              maxdegree=10)
+
+
+class TestProductTail:
+    # the Gauss-Legendre panels on [0, S] against the whole ray: the
+    # estimate covers quad's error, the dropped ray past S and the
+    # rounding of the integrand's prefactors, which dominates at dps 25
+    # and 40 (tanh-sinh on [0, inf) erred 7e-41 at dps 60, x = 1/16, and
+    # one Gauss-Legendre panel 5e-48 at dps 60, x = 1/2)
+    @pytest.mark.parametrize("dps", [25, 40, 60])
+    @pytest.mark.parametrize("x", [(1, 16), (3, 16), (1, 2), (1, 1), (20, 1)],
+                             ids=["1/16", "3/16", "1/2", "1", "20"])
+    def test_estimate_covers_error(self, dps, x):
+        x = mpf(x[0]) / x[1]
+        for tau in (mpf("0.25"), mpf(1), mpf(2)):
+            U, ref = _tail_reference(tau, x)
+            with mpmath.workdps(dps):
+                tail, est, _ = _product_tail(tau, x, U)
+            assert abs(tail - ref) <= est, (dps, x, tau, abs(tail - ref), est)
 
 
 class TestMehlerFockSq:
@@ -190,14 +219,27 @@ def _reference_nodes(degree):
         return GaussLegendre(mp).calc_nodes(degree, 400)
 
 
-@pytest.fixture
-def empty_mpmath_rule(monkeypatch):
-    """mpmath's global Gauss-Legendre rule with its three caches emptied
-    for the test, and restored after it."""
-    rule = mp._gauss_legendre
-    for name in ("standard_cache", "transformed_cache", "interval_count"):
+_RULE_CACHES = ("standard_cache", "transformed_cache", "interval_count")
+
+
+def _emptied(monkeypatch, rule):
+    # the rule with its three caches emptied for the test, and restored
+    # after it
+    for name in _RULE_CACHES:
         monkeypatch.setattr(rule, name, {})
     return rule
+
+
+@pytest.fixture
+def empty_mpmath_rule(monkeypatch):
+    """mpmath's global Gauss-Legendre rule, its caches emptied."""
+    return _emptied(monkeypatch, mp._gauss_legendre)
+
+
+@pytest.fixture
+def empty_tanh_sinh_rule(monkeypatch):
+    """mpmath's global tanh-sinh rule, its caches emptied."""
+    return _emptied(monkeypatch, mp._tanh_sinh)
 
 
 class TestGaussLegendreNodes:
@@ -228,10 +270,22 @@ class TestGaussLegendreNodes:
     def test_routes_leave_mpmath_state_alone(self, empty_mpmath_rule):
         prec = mp.prec
         _gauss_legendre_routes()
-        assert empty_mpmath_rule.standard_cache == {}
-        assert empty_mpmath_rule.transformed_cache == {}
-        assert empty_mpmath_rule.interval_count == {}
+        for name in _RULE_CACHES:
+            assert getattr(empty_mpmath_rule, name) == {}, name
         assert mp.prec == prec
+
+    def test_tanh_sinh_routes_leave_mpmath_state_alone(
+            self, monkeypatch, empty_tanh_sinh_rule):
+        # the Whittaker panels, the product tail and the K integrals of
+        # bessel (k_itau_quad from an empty cache) use no global rule
+        monkeypatch.setattr(bessel, "_kq_cache", {})
+        bessel._k0.cache_clear()
+        whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
+        k_itau_quad(mpf("2.5"), mpf("1.3"))
+        bessel_k_real(mpf("0.7"), mpf(2))
+        product_kernel_quad(mpf("0.5"), mpf(1))
+        for name in _RULE_CACHES:
+            assert getattr(empty_tanh_sinh_rule, name) == {}, name
 
     def test_no_mpmath_node_builder(self, monkeypatch, empty_mpmath_rule):
         def refuse(*args, **kwargs):
