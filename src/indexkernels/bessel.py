@@ -17,12 +17,14 @@ The I and J series are summed in fixed point, each term the last times
 a ratio from a per-(order, precision) table grown to the terms used; the
 guard bits also absorb the cancellation of the alternating J sum.
 bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
-orders give exactly conjugate values.  The quadrature routes' integrands
-call _k_evaluator and _j_evaluator, which fetch the plans once per
-integral and run the same per-point routines as k_index and bessel_j.
-The memos (I and J plans, K constants, asymptotic coefficients, K_0,
-tanh-sinh nodes) share mp's global precision and, like mpmath itself,
-assume one thread.
+orders give exactly conjugate values.  The I prefactor and the K_{i tau}
+assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
+operators on raw tuples, so the values are the operators' bit for bit.
+The quadrature routes' integrands call _k_evaluator and _j_evaluator,
+which fetch the plans once per integral and run the same per-point
+routines as k_index and bessel_j.  The memos (I and J plans, K constants,
+asymptotic coefficients, K_0, tanh-sinh nodes) share mp's global
+precision and, like mpmath itself, assume one thread.
 """
 
 import functools
@@ -31,7 +33,12 @@ from dataclasses import dataclass
 from mpmath import isfinite, mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
 from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (fzero, from_int, from_man_exp, mpc_conjugate,
+                          mpc_div_mpf, mpc_exp, mpc_mul, mpc_mul_mpf, mpc_neg,
+                          mpc_sub, mpf_abs, mpf_add, mpf_cos_sin, mpf_div,
+                          mpf_exp, mpf_gt, mpf_hypot, mpf_log, mpf_mul,
+                          mpf_neg, mpf_pi, mpf_sign, mpf_sin_pi, mpf_sub,
+                          round_nearest, to_fixed)
 
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
@@ -40,6 +47,8 @@ from .special import _GUARD, _eps, ln_gamma
 
 _CANC_FLAG = mpf(10 ** 6)
 _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
+_TWO = from_int(2)
+_RND = round_nearest  # the rounding of mp's operators
 # eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
 # exp(-ln_gamma), the reduced phase) round to tens of them
 _ROUNDING = 10
@@ -85,40 +94,57 @@ def bessel_i(nu, x):
     if conj:
         nu = nu.conjugate()
     cfg = config.get()
-    return _i_series(nu, x, _i_plan(nu, mp.prec),
-                     _tol_fraction(_i_tol(cfg.rel_tol)), cfg.max_terms, conj)
+    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x,
+                                 _tol_fraction(_i_tol(cfg.rel_tol)),
+                                 cfg.max_terms, conj))
 
 
-def _i_series(nu, x, plan, tol, max_terms, conj):
+def _i_series(plan, x, tol, max_terms, conj=False):
     # I_nu(x), conjugated if conj, at Im nu >= 0, x > 0 from nu's plan at
-    # mp.prec: the per-point work of bessel_i and _k_evaluator
-    if nu.imag == 0 and nu.real < 0:
+    # mp.prec, as a libmp pair, by the libmp calls of the mpc/mpf operators
+    # that formed c0 = exp(nu log(x/2) - lg) and c0 times the sum
+    nu, lg, mag = plan[4:]
+    prec = mp.prec
+    lx = mpf_log(mpf_div(x._mpf_, _TWO, prec, _RND), prec, _RND)
+    e = mpc_sub(mpc_mul_mpf(nu, lx, prec, _RND), lg, prec, _RND)
+    if mag is None or e[1] == fzero:
+        c0 = mpc_exp(e, prec, _RND)
+    else:  # mpc_exp, with the e^{Re e} of the plan (at Re nu = 0 no x in it)
+        c, s = mpf_cos_sin(e[1], prec + 4, _RND)
+        c0 = mpf_mul(mag, c, prec, _RND), mpf_mul(mag, s, prec, _RND)
+    if nu[1] == fzero and mpf_sign(nu[0]) < 0:
         # reflection 1/Gamma(nu+1) = -Gamma(-nu) sin(pi nu)/pi keeps the
         # log-gamma argument off the negative real axis; sinpi stays fully
         # accurate near the removable zeros at integer order
-        c0 = -exp(nu * log(x / 2) + plan[4]) * mp.sinpi(nu.real) / pi
-    else:
-        c0 = exp(nu * log(x / 2) - plan[4])
+        c0 = mpc_div_mpf(mpc_mul_mpf(mpc_neg(c0, prec, _RND), mpf_sin_pi(
+            nu[0], prec, _RND), prec, _RND), mpf_pi(prec, _RND), prec, _RND)
     sr, si, wp, _, tail = _i_sum(plan, x, tol, max_terms)
-    v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
+    v = mpc_mul(c0, (from_man_exp(sr, -wp, prec, _RND),
+                     from_man_exp(si, -wp, prec, _RND)), prec, _RND)
+    if conj:
+        v = mpc_conjugate(v, prec, _RND)
     if tail is not None:
         raise NonconvergenceError(
-            "bessel_i series stalled", partial=v.conjugate() if conj else v,
-            tail_estimate=abs(c0) * sqrt(mpf((tail, -2 * wp))))
-    return v.conjugate() if conj else v
+            "bessel_i series stalled", partial=mp.make_mpc(v),
+            tail_estimate=abs(mp.make_mpc(c0)) * sqrt(mpf((tail, -2 * wp))))
+    return v
 
 
 @functools.lru_cache(maxsize=128)
 def _i_plan(nu, prec):
     # nu = a + ib at 2^wp (k + nu can be as small as ib, so b keeps prec
     # bits of its own) and at index k the ratio (k + a - ib) / (k |k +
-    # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used,
-    # and bessel_i's ln Gamma(nu + 1), or ln Gamma(-nu) on its reflection
-    # branch
+    # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used;
+    # then as libmp pairs nu and lg = ln Gamma(nu + 1), or -ln Gamma(-nu)
+    # on the reflection branch (subtracting it adds ln Gamma(-nu), bit for
+    # bit), and at Re nu = 0 mpc_exp's e^{-Re lg} at prec + 4, else None
     wp = prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
-    lg = ln_gamma(-nu) if nu.imag == 0 and nu.real < 0 else ln_gamma(nu + 1)
+    lg = (mpc_neg(ln_gamma(-nu)._mpc_) if nu.imag == 0 and nu.real < 0
+          else ln_gamma(nu + 1)._mpc_)
+    a = mpf_sub(fzero, lg[0], prec, _RND)
+    mag = mpf_exp(a, prec + 4, _RND) if nu.real == 0 and a != fzero else None
     return (wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp),
-            [0], lg)
+            [0], nu._mpc_, lg, mag)
 
 
 def _tol_fraction(tol):
@@ -135,7 +161,7 @@ def _i_tol(rel_tol):
 def _i_sum(plan, x, tol, max_terms):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
-    wp, a, b, rho, _ = plan
+    wp, a, b, rho = plan[:4]
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
     tol_n, tol_k = tol
@@ -288,16 +314,29 @@ def _j_sum(nu, x, plan, tol, max_terms, eps):
 
 
 # tanh-sinh nodes on [-1, 1] by (degree, quad precision), shared by every
-# _TanhSinh: mpmath.quad makes a new rule object per call
-_TS_NODES = {}
+# _TanhSinh (mpmath.quad makes a new rule object per call), and the nodes
+# moved to [a, b], which mpmath stores on their key's second sighting, for
+# the newest _TS_INTERVALS_MAX (a, b, degree, precision) keys: K_0 and
+# later tau at the same x reuse them
+_TS_NODES, _TS_TRANSFORMED, _TS_SEEN = {}, {}, {}
+_TS_INTERVALS_MAX = 32
 
 
 class _TanhSinh(TanhSinh):
-    """mpmath's tanh-sinh rule, its nodes in _TS_NODES, not mpmath's rule."""
+    """mpmath's tanh-sinh rule, its nodes in the _TS_ dicts, not mpmath's."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
         self.standard_cache = _TS_NODES
+        self.transformed_cache = _TS_TRANSFORMED
+        self.interval_count = _TS_SEEN
+
+    def get_nodes(self, a, b, degree, prec, verbose=False):
+        nodes = super().get_nodes(a, b, degree, prec, verbose)
+        for cache in (_TS_TRANSFORMED, _TS_SEEN):
+            while len(cache) > _TS_INTERVALS_MAX:
+                del cache[next(iter(cache))]
+        return nodes
 
 
 def _cosh_quad(x, g, maxdegree=None, growth=0):
@@ -344,7 +383,8 @@ def _checked(res, route, tau, cfg):
 
 # The K caches are plain dicts (insertion-ordered) holding at most
 # _K_CACHE_MAX entries; past that the oldest entry is evicted.  The cap is
-# above what any benchmark workload stores (2,604 on route-crosscheck).
+# above what any benchmark workload stores: at most 494 series and 2
+# quadrature entries (fit-envelope; route-crosscheck stores 64 and 4).
 _K_CACHE_MAX = 4096
 
 
@@ -405,30 +445,38 @@ def k_itau_series(tau, x, i_tau=None):
     configured loss threshold is crossed."""
     tau = mpf(tau)
     x = mpf(x)
-    if x <= 0 or tau <= 0:
-        raise DomainError("k_itau_series requires x > 0, tau > 0")
-    # the values bessel_i sums with are part of the key
+    if not (x > 0 and tau > 0 and isfinite(x) and isfinite(tau)):
+        raise DomainError("k_itau_series requires finite x > 0, tau > 0")
+    # the values the I-series sums with are part of the key
     cfg = config.get()
-    key = (tau, x, mp.prec, _i_tol(cfg.rel_tol), cfg.max_terms)
+    tol = _i_tol(cfg.rel_tol)
+    key = (tau, x, mp.prec, tol, cfg.max_terms)
     hit = _ks_cache.get(key)
     if hit is not None:
         return _checked(hit, "k_itau_series", tau, cfg)
-    if i_tau is None:
-        i_tau = bessel_i(1j * tau, x)
-    res = _k_series(i_tau, _k_plan(tau, mp.prec), _eps())
+    plan = _k_plan(tau, mp.prec)
+    i_tau = (_i_series(plan[0], x, _tol_fraction(tol), cfg.max_terms)
+             if i_tau is None else i_tau._mpc_)
+    res = _k_series(i_tau, plan, _eps())
     _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau, cfg)
 
 
 def _k_series(i_tau, plan, eps):
-    # K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) with its error model,
-    # from tau's _k_plan: for k_itau_series and _k_evaluator
-    sinh_pt, exp_pt, _ = plan
-    v = -pi * i_tau.imag / sinh_pt
-    canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
-                  else _NO_IMAG_RATIO)
-    return KernelValue(value=v, rel_error=eps * (exp_pt + canc_ratio),
-                       cancellation=canc_ratio > _CANC_FLAG)
+    # K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) with its error
+    # model, from I as a libmp pair and tau's _k_plan: for k_itau_series
+    # and _k_evaluator, by the libmp calls of the mpf operators
+    prec, (re, im) = mp.prec, i_tau
+    v = mpf_div(mpf_mul(mpf_neg(mpf_pi(prec, _RND), prec, _RND), im, prec,
+                        _RND), plan[1], prec, _RND)
+    canc_ratio = (mpf_div(mpf_hypot(re, im, prec, _RND),
+                          mpf_abs(im, prec, _RND), prec, _RND)
+                  if im != fzero else _NO_IMAG_RATIO._mpf_)
+    rel_error = mpf_mul(eps._mpf_, mpf_add(plan[2], canc_ratio, prec, _RND),
+                        prec, _RND)
+    return KernelValue(value=mp.make_mpf(v),
+                       rel_error=mp.make_mpf(rel_error),
+                       cancellation=mpf_gt(canc_ratio, _CANC_FLAG._mpf_))
 
 
 def series_safe_x(index):
@@ -441,8 +489,11 @@ def series_safe_x(index):
 
 @functools.lru_cache(maxsize=128)
 def _k_plan(tau, prec):
-    # what K_{i tau} needs of tau alone, the safe argument for k_index
-    return sinh(pi * tau), exp(pi * tau), series_safe_x(tau)
+    # what K_{i tau} needs of tau alone: the I plan of i tau (with its
+    # e^{-Re ln Gamma(1 + i tau)} and Im ln Gamma), sinh(pi tau) and
+    # e^{pi tau} as libmp values, and the safe argument for k_index
+    return (_i_plan(mpc(0, tau), prec), sinh(pi * tau)._mpf_,
+            exp(pi * tau)._mpf_, series_safe_x(tau))
 
 
 def k_index(index, x, i_tau=None):
@@ -456,7 +507,7 @@ def k_index(index, x, i_tau=None):
         index, i_tau = -index, i_tau and i_tau.conjugate()
     if index == 0:
         return bessel_k_real(0, x)
-    if index <= SERIES_INDEX_CAP and x <= _k_plan(index, mp.prec)[2]:
+    if index <= SERIES_INDEX_CAP and x <= _k_plan(index, mp.prec)[3]:
         return k_itau_series(index, x, i_tau=i_tau).value
     return k_itau_quad(index, x).value
 
@@ -479,12 +530,11 @@ def _k_evaluator(index):
             return last[1]
         if prec not in plans:
             tau = abs(mpf(index))
-            nu = mpc(1j * tau)
-            plans[prec] = (tau, nu, _i_plan(nu, prec), _k_plan(tau, prec),
+            plans[prec] = (tau, _k_plan(tau, prec),
                            _tol_fraction(_i_tol(cfg.rel_tol)), _eps())
-        tau, nu, ip, kp, tol, eps = plans[prec]
-        if 0 < y <= kp[2]:
-            i_tau = _i_series(nu, y, ip, tol, cfg.max_terms, False)
+        tau, kp, tol, eps = plans[prec]
+        if 0 < y <= kp[3]:
+            i_tau = _i_series(kp[0], y, tol, cfg.max_terms)
             v = _checked(_k_series(i_tau, kp, eps), "k_itau_series", tau,
                          cfg).value
         else:

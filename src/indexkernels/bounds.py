@@ -222,20 +222,20 @@ def fit_lebedev_constants(T=1, nx=50, ntau=50, x_cap=20):
         raise DomainError("the fit grid needs nx >= 2 and ntau >= 2")
     with workdps(FIT_DPS):
         taus = _lin_grid(FIT_TAU_LO, FIT_TAU_HI, ntau)
+        root_sinh = [sqrt(sinh(pi * tau)) for tau in taus]
+        quarter = mpf("0.25")
         A = mpf(0)
         argA = None
         for x in _geom_grid(FIT_X_FLOOR, T, nx):
-            for tau in taus:
-                v = abs(k_index(tau, x)) * (tau * x) ** mpf("0.25") * sqrt(
-                    sinh(pi * tau))
+            for tau, w in zip(taus, root_sinh):
+                v = abs(k_index(tau, x)) * (tau * x) ** quarter * w
                 if v > A:
                     A, argA = v, (tau, x)
         B = mpf(0)
         argB = None
         for x in _geom_grid(T, x_cap, nx):
-            for tau in taus:
-                v = abs(k_index(tau, x)) * (tau / x) ** mpf("0.25") * sqrt(
-                    sinh(pi * tau))
+            for tau, w in zip(taus, root_sinh):
+                v = abs(k_index(tau, x)) * (tau / x) ** quarter * w
                 if v > B:
                     B, argB = v, (tau, x)
     return A, argA, B, argB

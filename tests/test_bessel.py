@@ -10,7 +10,7 @@ from mpmath import mp, mpf, mpc
 
 from mpmath.libmp import to_fixed
 
-from indexkernels import bessel, config, quadrature, special
+from indexkernels import bessel, config, kernels, quadrature, special
 from indexkernels.bessel import (_tol_fraction, asymptotic_table, bessel_i,
                                  bessel_j, bessel_k_real, k_index,
                                  k_itau_quad, k_itau_series, series_safe_x)
@@ -825,3 +825,187 @@ class TestIntegrandEvaluators:
         with config_override(max_terms=3), \
                 pytest.raises(NonconvergenceError, match=message):
             route(*args)
+
+
+def _mpc_i(nu, x):
+    # bessel_i as the mpc operators assembled it, on the same fixed-point
+    # sum: c0 = exp(nu log(x/2) - ln Gamma(nu + 1)) times the sum
+    nu, x = mpc(nu), mpf(x)
+    if nu.imag == 0 and nu.real == int(nu.real) and nu.real < 0:
+        nu = -nu
+    conj = nu.imag < 0
+    if conj:
+        nu = nu.conjugate()
+    if nu.imag == 0 and nu.real < 0:
+        c0 = (-mpmath.exp(nu * mpmath.log(x / 2) + ln_gamma(-nu))
+              * mp.sinpi(nu.real) / mpmath.pi)
+    else:
+        c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
+    sr, si, wp, _, tail = bessel._i_sum(
+        bessel._i_plan(nu, mp.prec), x, _tol_fraction(_i_tol()),
+        config.get().max_terms)
+    v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
+    if conj:
+        v = v.conjugate()
+    if tail is not None:
+        raise NonconvergenceError(
+            "bessel_i series stalled", partial=v,
+            tail_estimate=abs(c0) * mpmath.sqrt(mpf((tail, -2 * wp))))
+    return v
+
+
+def _mpc_k(tau, x):
+    # k_itau_series as the mpf/mpc operators assembled it from _mpc_i
+    tau, x = mpf(tau), mpf(x)
+    i_tau = _mpc_i(1j * tau, x)
+    v = -mpmath.pi * i_tau.imag / mpmath.sinh(mpmath.pi * tau)
+    canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
+                  else mpf(10 ** 30, prec=70))
+    rel_error = special._eps() * (mpmath.exp(mpmath.pi * tau) + canc_ratio)
+    if rel_error > config.get().precision_loss_threshold:
+        raise PrecisionLossError("k_itau_series precision loss (tau=%s)" % tau,
+                                 value=v, rel_error=rel_error)
+    return bessel.KernelValue(v, rel_error, canc_ratio > 10 ** 6)
+
+
+def _exact_outcome(f, *args):
+    # a result's value and estimates, or the type and payload of its raise
+    try:
+        r = f(*args)
+    except NonconvergenceError as exc:
+        return type(exc), str(exc), exc.partial, exc.tail_estimate
+    except PrecisionLossError as exc:
+        return type(exc), str(exc), exc.value, exc.rel_error
+    if isinstance(r, bessel.KernelValue):
+        return r.value, r.rel_error, r.cancellation
+    return r
+
+
+class TestLibmpAssembly:
+    """bessel_i's prefactor and k_itau_series's assembly run on libmp
+    tuples; the values, estimates and raises are those of the mpc/mpf
+    operator assembly they replace, bit for bit."""
+
+    TAUS = ("0.13", "0.5", "1.5", "6", "6.054", "12", "15.9")
+
+    def _k_points(self):
+        # tau x geometric x from 1e-3 up to series_safe_x(tau)
+        for tau in map(mpf, self.TAUS):
+            top = series_safe_x(tau)
+            for k in range(8):
+                yield tau, mpf("1e-3") * (top / mpf("1e-3")) ** (mpf(k) / 8)
+            yield tau, top
+
+    def _check_k(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        for tau, x in self._k_points():
+            want = _exact_outcome(_mpc_k, tau, x)
+            assert _exact_outcome(k_itau_series, tau, x) == want, (tau, x)
+            if tau <= bessel.SERIES_INDEX_CAP:
+                k = bessel._k_evaluator(tau)
+                got = _exact_outcome(k, x)
+                assert got == _exact_outcome(k_index, tau, x), (tau, x)
+                if not isinstance(want[0], type):
+                    assert got == want[0], (tau, x)
+
+    @pytest.mark.parametrize("dps", [15, 25, 40, 60])
+    def test_k_series(self, monkeypatch, dps):
+        with mpmath.workdps(dps):
+            self._check_k(monkeypatch)
+            with mpmath.workprec(mp.prec + 20):
+                self._check_k(monkeypatch)
+
+    def test_k_series_raises(self, monkeypatch, config_override):
+        # the stall at max_terms = 3 carries the same partial and tail,
+        # and the loss threshold refuses the same points with the same
+        # value and estimate
+        with mpmath.workdps(25):
+            for kw in ({"max_terms": 3}, {"precision_loss_threshold": 1e-22}):
+                with config_override(**kw):
+                    self._check_k(monkeypatch)
+
+    @pytest.mark.parametrize("dps", [15, 25, 40, 60])
+    def test_bessel_i_orders(self, dps):
+        # real orders, complex ones with Re nu != 0, the reflection branch,
+        # conjugate orders and the imaginary orders of K
+        orders = [1, mpf("2.5"), mpc("0.5", "0.3"), mpc("-0.7", "1.1"),
+                  mpc("0.5", "-2.5"), mpf("-1.3"), 1.5j, -6.054j]
+        xs = [mpf("1e-3"), mpf("0.3"), mpf("1.7"), mpf("9.5"), mpf(33)]
+        with mpmath.workdps(dps):
+            for extra in (0, 20):
+                with mpmath.workprec(mp.prec + extra):
+                    for nu in orders:
+                        for x in xs:
+                            assert _exact_outcome(bessel_i, nu, x) == \
+                                _exact_outcome(_mpc_i, nu, x), (nu, x)
+
+    def test_bessel_i_stall(self, config_override):
+        with config_override(max_terms=3):
+            for nu in (1, mpc("0.5", "0.3"), -2.5j):
+                for x in (mpf("1.7"), mpf(9)):
+                    out = _exact_outcome(bessel_i, nu, x)
+                    assert out[0] is NonconvergenceError
+                    assert out == _exact_outcome(_mpc_i, nu, x), (nu, x)
+
+
+class TestOneAssembly:
+    """Every route to I_{i tau} and K_{i tau} on the series runs the same
+    two routines: made to raise, each of them stops all of those routes."""
+
+    def _routes(self):
+        tau, x = mpf("2.5"), mpf("1.3")
+        return [lambda: bessel_i(1j * tau, x),
+                lambda: k_itau_series(tau, x),
+                lambda: k_index(tau, x),
+                lambda: kernels._product_oracle(tau, x),
+                lambda: bessel._k_evaluator(tau)(x)]
+
+    @pytest.mark.parametrize("name", ["_i_series", "_k_series"])
+    def test_patched_routine_stops_every_route(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(name)
+
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        monkeypatch.setattr(bessel, name, refuse)
+        routes = self._routes()
+        if name == "_k_series":
+            routes = routes[1:]  # bessel_i assembles I alone
+        for route in routes:
+            with pytest.raises(AssertionError, match=name):
+                route()
+
+
+class TestTanhSinhNodeCache:
+    def test_second_tau_reuses_nodes(self, monkeypatch):
+        # K_0 is the interval's first sighting, the first tau its second,
+        # which stores the moved nodes; later tau at that x move none, and
+        # every value is the one computed from empty dicts
+        for name in ("_TS_TRANSFORMED", "_TS_SEEN", "_kq_cache"):
+            monkeypatch.setattr(bessel, name, {})
+        bessel._k0.cache_clear()
+        moves = []
+        move = bessel._TanhSinh.transform_nodes
+        monkeypatch.setattr(bessel._TanhSinh, "transform_nodes",
+                            lambda self, *a: moves.append(1) or move(self, *a))
+        x, taus = mpf("1.3"), (mpf("0.7"), mpf("2.5"), mpf("4.1"))
+        first = [k_itau_quad(tau, x) for tau in taus]
+        assert len(moves) > 0
+        del moves[:]
+        assert k_itau_quad(mpf("5.3"), x) is not None
+        assert moves == []
+        for name in ("_TS_TRANSFORMED", "_TS_SEEN", "_kq_cache"):
+            monkeypatch.setattr(bessel, name, {})
+        bessel._k0.cache_clear()
+        assert [k_itau_quad(tau, x) for tau in taus] == first
+
+    def test_dicts_bounded(self, monkeypatch):
+        for name in ("_TS_TRANSFORMED", "_TS_SEEN", "_kq_cache"):
+            monkeypatch.setattr(bessel, name, {})
+        with mpmath.workdps(15):
+            for k in range(20):
+                x = mpf(1) + mpf(k) / 7
+                for tau in (mpf("0.7"), mpf("2.5")):
+                    k_itau_quad(tau, x)
+                assert len(bessel._TS_TRANSFORMED) <= bessel._TS_INTERVALS_MAX
+                assert len(bessel._TS_SEEN) <= bessel._TS_INTERVALS_MAX
+        assert len(bessel._TS_SEEN) == bessel._TS_INTERVALS_MAX

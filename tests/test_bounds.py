@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from mpmath import mpf, mpc
 
+from indexkernels import bounds
 from indexkernels.bounds import (BOUND_IDS, _geom_grid, bound_binet_rhs,
                                  bound_kl_rhs, bound_product_rhs,
                                  evaluate_bound, fit_lebedev_constants)
@@ -95,6 +96,23 @@ class TestFit:
     def test_bad_domain(self):
         with pytest.raises(DomainError):
             fit_lebedev_constants(T=0)
+
+    def test_sinh_once_per_tau(self, monkeypatch):
+        # sqrt(sinh(pi tau)) is formed once per tau (it was once per grid
+        # point, 32 calls here), and the fit is the one it gave then
+        calls = []
+        monkeypatch.setattr(bounds, "sinh",
+                            lambda z: calls.append(z) or mpmath.sinh(z))
+        fit = fit_lebedev_constants(nx=4, ntau=4)
+        assert len(calls) == 4
+        with mpmath.workprec(90):
+            pinned = [mpf(v) for v in (
+                (71827215887246607959443455, -86), (12, 0), (1, 0),
+                (5216631303642482354822977, -82),
+                (20148763660243819578436267, -82),
+                (52504472670694170843145937, -84))]
+        assert fit == (pinned[0], tuple(pinned[1:3]), pinned[3],
+                       tuple(pinned[4:]))
 
     def test_x_grids_meet_exactly_at_T(self):
         # the A and B grids share the x = T column, and the K caches are
