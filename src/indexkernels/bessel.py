@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from mpmath import isfinite, mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
 from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import (fzero, from_int, from_man_exp, mpc_conjugate,
-                          mpc_div_mpf, mpc_exp, mpc_mul, mpc_mul_mpf, mpc_neg,
-                          mpc_sub, mpf_abs, mpf_add, mpf_cos_sin, mpf_div,
-                          mpf_exp, mpf_gt, mpf_hypot, mpf_log, mpf_mul,
-                          mpf_neg, mpf_pi, mpf_sign, mpf_sin_pi, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (from_float, fzero, from_int, from_man_exp,
+                          mpc_conjugate, mpc_div_mpf, mpc_exp, mpc_mul,
+                          mpc_mul_mpf, mpc_neg, mpc_sub, mpf_abs, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_gt, mpf_hypot,
+                          mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_sign,
+                          mpf_sin_pi, mpf_sub, round_nearest, to_fixed)
 
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
@@ -53,7 +53,8 @@ _RND = round_nearest  # the rounding of mp's operators
 # exp(-ln_gamma), the reduced phase) round to tens of them
 _ROUNDING = 10
 # k_index: the I-series route up to this index, the cosine integral above
-SERIES_INDEX_CAP = 16.0
+# (an mpf, so that comparing an mpf index with it converts nothing)
+SERIES_INDEX_CAP = mpf(16)
 # bits the ratio tables carry beyond the sums' 2^wp: a rounded ratio
 # moves its term by 2^-64 of itself, far inside the guard bits
 _RATIO_BITS = 64
@@ -70,7 +71,10 @@ class KernelValue:
 def bessel_i(nu, x):
     """Modified Bessel I_nu(x) for complex order, ascending series summed
     to min(rel_tol, 10^-dps): the config tolerance is for standalone
-    series, and K_{i tau} takes a small imaginary part of this sum.
+    series, and K_{i tau} takes a small imaginary part of this sum.  The
+    sum also stops once its terms are within one unit of the fixed-point
+    sum's last place, which a tolerance under that resolution (1e-24 at
+    dps 15) would never meet.
 
     The (x/2)^nu prefactor takes the principal branch; 1/Gamma poles make
     leading terms vanish exactly (the evaluator is total in nu).
@@ -94,8 +98,7 @@ def bessel_i(nu, x):
     if conj:
         nu = nu.conjugate()
     cfg = config.get()
-    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x,
-                                 _tol_fraction(_i_tol(cfg.rel_tol)),
+    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, _settings(cfg)[1],
                                  cfg.max_terms, conj))
 
 
@@ -153,9 +156,18 @@ def _tol_fraction(tol):
     return (n << e, 0) if e >= 0 else (n, -e)
 
 
-def _i_tol(rel_tol):
-    # bessel_i's tolerance: the config's rel_tol, or 10^-dps if smaller
-    return min(rel_tol, 10.0 ** (-mp.dps))
+def _settings(cfg):
+    # what the I and K_{i tau} series read of cfg at mp.prec, converted
+    # once: bessel_i's tolerance (rel_tol, or 10^-dps if smaller) as a
+    # float and by _tol_fraction, and the loss threshold as a libmp value
+    # (exactly the float, as an mpf comparison converts it)
+    return _settings_memo(cfg.rel_tol, cfg.precision_loss_threshold, mp.prec)
+
+
+@functools.lru_cache(maxsize=16)
+def _settings_memo(rel_tol, threshold, prec):
+    tol = min(rel_tol, 10.0 ** (-mp.dps))
+    return tol, _tol_fraction(tol), from_float(threshold)
 
 
 def _i_sum(plan, x, tol, max_terms):
@@ -179,8 +191,10 @@ def _i_sum(plan, x, tol, max_terms):
         sr += tr
         si += ti
         mag = tr * tr + ti * ti
-        if (mag <= prev and mag << 2 * tol_k
-                < tol_n * tol_n * (sr * sr + si * si)):
+        # a term within one unit of 0 meets any tolerance: floored, a
+        # negative part stays at -1 however far the terms fall
+        if mag <= prev and (mag <= 2 or mag << 2 * tol_k
+                            < tol_n * tol_n * (sr * sr + si * si)):
             streak += 1
             if streak >= 3:
                 return sr, si, wp, k, None
@@ -372,10 +386,11 @@ def bessel_k_real(nu, x):
     return v
 
 
-def _checked(res, route, tau, cfg):
+def _checked(res, route, tau, loss):
     # runs on cache hits too: a cached value obeys the threshold in force
-    # at call time, not the one it was computed under
-    if res.rel_error > cfg.precision_loss_threshold:
+    # at call time (loss, _settings' libmp value), not the one it was
+    # computed under
+    if mpf_gt(res.rel_error._mpf_, loss):
         raise PrecisionLossError("%s precision loss (tau=%s)" % (route, tau),
                                  value=res.value, rel_error=res.rel_error)
     return res
@@ -408,9 +423,10 @@ def k_itau_quad(tau, x):
     if tau < 0:
         tau = -tau  # even in tau
     key = (tau, x, mp.prec)
+    loss = _settings(config.get())[2]
     hit = _kq_cache.get(key)
     if hit is not None:
-        return _checked(hit, "k_itau_quad", tau, config.get())
+        return _checked(hit, "k_itau_quad", tau, loss)
     v, qerr = _cosh_quad(x, lambda t: cos(tau * t), 9)
     # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
     k0 = _k0(x, mp.prec)
@@ -419,7 +435,7 @@ def k_itau_quad(tau, x):
     res = KernelValue(value=v, rel_error=rel,
                       cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
     _cache_put(_kq_cache, key, res)
-    return _checked(res, "k_itau_quad", tau, config.get())
+    return _checked(res, "k_itau_quad", tau, loss)
 
 
 @functools.lru_cache(maxsize=128)
@@ -449,17 +465,17 @@ def k_itau_series(tau, x, i_tau=None):
         raise DomainError("k_itau_series requires finite x > 0, tau > 0")
     # the values the I-series sums with are part of the key
     cfg = config.get()
-    tol = _i_tol(cfg.rel_tol)
+    tol, tol_frac, loss = _settings(cfg)
     key = (tau, x, mp.prec, tol, cfg.max_terms)
     hit = _ks_cache.get(key)
     if hit is not None:
-        return _checked(hit, "k_itau_series", tau, cfg)
+        return _checked(hit, "k_itau_series", tau, loss)
     plan = _k_plan(tau, mp.prec)
-    i_tau = (_i_series(plan[0], x, _tol_fraction(tol), cfg.max_terms)
+    i_tau = (_i_series(plan[0], x, tol_frac, cfg.max_terms)
              if i_tau is None else i_tau._mpc_)
     res = _k_series(i_tau, plan, _eps())
     _cache_put(_ks_cache, key, res)
-    return _checked(res, "k_itau_series", tau, cfg)
+    return _checked(res, "k_itau_series", tau, loss)
 
 
 def _k_series(i_tau, plan, eps):
@@ -530,13 +546,13 @@ def _k_evaluator(index):
             return last[1]
         if prec not in plans:
             tau = abs(mpf(index))
-            plans[prec] = (tau, _k_plan(tau, prec),
-                           _tol_fraction(_i_tol(cfg.rel_tol)), _eps())
-        tau, kp, tol, eps = plans[prec]
+            _, tol, loss = _settings(cfg)
+            plans[prec] = (tau, _k_plan(tau, prec), tol, loss, _eps())
+        tau, kp, tol, loss, eps = plans[prec]
         if 0 < y <= kp[3]:
             i_tau = _i_series(kp[0], y, tol, cfg.max_terms)
             v = _checked(_k_series(i_tau, kp, eps), "k_itau_series", tau,
-                         cfg).value
+                         loss).value
         else:
             v = k_index(tau, y)
         last[:] = (y, prec), v

@@ -6,16 +6,16 @@ terms of size exp(-pi*tau/2) inside quantities of size 1.  The 1F1, 1F2
 and 2F1 series are summed by mpmath's hypsum, to working precision: in
 fixed point, with guard bits that grow with the cancellation it measures
 (F. Johansson, "Computing hypergeometric functions rigorously", ACM TOMS
-45(3), 2019).  ln_gamma carries _GUARD extra bits and rounds once on
-return.
+45(3), 2019).  ln_gamma is mpmath's libmp mpc_loggamma at working
+precision, memoized; gamma_via_binet is an independent route to Gamma by
+the Binet integral.
 """
 
 import functools
-import math
 
-from mpmath import mp, mpf, mpc, workprec
+from mpmath import mp, mpf, mpc
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
-from mpmath.libmp import NoConvergence, to_fixed
+from mpmath.libmp import NoConvergence, mpc_loggamma, round_nearest
 
 from . import config
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -43,21 +43,27 @@ def _is_nonpositive_int(z):
 
 
 # ---------------------------------------------------------------------------
-# log-gamma: recurrence shift + Stirling series (production path)
+# log-gamma: mpmath's libmp mpc_loggamma (production path)
 # ---------------------------------------------------------------------------
 
 def ln_gamma(z):
     """Principal-branch log-gamma for z off the nonpositive real axis.
 
-    Argument recurrence pushes Re z up until the Stirling series converges
-    below working precision; the Binet-integral route (gamma_via_binet)
-    stays available as an independent cross-check.
+    The value is mpmath's libmp mpc_loggamma at working precision, rounded
+    to nearest: Stirling's series after an argument shift, with its own
+    guard bits, the reflection for Re z < 0 and the expansions about the
+    zeros at z = 1 and 2.  It fills mpmath's libmp.gammazeta tables, one
+    entry per precision or per coefficient used: bernoulli_cache (which
+    bernoulli() fills too) and gamma_stirling_cache, and for real z
+    gamma_taylor_cache with the zeta_int_cache and borwein_cache behind
+    it.  The Binet-integral route (gamma_via_binet) shares none of that
+    code and stays available as an independent cross-check.
 
     Values are memoized on (z rounded to working precision, mp.prec): the
     Gamma factors of a grid sweep depend on tau or on fixed parameters,
     not on x, so most calls repeat an earlier argument.  The cached body
-    is the same arithmetic, so a hit is bit-identical to a fresh call.
-    Errors are raised on every call and never cached.
+    is the same call, so a hit is bit-identical to a fresh call.  Errors
+    are raised on every call and never cached.
     """
     return _ln_gamma_memo(mpc(z), mp.prec)
 
@@ -70,45 +76,7 @@ def _ln_gamma_memo(z, prec):
         raise PoleError("log-gamma pole at nonpositive integer %s" % z)
     if z.imag == 0 and z.real < 0:
         raise DomainError("log-gamma not evaluated on the negative real axis")
-
-    # Re w >= dps + 8 keeps |arg w| <= pi/4 and needs about dps / 2
-    # Stirling terms; a shift step costs far less than a term
-    m = max(0, int(mp.ceil(mp.dps + 8 - z.real)))
-    x, y = float(z.real), float(z.imag)
-    with workprec(prec + _GUARD):
-        # one log of the product of the z + j, exact Gaussian integers
-        # over 2^e cut to 2 prec bits per step, so z next to a pole keeps
-        # its bits; the float sum of their arguments fixes the branch
-        e = max(0, -z.real._mpf_[2], -z.imag._mpf_[2])
-        zr, zi = to_fixed(z.real._mpf_, e), to_fixed(z.imag._mpf_, e)
-        pr, pi_, args, sh = 1, 0, 0.0, -e * m
-        for j in range(m):
-            ar = zr + (j << e)
-            pr, pi_ = pr * ar - pi_ * zi, pr * zi + pi_ * ar
-            args += math.atan2(y, x + j)
-            n = max(pr.bit_length(), pi_.bit_length()) - 2 * prec
-            if n > 0:
-                pr, pi_, sh = pr >> n, pi_ >> n, sh + n
-        corr = log(mpc(mpf((pr, sh)), mpf((pi_, sh))))
-        corr += 2j * pi * round((args - float(corr.imag)) / (2 * math.pi))
-        w = z + m
-
-        s = (w - mpf(1) / 2) * log(w) - w + log(2 * pi) / 2
-        p = 1 / w
-        r2 = p * p
-        for c in _stirling_coeffs(mp.prec):
-            s += c * p
-            p *= r2
-        v = s - corr
-    return +v
-
-
-@functools.lru_cache(maxsize=16)
-def _stirling_coeffs(prec):
-    # B_2n / (2n (2n - 1)); at Re w >= dps + 8 the first term left out,
-    # n = prec // 9 + 3, is below 2^-(prec + 11) for dps 3 to 400
-    return tuple(bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
-                 for n in range(1, prec // 9 + 3))
+    return mp.make_mpc(mpc_loggamma(z._mpc_, prec, round_nearest))
 
 
 def gamma_c(z):
@@ -189,8 +157,8 @@ def pochhammer(a, m):
     return p
 
 
-# bits that ln_gamma and the fixed-point Bessel and Hankel sums carry
-# beyond mp.prec
+# bits that the fixed-point Bessel and Hankel sums (bessel, quadrature)
+# carry beyond mp.prec
 _GUARD = 24
 
 

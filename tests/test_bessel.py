@@ -507,6 +507,86 @@ class TestFixedPointSeries:
                         16 * ulp * scale, (dps, nu, x)
 
 
+def _tolerance_stop_i_sum(plan, x, tol, max_terms):
+    # bessel._i_sum with the stop on the tolerance alone, as it was before
+    # terms within one unit of 0 also met it; same ratios, same floors
+    wp, a, b = plan[:3]
+    sh = 2 * wp + bessel._RATIO_BITS
+    q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
+    tol_n, tol_k = tol
+    tr = sr = 1 << wp
+    ti = si = 0
+    prev = tr * tr
+    streak = 0
+    for k in range(1, max_terms + 1):
+        ka = (k << wp) + a
+        d = k * (ka * ka + b * b)
+        rr, ri = (ka << sh) // d, (b << sh) // d
+        tr, ti = (tr * rr + ti * ri) * q >> sh, (ti * rr - tr * ri) * q >> sh
+        sr += tr
+        si += ti
+        mag = tr * tr + ti * ti
+        if (mag <= prev and mag << 2 * tol_k
+                < tol_n * tol_n * (sr * sr + si * si)):
+            streak += 1
+            if streak >= 3:
+                return sr, si, wp, k, None
+        else:
+            streak = 0
+        prev = mag
+    return sr, si, wp, k, mag
+
+
+class TestISeriesLowDps:
+    """At dps 15 and 16 the default tolerance, min(rel_tol, 10^-dps) =
+    1e-24, is below the fixed-point sum's one unit 2^-(prec + 24) (6.6e-24
+    at dps 15); the sum stops once its terms are within a unit of 0."""
+
+    TAUS = (mpf("0.5"), mpf(2), mpf("5.123"), mpf("6.054"))
+    XS = (mpf("0.001"), mpf("0.1"), mpf("0.5"), mpf("1.78"))
+
+    def test_k_itau_series_returns_within_its_estimate(self, monkeypatch):
+        # 22 of these 32 points stalled through all 10,000 terms
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        for dps in (15, 16):
+            with mpmath.workdps(dps):
+                for tau in self.TAUS:
+                    plan = bessel._k_plan(tau, mp.prec)[0]
+                    for x in self.XS:
+                        r = k_itau_series(tau, x)
+                        *_, k, tail = bessel._i_sum(
+                            plan, x, _tol_fraction(_i_tol()), 10000)
+                        assert tail is None and k < 60, (dps, tau, x)
+                        with mpmath.workdps(40):
+                            ref = mpmath.besselk(1j * tau, x).real
+                        assert abs(r.value - ref) <= \
+                            r.rel_error * abs(ref), (dps, tau, x)
+
+    def test_bessel_i_returns(self):
+        for dps in (15, 16):
+            with mpmath.workdps(dps):
+                for nu in (2j, mpc("0.5", "2.5"), mpf("1.5")):
+                    v = bessel_i(nu, mpf("0.5"))
+                    with mpmath.workdps(40):
+                        ref = mpmath.besseli(nu, mpf("0.5"))
+                    assert abs(v - ref) <= 64 * mpf(2) ** -mp.prec * abs(ref)
+
+    def test_tolerance_stop_unchanged_from_dps_17(self):
+        # where the tolerance is above a unit the new stop never fires
+        # first: sums, term counts and stalls are the tolerance rule's
+        for dps in (17, 20, 25, 40):
+            with mpmath.workdps(dps):
+                tol = _tol_fraction(_i_tol())
+                for tau in self.TAUS + (mpf(12), mpf("15.9")):
+                    nu = mpc(0, tau)
+                    for x in self.XS + (mpf(5), series_safe_x(tau)):
+                        plan = bessel._i_plan(nu, mp.prec)
+                        for max_terms in (3, 10000):
+                            assert bessel._i_sum(plan, x, tol, max_terms) \
+                                == _tolerance_stop_i_sum(
+                                    plan, x, tol, max_terms), (dps, tau, x)
+
+
 class TestBesselKReal:
     def test_pinned(self):
         assert rel(bessel_k_real(mpf(0), mpf(1)), K0_1) < mpf("1e-28")

@@ -330,6 +330,23 @@ class TestSubcommandFlags:
         assert "value_re = 0.080616997622365979" in out
 
 
+    @pytest.mark.parametrize("dps, x, tau, ref", [
+        (15, "0.5", "2", 0.016502018949481443),
+        (16, "0.1", "5.123", 0.00017419752222634745)])
+    def test_low_dps_config_sums_the_i_series(self, capsys, tmp_path,
+                                              monkeypatch, dps, x, tau, ref):
+        # the I-series stalled here: its tolerance, 1e-24, is below the
+        # fixed-point sum's unit at dps 15 and 16 (ref: mpmath.besselk)
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text("dps = %d\n" % dps)
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
+        code, out, err = run(["eval", "--kernel", "kl", "--x", x,
+                              "--tau", tau], capsys)
+        assert (code, err) == (0, "")
+        line = [l for l in out.splitlines() if l.startswith("value_re")][0]
+        assert abs(float(line.split("=")[1]) - ref) <= 1e-14 * ref
+
+
 class TestConfigValues:
     EVAL = ["eval", "--kernel", "kl", "--x", "1", "--tau", "2"]
 

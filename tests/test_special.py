@@ -65,20 +65,58 @@ class TestLnGamma:
                 ln_gamma(z)
 
     def test_against_mpmath_as_dps_grows(self):
-        # guard bits and one log of the shift product hold the absolute
-        # error under 10 eps = 10^(1-dps); at 15 and 30 eps it grew with
-        # dps, from the ~25 working-precision logs of the shift.  The
-        # points straddle the negative axis (the branch fix) too
+        # mpc_loggamma rounds each part once at working precision: each is
+        # within one unit of its own last place of the dps+30 reference
+        # (0.49 measured), exactly 0 where the reference is (ln Gamma(1)),
+        # and so also inside the absolute 10 eps = 10^(1-dps).  The points
+        # straddle the negative axis (the reflection's branch) too
         points = ([1j * mpf(t) for t in (5, "6.5", 8, "9.5", 12)]
                   + [mpc("0.3", -20), mpc("-3.5", "0.01"),
                      mpc("-3.5", "-0.01"), mpf(1), mpf("1.7")])
-        for dps in (25, 40, 60):
+        for dps in (15, 25, 40, 60):
             with mpmath.workdps(dps):
+                prec = mp.prec
                 for z in points:
+                    z = mpc(z)  # rounded to working precision
                     v = ln_gamma(z)
                     with mpmath.workdps(dps + 30):
                         ref = mpmath.loggamma(z)
-                    assert abs(v - ref) <= 10 * mpf(10) ** -dps, (dps, z)
+                        assert abs(v - ref) <= 10 * mpf(10) ** -dps, (dps, z)
+                        for part, r in ((v.real, ref.real),
+                                        (v.imag, ref.imag)):
+                            unit = mpf(2) ** (mpmath.mag(r) - prec) if r else 0
+                            assert abs(part - r) <= unit, (dps, z)
+
+    def test_relative_accuracy_next_to_the_zeros(self):
+        # ln Gamma vanishes at z = 1 and 2, so an absolute error of eps
+        # there is a large relative one: next to them each value holds
+        # 10 eps relative to mpmath at dps+40
+        points = (1 + mpf("1e-12"), mpc(2 - mpf("1e-15"), "1e-20"),
+                  mpc(2, "1e-9"))
+        for dps in (15, 40):
+            with mpmath.workdps(dps):
+                for z in points:
+                    z = mpc(z)  # rounded to working precision
+                    v = ln_gamma(z)
+                    with mpmath.workdps(dps + 40):
+                        ref = mpmath.loggamma(z)
+                        assert abs(v - ref) <= \
+                            10 * mpf(10) ** -dps * abs(ref), (dps, z)
+
+    def test_exp_matches_binet_route(self):
+        # an oracle that shares no code with mpc_loggamma: Gamma from the
+        # Stirling prefactor and the Binet integral, at the Gamma factors
+        # of the expansions, Gamma(1 + i tau), Gamma(i tau), Gamma(-2 i
+        # tau) and Gamma(1/2 - rho - i tau), on workload tau (rho = -0.3
+        # as in the Whittaker sweeps); measured up to 0.21 of the bound
+        rho = mpf("-0.3")
+        for tau in (mpf("0.5"), mpf(3), mpf("8.5")):
+            for z in (1 + 1j * tau, 1j * tau, -2j * tau,
+                      mpf("0.5") - rho - 1j * tau):
+                lg = ln_gamma(z)
+                g = gamma_via_binet(z)
+                assert abs(mpmath.exp(lg) - g) <= \
+                    (1 + abs(lg)) * mpf(10) ** -mp.dps * abs(g), z
 
 
 class TestLnGammaMemo:
