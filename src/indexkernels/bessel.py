@@ -5,13 +5,11 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 * k_itau_quad  -- the cosine integral int_0^inf exp(-x cosh t) cos(tau t) dt
   (oracle route; standard representation, external to the kernel algebra),
 * k_itau_series -- -pi Im I_{i tau}(x) / sinh(pi tau), from one ascending
-  I-series: for real x, I_{-i tau}(x) is the conjugate of I_{i tau}(x).
+  I-series: for real x, I_{-i tau}(x) is the conjugate of I_{i tau}(x),
+  summed with guard bits where Im I cancels; k_index's route for tau != 0.
 
-Plus real-order K_nu by exponential-cosh quadrature and J_nu by ascending
-series / large-argument expansion.  The K integrals (K_nu, K_{i tau} and
-K_0) integrate e^{x - x cosh t} and scale by e^{-x}: mpmath.quad stops on
-an absolute error, which the bare e^{-x cosh t} would turn into a loss of
-relative digits as x grows.
+Plus real-order K_nu by exponential-cosh quadrature (_cosh_quad) and J_nu
+by ascending series / large-argument expansion.
 
 The I and J series are summed in fixed point, each term the last times
 a ratio from a per-(order, precision) table grown to the terms used; the
@@ -20,20 +18,18 @@ bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
 orders give exactly conjugate values.  The I prefactor and the K_{i tau}
 assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
 operators on raw tuples, so the values are the operators' bit for bit.
-The quadrature routes' integrands call _k_evaluator and _j_evaluator,
-which fetch the plans once per integral and run the same per-point
-routines as k_index and bessel_j.  The memos (I and J plans, K constants,
-asymptotic coefficients, K_0, tanh-sinh nodes) share mp's global
-precision and, like mpmath itself, assume one thread.
+The memos (I and J plans, K constants, asymptotic coefficients, K_0,
+tanh-sinh nodes) share mp's global precision and, like mpmath itself,
+assume one thread.
 """
 
 import functools
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
-from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
+from mpmath import acos, acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
 from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import (from_float, fzero, from_int, from_man_exp,
+from mpmath.libmp import (fone, from_float, fzero, from_int, from_man_exp,
                           mpc_conjugate, mpc_div_mpf, mpc_exp, mpc_mul,
                           mpc_mul_mpf, mpc_neg, mpc_sub, mpf_abs, mpf_add,
                           mpf_cos_sin, mpf_div, mpf_exp, mpf_gt, mpf_hypot,
@@ -52,9 +48,7 @@ _RND = round_nearest  # the rounding of mp's operators
 # eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
 # exp(-ln_gamma), the reduced phase) round to tens of them
 _ROUNDING = 10
-# k_index: the I-series route up to this index, the cosine integral above
-# (an mpf, so that comparing an mpf index with it converts nothing)
-SERIES_INDEX_CAP = mpf(16)
+_ROUNDING_MPF = from_int(_ROUNDING)
 # bits the ratio tables carry beyond the sums' 2^wp: a rounded ratio
 # moves its term by 2^-64 of itself, far inside the guard bits
 _RATIO_BITS = 64
@@ -99,17 +93,24 @@ def bessel_i(nu, x):
         nu = nu.conjugate()
     cfg = config.get()
     return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, _settings(cfg)[1],
-                                 cfg.max_terms, conj))
+                                 cfg.max_terms, conj)[0])
+
+
+def _i_exponent(plan, x):
+    # the prefactor's exponent e = nu log(x/2) - lg at mp.prec, as a libmp
+    # pair, by the libmp calls of the mpc/mpf operators
+    prec = mp.prec
+    lx = mpf_log(mpf_div(x._mpf_, _TWO, prec, _RND), prec, _RND)
+    return mpc_sub(mpc_mul_mpf(plan[4], lx, prec, _RND), plan[5], prec, _RND)
 
 
 def _i_series(plan, x, tol, max_terms, conj=False):
-    # I_nu(x), conjugated if conj, at Im nu >= 0, x > 0 from nu's plan at
-    # mp.prec, as a libmp pair, by the libmp calls of the mpc/mpf operators
-    # that formed c0 = exp(nu log(x/2) - lg) and c0 times the sum
-    nu, lg, mag = plan[4:]
+    # (I_nu(x), conjugated if conj, e) at Im nu >= 0, x > 0 from nu's plan
+    # at mp.prec, as libmp pairs, by the libmp calls of the mpc/mpf
+    # operators that formed c0 = exp(e) and c0 times the sum
+    nu, mag = plan[4], plan[6]
     prec = mp.prec
-    lx = mpf_log(mpf_div(x._mpf_, _TWO, prec, _RND), prec, _RND)
-    e = mpc_sub(mpc_mul_mpf(nu, lx, prec, _RND), lg, prec, _RND)
+    e = _i_exponent(plan, x)
     if mag is None or e[1] == fzero:
         c0 = mpc_exp(e, prec, _RND)
     else:  # mpc_exp, with the e^{Re e} of the plan (at Re nu = 0 no x in it)
@@ -130,7 +131,7 @@ def _i_series(plan, x, tol, max_terms, conj=False):
         raise NonconvergenceError(
             "bessel_i series stalled", partial=mp.make_mpc(v),
             tail_estimate=abs(mp.make_mpc(c0)) * sqrt(mpf((tail, -2 * wp))))
-    return v
+    return v, e
 
 
 @functools.lru_cache(maxsize=128)
@@ -387,20 +388,18 @@ def bessel_k_real(nu, x):
 
 
 def _checked(res, route, tau, loss):
-    # runs on cache hits too: a cached value obeys the threshold in force
-    # at call time (loss, _settings' libmp value), not the one it was
-    # computed under
+    # on cache hits too: the threshold in force at call time applies
     if mpf_gt(res.rel_error._mpf_, loss):
         raise PrecisionLossError("%s precision loss (tau=%s)" % (route, tau),
                                  value=res.value, rel_error=res.rel_error)
     return res
 
 
-# The K caches are plain dicts (insertion-ordered) holding at most
-# _K_CACHE_MAX entries; past that the oldest entry is evicted.  The cap is
-# above what any benchmark workload stores: at most 494 series and 2
-# quadrature entries (fit-envelope; route-crosscheck stores 64 and 4).
+# The K caches are plain dicts (insertion-ordered), keyed on tau and x as
+# libmp tuples (an mpf hashes ~9x slower), holding at most _K_CACHE_MAX
+# entries, the oldest evicted first: above the 496 of fit-envelope.
 _K_CACHE_MAX = 4096
+_kq_cache, _ks_cache = {}, {}
 
 
 def _cache_put(cache, key, res):
@@ -409,42 +408,30 @@ def _cache_put(cache, key, res):
     cache[key] = res
 
 
-_kq_cache = {}
-
-
 def k_itau_quad(tau, x):
     """Oracle route for K_{i tau}(x): the cosine integral in extended
     precision.  The relative error estimate carries the intrinsic
     exp(pi tau / 2) amplification of the absolute quadrature error."""
-    tau = mpf(tau)
-    x = mpf(x)
+    tau, x = abs(mpf(tau)), mpf(x)  # even in tau
     if x <= 0:
         raise DomainError("k_itau_quad requires x > 0")
-    if tau < 0:
-        tau = -tau  # even in tau
-    key = (tau, x, mp.prec)
-    loss = _settings(config.get())[2]
-    hit = _kq_cache.get(key)
-    if hit is not None:
-        return _checked(hit, "k_itau_quad", tau, loss)
-    v, qerr = _cosh_quad(x, lambda t: cos(tau * t), 9)
-    # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
-    k0 = _k0(x, mp.prec)
-    abs_err = qerr + _eps() * k0
-    rel = abs_err / abs(v) if v != 0 else mpf(1)
-    res = KernelValue(value=v, rel_error=rel,
-                      cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
-    _cache_put(_kq_cache, key, res)
-    return _checked(res, "k_itau_quad", tau, loss)
+    key = (tau._mpf_, x._mpf_, mp.prec)
+    res = _kq_cache.get(key)
+    if res is None:
+        v, qerr = _cosh_quad(x, lambda t: cos(tau * t), 9)
+        # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
+        k0 = _k0(x, mp.prec)
+        rel = (qerr + _eps() * k0) / abs(v) if v != 0 else mpf(1)
+        res = KernelValue(value=v, rel_error=rel,
+                          cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
+        _cache_put(_kq_cache, key, res)
+    return _checked(res, "k_itau_quad", tau, _settings(config.get())[2])
 
 
 @functools.lru_cache(maxsize=128)
 def _k0(x, prec):
     # K_0(x) by the same quadrature, shared by every tau at this x
     return _cosh_quad(x, lambda t: 1)[0]
-
-
-_ks_cache = {}
 
 
 def k_itau_series(tau, x, i_tau=None):
@@ -454,42 +441,66 @@ def k_itau_series(tau, x, i_tau=None):
 
     This is pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) with
     I_{-i tau}(x) = conj I_{i tau}(x) for real x, so the second series
-    is never summed.  Im I is roughly e^{pi tau - 2x} of |I| (the
-    subtraction's cancellation), so the route degrades at large
-    argument; the error model tracks both the ratio |I| / |Im I| and the
-    intrinsic exp(pi tau) index growth, and the call raises once the
-    configured loss threshold is crossed."""
-    tau = mpf(tau)
-    x = mpf(x)
-    if not (x > 0 and tau > 0 and isfinite(x) and isfinite(tau)):
-        raise DomainError("k_itau_series requires finite x > 0, tau > 0")
-    # the values the I-series sums with are part of the key
+    is never summed.  Im I is about e^{pi tau - 2x} of |I|, and exp(e),
+    e = i tau log(x/2) - ln Gamma(1 + i tau), rounds by about eps |e|;
+    the estimate is eps (c + |Re e| + |Im e|) (1 + |I| / |Im I|), and a
+    call raises if it crosses the loss threshold even with guard bits."""
+    tau, x = mpf(tau), mpf(x)
+    # the key holds what the sum and the choice of a guarded sum read
     cfg = config.get()
     tol, tol_frac, loss = _settings(cfg)
-    key = (tau, x, mp.prec, tol, cfg.max_terms)
-    hit = _ks_cache.get(key)
-    if hit is not None:
-        return _checked(hit, "k_itau_series", tau, loss)
-    plan = _k_plan(tau, mp.prec)
-    i_tau = (_i_series(plan[0], x, tol_frac, cfg.max_terms)
-             if i_tau is None else i_tau._mpc_)
-    res = _k_series(i_tau, plan, _eps())
-    _cache_put(_ks_cache, key, res)
+    key = (tau._mpf_, x._mpf_, mp.prec, tol, cfg.max_terms, loss)
+    res = _ks_cache.get(key)
+    if res is None:
+        res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau, None,
+                       tol_frac, cfg, _eps(), loss)
+        _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau, loss)
 
 
-def _k_series(i_tau, plan, eps):
+def _k_point(x, i_tau, tau, kp, tol, cfg, eps, loss):
+    # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None): the
+    # series (i_tau: a libmp pair, or None) if x <= series_safe_x and its
+    # estimate keeps to loss, else summed with guard bits, rounded back
+    # (eps more on the estimate).  x, tau > 0 finite: sign 0, a mantissa
+    if x._mpf_[0] or not x._mpf_[1] or tau._mpf_[0] or not tau._mpf_[1]:
+        raise DomainError("k_itau_series requires finite x > 0, tau > 0")
+    kp = kp or _k_plan(tau, mp.prec)
+    if x <= kp[2]:
+        i_tau, e = (_i_series(kp[0], x, tol, cfg.max_terms) if i_tau is None
+                    else (i_tau, _i_exponent(kp[0], x)))
+        res = _k_series(i_tau, e, kp, eps)
+        if not mpf_gt(res.rel_error._mpf_, loss):
+            return res
+    # the guard: 10 bits over log2 of (c + |e|) |I| / |Im I| a priori, in
+    # steps of 32 so that nearby x share plans: |e| <= tau |log(x/2)| + |lg|
+    # and for x > tau the uniform ratio e^{2 (sqrt(x^2 - tau^2) - tau acos(
+    # tau / x))}, not its limit e^{2x - pi tau} (2^75 short at tau = 100,
+    # x = 200) or the ratio measured at mp.prec, which saturates near 2^prec
+    bits = log(_ROUNDING + tau * abs(log(x / 2)) + abs(mpc(*kp[0][5])), 2)
+    if x > tau:
+        bits += 2 * (sqrt(x * x - tau * tau) - tau * acos(tau / x)) / log(2)
+    with workprec(mp.prec + 32 * (int(bits + 10) // 32 + 1)):
+        kp = _k_plan(tau, mp.prec)
+        res = _k_series(*_i_series(kp[0], x, _settings(cfg)[1],
+                                   cfg.max_terms), kp, _eps())
+    return KernelValue(+res.value, res.rel_error + eps, res.cancellation)
+
+
+def _k_series(i_tau, e, plan, eps):
     # K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) with its error
-    # model, from I as a libmp pair and tau's _k_plan: for k_itau_series
-    # and _k_evaluator, by the libmp calls of the mpf operators
+    # model, from I and the prefactor's exponent e as libmp pairs and tau's
+    # _k_plan, by the libmp calls of the mpf operators
     prec, (re, im) = mp.prec, i_tau
     v = mpf_div(mpf_mul(mpf_neg(mpf_pi(prec, _RND), prec, _RND), im, prec,
                         _RND), plan[1], prec, _RND)
     canc_ratio = (mpf_div(mpf_hypot(re, im, prec, _RND),
                           mpf_abs(im, prec, _RND), prec, _RND)
                   if im != fzero else _NO_IMAG_RATIO._mpf_)
-    rel_error = mpf_mul(eps._mpf_, mpf_add(plan[2], canc_ratio, prec, _RND),
-                        prec, _RND)
+    scale = mpf_add(mpf_add(mpf_abs(e[0]), mpf_abs(e[1]), 30, _RND),
+                    _ROUNDING_MPF, 30, _RND)  # >= c + |e|, to 30 bits
+    rel_error = mpf_mul(mpf_mul(eps._mpf_, scale, prec, _RND),
+                        mpf_add(canc_ratio, fone, prec, _RND), prec, _RND)
     return KernelValue(value=mp.make_mpf(v),
                        rel_error=mp.make_mpf(rel_error),
                        cancellation=mpf_gt(canc_ratio, _CANC_FLAG._mpf_))
@@ -498,45 +509,37 @@ def _k_series(i_tau, plan, eps):
 def series_safe_x(index):
     """Largest argument at which the +-i*index series subtraction keeps
     the estimated loss ratio eps * e^{2x - pi index} under the threshold
-    with headroom."""
+    with headroom; past it k_itau_series sums with guard bits."""
     margin = (mp.dps - 10) * log(mpf(10))
     return (margin + pi * mpf(index)) / 2
 
 
 @functools.lru_cache(maxsize=128)
 def _k_plan(tau, prec):
-    # what K_{i tau} needs of tau alone: the I plan of i tau (with its
-    # e^{-Re ln Gamma(1 + i tau)} and Im ln Gamma), sinh(pi tau) and
-    # e^{pi tau} as libmp values, and the safe argument for k_index
-    return (_i_plan(mpc(0, tau), prec), sinh(pi * tau)._mpf_,
-            exp(pi * tau)._mpf_, series_safe_x(tau))
+    # K_{i tau}'s needs of tau alone: I plan, sinh(pi tau), series_safe_x
+    return _i_plan(mpc(0, tau), prec), sinh(pi * tau)._mpf_, series_safe_x(tau)
 
 
 def k_index(index, x, i_tau=None):
-    """K_{i*index}(x) by the route appropriate for the point: the series
-    up to SERIES_INDEX_CAP and inside its safe-argument region,
-    the cosine integral otherwise; used by the outer integral evaluators.
-    i_tau is handed to k_itau_series.
-    K is even in the index, so both routes see |index|."""
+    """K_{i*index}(x): K_0 by bessel_k_real, every other index by
+    k_itau_series, which is handed i_tau.  K is even in the index, so
+    both see |index|."""
     index = mpf(index)
     if index < 0:  # with I_{-i t}(x) = conj I_{i t}(x) for real x
         index, i_tau = -index, i_tau and i_tau.conjugate()
     if index == 0:
         return bessel_k_real(0, x)
-    if index <= SERIES_INDEX_CAP and x <= _k_plan(index, mp.prec)[3]:
-        return k_itau_series(index, x, i_tau=i_tau).value
-    return k_itau_quad(index, x).value
+    return k_itau_series(index, x, i_tau=i_tau).value
 
 
 # The quadrature integrands' evaluators: y -> k_index(index, y) and y ->
 # bessel_j(nu, y, with_error) for the nodes of one integral, bit for bit.
 # The config is read when one is made, the order's plans, tolerance and
-# 10^-dps once per precision, on the first node (quad runs 20 bits up), so
-# a node costs its sum and prefactor.  Off the series route, and at an
-# order the public function refuses, that function is called.
+# 10^-dps once per precision, on the first node (quad runs 20 bits up).
+# At index 0, and at an order the public function refuses, it is called.
 
 def _k_evaluator(index):
-    if not 0 < abs(index) <= SERIES_INDEX_CAP:
+    if not (index and isfinite(index)):
         return lambda y: k_index(index, y)
     cfg, plans, last = config.get(), {}, [None, None]
 
@@ -547,14 +550,10 @@ def _k_evaluator(index):
         if prec not in plans:
             tau = abs(mpf(index))
             _, tol, loss = _settings(cfg)
-            plans[prec] = (tau, _k_plan(tau, prec), tol, loss, _eps())
-        tau, kp, tol, loss, eps = plans[prec]
-        if 0 < y <= kp[3]:
-            i_tau = _i_series(kp[0], y, tol, cfg.max_terms)
-            v = _checked(_k_series(i_tau, kp, eps), "k_itau_series", tau,
-                         loss).value
-        else:
-            v = k_index(tau, y)
+            plans[prec] = (tau, _k_plan(tau, prec), tol, cfg, _eps(), loss)
+        st = plans[prec]
+        v = _checked(_k_point(y, None, *st), "k_itau_series", st[0],
+                     st[-1]).value
         last[:] = (y, prec), v
         return v
     return k

@@ -208,8 +208,8 @@ def mehler_fock_sq(mu, tau, x):
     def f(y):
         return j(x * y) ** 2 * k(y)
 
-    # keep the K argument inside the series-safe region; beyond it the
-    # K_0 envelope bounds the dropped tail
+    # keep the K argument inside series_safe_x, where a node needs no
+    # guard bits; beyond it the K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     pts = [p for p in (mpf(1), mpf(5), mpf(15)) if p < Y] + [Y]
     tail, err, _ = _quad(f, pts, _GaussLegendre)
@@ -326,7 +326,8 @@ def whittaker_quad(mu, tau, x):
     def h(y):
         return exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2) * k(x * (y + 1))
 
-    # keep the K argument x(y+1) inside the series-safe region; Y > 1
+    # keep the K argument x(y+1) inside series_safe_x, where a node needs
+    # no guard bits; Y > 1
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
     head, err_h, n_h = _quad(lambda s: h(s ** (1 / mu)), [0, 1], _TanhSinh)
     tail, err, n_t = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y], _TanhSinh)

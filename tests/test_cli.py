@@ -59,7 +59,11 @@ class TestEval:
         assert code == 0
         assert "value_re = 0.080616997622365979" in out
 
-    def test_precision_loss_exit_code(self, capsys):
+    def test_precision_loss_exit_code(self, capsys, tmp_path, monkeypatch):
+        # a loss threshold below the estimate, 10^-dps at the least
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text("precision_loss_threshold = 1e-60\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
         code, _, err = run(["eval", "--kernel", "kl", "--x", "1",
                             "--tau", "200", "--route", "series"], capsys)
         assert code == 3

@@ -152,15 +152,19 @@ class TestExpansionOracles:
                 ref = 2 * mpmath.besseli(1j * tau, x).real * q.value
             assert abs(v - ref) <= est * abs(ref)
 
-    def test_quadrature_fallback_past_series_safe_x(self, monkeypatch):
+    def test_guarded_series_past_series_safe_x(self, monkeypatch):
+        # past series_safe_x the oracle takes the series summed with guard
+        # bits, within its estimate and to working precision
         calls = self.quad_spy(monkeypatch)
         tau = mpf(1)
         with workdps(mp.dps + 15):
             x = mpmath.ceil(series_safe_x(tau)) + 1
+            est = k_itau_series(tau, x).rel_error
         v = _k_oracle(tau, x)
-        assert len(calls) == 1
+        assert calls == []
         with workdps(mp.dps + 30):
             ref = mpmath.besselk(1j * tau, x).real
+        assert abs(v - ref) <= est * abs(ref)
         assert rel(v, ref) < mpf(10) ** (-mp.dps)
 
     def test_product_oracle_sums_one_i_series(self, monkeypatch):
@@ -176,7 +180,7 @@ class TestExpansionOracles:
         tau = mpf(1)
         with workdps(mp.dps + 15):
             safe = mpmath.floor(series_safe_x(tau))
-        for x in (mpf("0.55"), mpf(2), safe, safe + 2):  # the last: quad
+        for x in (mpf("0.55"), mpf(2), safe, safe + 2):  # the last: guarded
             monkeypatch.setattr(bessel, "_ks_cache", {})
             del calls[:]
             v = _product_oracle(tau, x)
