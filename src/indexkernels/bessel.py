@@ -6,7 +6,8 @@ Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
   (oracle route; standard representation, external to the kernel algebra),
 * k_itau_series -- -pi Im I_{i tau}(x) / sinh(pi tau), from one ascending
   I-series: for real x, I_{-i tau}(x) is the conjugate of I_{i tau}(x),
-  summed with guard bits where Im I cancels; k_index's route for tau != 0.
+  summed with guard bits where Im I or the sum itself cancels; k_index's
+  route for tau != 0, up to x = 700.
 
 Plus real-order K_nu by exponential-cosh quadrature (_cosh_quad) and J_nu
 by ascending series / large-argument expansion.
@@ -24,10 +25,11 @@ assume one thread.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
-from mpmath import acos, acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
+from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
 from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import (fone, from_float, fzero, from_int, from_man_exp,
                           mpc_conjugate, mpc_div_mpf, mpc_exp, mpc_mul,
@@ -52,6 +54,13 @@ _ROUNDING_MPF = from_int(_ROUNDING)
 # bits the ratio tables carry beyond the sums' 2^wp: a rounded ratio
 # moves its term by 2^-64 of itself, far inside the guard bits
 _RATIO_BITS = 64
+_LN2, _LOG2_10 = math.log(2), math.log2(10)
+# K at every index refuses x > 700, where it is below 1e-304
+K_X_MAX = 700
+_K_X_MAX = from_int(K_X_MAX)
+# digits a K_{i tau} value may lose a priori (10 are always kept) before
+# the series takes guard bits, which cost 1.5-2 plain sums
+_PLAIN_DIGITS = 6
 
 
 @dataclass
@@ -378,7 +387,7 @@ def bessel_k_real(nu, x):
     x = mpf(x)
     if x <= 0:
         raise DomainError("bessel_k_real requires x > 0")
-    if x > 700:
+    if mpf_gt(x._mpf_, _K_X_MAX):
         raise OverflowGuardError("x too large for the cosh-integral route")
     v, err = _cosh_quad(x, lambda t: cosh(nu * t), 10, growth=nu)
     if err > _ROUNDING * _eps() * abs(v):
@@ -441,10 +450,12 @@ def k_itau_series(tau, x, i_tau=None):
 
     This is pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) with
     I_{-i tau}(x) = conj I_{i tau}(x) for real x, so the second series
-    is never summed.  Im I is about e^{pi tau - 2x} of |I|, and exp(e),
+    is never summed.  Im I is a small part of |I| for x > tau, and exp(e),
     e = i tau log(x/2) - ln Gamma(1 + i tau), rounds by about eps |e|;
-    the estimate is eps (c + |Re e| + |Im e|) (1 + |I| / |Im I|), and a
-    call raises if it crosses the loss threshold even with guard bits."""
+    the estimate is eps (c + |Re e| + |Im e|) (1 + |I| / |Im I|).  Where
+    that loss is a priori above _PLAIN_DIGITS digits, the sum runs with
+    guard bits, and a call raises if the estimate still crosses the loss
+    threshold.  x > 700 raises OverflowGuardError."""
     tau, x = mpf(tau), mpf(x)
     # the key holds what the sum and the choice of a guarded sum read
     cfg = config.get()
@@ -453,38 +464,61 @@ def k_itau_series(tau, x, i_tau=None):
     res = _ks_cache.get(key)
     if res is None:
         res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau, None,
-                       tol_frac, cfg, _eps(), loss)
+                       tol_frac, cfg, _eps(), loss, _PLAIN_DIGITS)
         _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau, loss)
 
 
-def _k_point(x, i_tau, tau, kp, tol, cfg, eps, loss):
+def _k_point(x, i_tau, tau, kp, tol, cfg, eps, loss, digits):
     # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None): the
-    # series (i_tau: a libmp pair, or None) if x <= series_safe_x and its
-    # estimate keeps to loss, else summed with guard bits, rounded back
-    # (eps more on the estimate).  x, tau > 0 finite: sign 0, a mantissa
+    # series (i_tau: a libmp pair, or None) where _loss_bits keeps to
+    # min(digits, dps - 10) digits and the estimate to loss, else summed
+    # with guard bits, rounded back (eps more on the estimate).  x, tau > 0
+    # finite: sign 0, a mantissa; x <= _K_X_MAX, the guard grows like 2.9 x
     if x._mpf_[0] or not x._mpf_[1] or tau._mpf_[0] or not tau._mpf_[1]:
         raise DomainError("k_itau_series requires finite x > 0, tau > 0")
+    if mpf_gt(x._mpf_, _K_X_MAX):
+        raise OverflowGuardError("x too large for the I-series route")
     kp = kp or _k_plan(tau, mp.prec)
-    if x <= kp[2]:
+    bits = _loss_bits(kp, x)
+    if bits <= min(digits, mp.dps - 10) * _LOG2_10:
         i_tau, e = (_i_series(kp[0], x, tol, cfg.max_terms) if i_tau is None
                     else (i_tau, _i_exponent(kp[0], x)))
         res = _k_series(i_tau, e, kp, eps)
         if not mpf_gt(res.rel_error._mpf_, loss):
             return res
-    # the guard: 10 bits over log2 of (c + |e|) |I| / |Im I| a priori, in
-    # steps of 32 so that nearby x share plans: |e| <= tau |log(x/2)| + |lg|
-    # and for x > tau the uniform ratio e^{2 (sqrt(x^2 - tau^2) - tau acos(
-    # tau / x))}, not its limit e^{2x - pi tau} (2^75 short at tau = 100,
-    # x = 200) or the ratio measured at mp.prec, which saturates near 2^prec
-    bits = log(_ROUNDING + tau * abs(log(x / 2)) + abs(mpc(*kp[0][5])), 2)
-    if x > tau:
-        bits += 2 * (sqrt(x * x - tau * tau) - tau * acos(tau / x)) / log(2)
+    # 10 bits over the a-priori loss, in steps of 32 so that nearby x
+    # share plans
     with workprec(mp.prec + 32 * (int(bits + 10) // 32 + 1)):
         kp = _k_plan(tau, mp.prec)
         res = _k_series(*_i_series(kp[0], x, _settings(cfg)[1],
                                    cfg.max_terms), kp, _eps())
     return KernelValue(+res.value, res.rel_error + eps, res.cancellation)
+
+
+def _loss_bits(kp, x):
+    # log2 of the series' relative error at mp.prec in units of eps, a
+    # priori: (c + |e|) |I| / |Im I|, with |e| <= tau |log(x/2)| + |lg|
+    # and, for x > tau, the uniform (Debye) ratio e^r, r = 2 (sqrt(x^2 -
+    # tau^2) - tau acos(tau / x)), not its limit e^{2x - pi tau} (2^95
+    # short at tau = 100, x = 160) or the ratio measured at mp.prec, which
+    # saturates near 2^prec; times the sum's own cancellation max |t_k| /
+    # |sum| = e^{2k - tau atan(k / tau) - r/2} (k^2 (k^2 + tau^2) = (x/2)^4
+    # at the largest term) past what the ratio bits absorb, 2^-(wp + 64)
+    # of a ratio near 1 / q.  In floats, on logs where tau may pass them
+    _, man, ex, _ = x._mpf_
+    lx = abs(math.log(man) + (ex - 1) * _LN2)  # |log(x/2)|
+    a, b = kp[3], kp[2] + math.log2(lx) if lx else -math.inf
+    bits = max(a, b) + math.log2(1 + 2.0 ** -abs(a - b))
+    t, xf = kp[4], float(x)
+    r = 2 * (math.sqrt(xf * xf - t * t) - t * math.acos(t / xf)) if xf > t \
+        else 0
+    q = xf * xf / 4
+    if q > t:  # else the terms fall from the first
+        k = math.sqrt(2 * q * q / (math.sqrt(t ** 4 + 4 * q * q) + t * t))
+        bits += max(0, (2 * k - t * math.atan(k / t) - r / 2) / _LN2
+                    + math.log2(q) - _RATIO_BITS - _GUARD)
+    return bits + r / _LN2
 
 
 def _k_series(i_tau, e, plan, eps):
@@ -507,23 +541,26 @@ def _k_series(i_tau, e, plan, eps):
 
 
 def series_safe_x(index):
-    """Largest argument at which the +-i*index series subtraction keeps
-    the estimated loss ratio eps * e^{2x - pi index} under the threshold
-    with headroom; past it k_itau_series sums with guard bits."""
+    """Where eps * e^{2x - pi index}, the large-x limit of the series'
+    loss, reaches 1e-10: the quadrature tails' cap on K's argument.  Past
+    it, and often before it, K_{i index} sums with guard bits."""
     margin = (mp.dps - 10) * log(mpf(10))
     return (margin + pi * mpf(index)) / 2
 
 
 @functools.lru_cache(maxsize=128)
 def _k_plan(tau, prec):
-    # K_{i tau}'s needs of tau alone: I plan, sinh(pi tau), series_safe_x
-    return _i_plan(mpc(0, tau), prec), sinh(pi * tau)._mpf_, series_safe_x(tau)
+    # K_{i tau}'s needs of tau alone: I plan, sinh(pi tau), and for
+    # _loss_bits log2 tau, log2(c + |lg|) and tau as floats
+    ip = _i_plan(mpc(0, tau), prec)
+    return (ip, sinh(pi * tau)._mpf_, float(log(tau, 2)),
+            float(log(_ROUNDING + abs(mpc(*ip[5])), 2)), float(tau))
 
 
 def k_index(index, x, i_tau=None):
     """K_{i*index}(x): K_0 by bessel_k_real, every other index by
     k_itau_series, which is handed i_tau.  K is even in the index, so
-    both see |index|."""
+    both see |index|; both refuse x > 700 with OverflowGuardError."""
     index = mpf(index)
     if index < 0:  # with I_{-i t}(x) = conj I_{i t}(x) for real x
         index, i_tau = -index, i_tau and i_tau.conjugate()
@@ -533,7 +570,10 @@ def k_index(index, x, i_tau=None):
 
 
 # The quadrature integrands' evaluators: y -> k_index(index, y) and y ->
-# bessel_j(nu, y, with_error) for the nodes of one integral, bit for bit.
+# bessel_j(nu, y, with_error) for the nodes of one integral, bit for bit,
+# except that a K node takes guard bits only where it would keep fewer
+# than 10 digits, not where it would lose _PLAIN_DIGITS: the tails run to
+# series_safe_x, and a guard costs 1.5-2 sums per node.
 # The config is read when one is made, the order's plans, tolerance and
 # 10^-dps once per precision, on the first node (quad runs 20 bits up).
 # At index 0, and at an order the public function refuses, it is called.
@@ -550,10 +590,11 @@ def _k_evaluator(index):
         if prec not in plans:
             tau = abs(mpf(index))
             _, tol, loss = _settings(cfg)
-            plans[prec] = (tau, _k_plan(tau, prec), tol, cfg, _eps(), loss)
+            plans[prec] = (tau, _k_plan(tau, prec), tol, cfg, _eps(), loss,
+                           math.inf)
         st = plans[prec]
         v = _checked(_k_point(y, None, *st), "k_itau_series", st[0],
-                     st[-1]).value
+                     st[-2]).value
         last[:] = (y, prec), v
         return v
     return k

@@ -231,7 +231,7 @@ def product_kernel_direct(tau, x):
 
 
 def _product_oracle(tau, x):
-    # one I-series gives 2 Re I and, up to series_safe_x, K
+    # one I-series gives 2 Re I and, where k_index sums it unguarded, K
     with workdps(mp.dps + 15):
         i_tau = bessel_i(1j * tau, x)
         return 2 * i_tau.real * k_index(tau, x, i_tau)

@@ -32,9 +32,10 @@ from mpmath import asinh, cos, exp, log, pi, quad, re, sinh, sqrt
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_float, to_fixed
 
-from .bessel import (_ROUNDING, _TanhSinh, _j_evaluator, _k_evaluator,
-                     asymptotic_table, series_safe_x)
-from .errors import DomainError, NonconvergenceError, NumericalFailureError
+from .bessel import (K_X_MAX, _ROUNDING, _TanhSinh, _j_evaluator,
+                     _k_evaluator, asymptotic_table, series_safe_x)
+from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
+                     OverflowGuardError)
 from .special import _GUARD, _eps, ln_gamma
 
 # the oscillatory product-kernel quadrature is trusted for tau <= this
@@ -208,8 +209,8 @@ def mehler_fock_sq(mu, tau, x):
     def f(y):
         return j(x * y) ** 2 * k(y)
 
-    # keep the K argument inside series_safe_x, where a node needs no
-    # guard bits; beyond it the K_0 envelope bounds the dropped tail
+    # keep the K argument inside series_safe_x, past which every node
+    # takes guard bits; beyond it the K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     pts = [p for p in (mpf(1), mpf(5), mpf(15)) if p < Y] + [Y]
     tail, err, _ = _quad(f, pts, _GaussLegendre)
@@ -320,14 +321,17 @@ def whittaker_quad(mu, tau, x):
         raise DomainError("whittaker_quad requires mu > 0")
     if tau <= 0 or x <= 0:
         raise DomainError("whittaker_quad requires tau > 0, x > 0")
+    if 2 * x + _k_cutoff() > K_X_MAX - 1:  # bounds x(Y + 1) below
+        raise OverflowGuardError("whittaker_quad: K's argument passes %d"
+                                 % K_X_MAX)
 
     k = _k_evaluator(tau)
 
     def h(y):
         return exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2) * k(x * (y + 1))
 
-    # keep the K argument x(y+1) inside series_safe_x, where a node needs
-    # no guard bits; Y > 1
+    # keep the K argument x(y+1) inside series_safe_x, past which every
+    # node takes guard bits; Y > 1
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
     head, err_h, n_h = _quad(lambda s: h(s ** (1 / mu)), [0, 1], _TanhSinh)
     tail, err, n_t = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y], _TanhSinh)

@@ -12,7 +12,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from indexkernels import bessel, quadrature
 from indexkernels.bessel import bessel_k_real, k_itau_quad
-from indexkernels.errors import NonconvergenceError
+from indexkernels.errors import NonconvergenceError, OverflowGuardError
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
                                      _GaussLegendre, _head_vs_k, _j_coeffs,
                                      _product_tail, _square_coeffs, _tail_ray,
@@ -131,6 +131,15 @@ class TestWhittakerQuad:
     def test_node_count(self):
         r = whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
         assert r.nodes_used <= 600
+
+    def test_refuses_where_k_would_pass_its_cap(self, monkeypatch):
+        # the K argument reaches 2x + _k_cutoff() (760 at x = 330, dps 40),
+        # past the x = 700 every K route refuses; no node is evaluated
+        nodes = []
+        monkeypatch.setattr(bessel, "_k_point", lambda *a: nodes.append(a))
+        with pytest.raises(OverflowGuardError, match="passes 700"):
+            whittaker_quad(mpf("0.3"), mpf(3), mpf(330))
+        assert nodes == []
 
 
 class TestOlevskiiQuad:
