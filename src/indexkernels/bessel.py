@@ -3,13 +3,14 @@
 Two independent routes to the Kontorovich-Lebedev kernel K_{i*tau}(x):
 
 * k_itau_quad  -- the cosine integral int_0^inf exp(-x cosh t) cos(tau t) dt
-  (oracle route; standard representation, external to the kernel algebra),
+  by the trapezoidal rule, with K_0(x) from the same nodes (oracle route;
+  standard representation, external to the kernel algebra),
 * k_itau_series -- -pi Im I_{i tau}(x) / sinh(pi tau), from one ascending
   I-series: for real x, I_{-i tau}(x) is the conjugate of I_{i tau}(x),
   summed with guard bits where Im I or the sum itself cancels; k_index's
   route for tau != 0, up to x = 700.
 
-Plus real-order K_nu by exponential-cosh quadrature (_cosh_quad) and J_nu
+Plus real-order K_nu by the same cosh-integral rule (_cosh_trap) and J_nu
 by ascending series / large-argument expansion.
 
 The I and J series are summed in fixed point, each term the last times
@@ -19,9 +20,8 @@ bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
 orders give exactly conjugate values.  The I prefactor and the K_{i tau}
 assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
 operators on raw tuples, so the values are the operators' bit for bit.
-The memos (I and J plans, K constants, asymptotic coefficients, K_0,
-tanh-sinh nodes) share mp's global precision and, like mpmath itself,
-assume one thread.
+The memos (I and J plans, K constants, asymptotic coefficients) share
+mp's global precision and, like mpmath itself, assume one thread.
 """
 
 import functools
@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
-from mpmath import acosh, cos, cosh, exp, log, pi, quad, sinh, sqrt
-from mpmath.calculus.quadrature import TanhSinh
+from mpmath import acosh, cos, cosh, exp, log, pi, sinh, sqrt
+from mpmath.calculus.quadrature import QuadratureRule
 from mpmath.libmp import (fone, from_float, fzero, from_int, from_man_exp,
                           mpc_conjugate, mpc_div_mpf, mpc_exp, mpc_mul,
                           mpc_mul_mpf, mpc_neg, mpc_sub, mpf_abs, mpf_add,
@@ -61,6 +61,8 @@ _K_X_MAX = from_int(K_X_MAX)
 # digits a K_{i tau} value may lose a priori (10 are always kept) before
 # the series takes guard bits, which cost 1.5-2 plain sums
 _PLAIN_DIGITS = 6
+# mpmath.quad's error extrapolation from the last three levels' sums
+_estimate_error = QuadratureRule(mp).estimate_error
 
 
 @dataclass
@@ -337,51 +339,47 @@ def _j_sum(nu, x, plan, tol, max_terms, eps):
         partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
 
 
-# tanh-sinh nodes on [-1, 1] by (degree, quad precision), shared by every
-# _TanhSinh (mpmath.quad makes a new rule object per call), and the nodes
-# moved to [a, b], which mpmath stores on their key's second sighting, for
-# the newest _TS_INTERVALS_MAX (a, b, degree, precision) keys: K_0 and
-# later tau at the same x reuse them
-_TS_NODES, _TS_TRANSFORMED, _TS_SEEN = {}, {}, {}
-_TS_INTERVALS_MAX = 32
-
-
-class _TanhSinh(TanhSinh):
-    """mpmath's tanh-sinh rule, its nodes in the _TS_ dicts, not mpmath's."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.standard_cache = _TS_NODES
-        self.transformed_cache = _TS_TRANSFORMED
-        self.interval_count = _TS_SEEN
-
-    def get_nodes(self, a, b, degree, prec, verbose=False):
-        nodes = super().get_nodes(a, b, degree, prec, verbose)
-        for cache in (_TS_TRANSFORMED, _TS_SEEN):
-            while len(cache) > _TS_INTERVALS_MAX:
-                del cache[next(iter(cache))]
-        return nodes
-
-
-def _cosh_quad(x, g, maxdegree=None, growth=0):
-    # (value, error) of int_0^T e^{-x cosh t} g(t) dt by tanh-sinh, for
-    # |g(t)| <= e^{growth t}: x cosh T - growth T = x + digits ln 10 + 5
-    # leaves a negligible tail.  T is the fixed point of T = acosh(1 +
-    # (cut + growth T) / x), approached from below until within one unit
-    # of the exponent.  quad's stop is absolute, so it sees
-    # e^{x - x cosh t} g(t), which is g(0) at t = 0, and e^{-x} scales
-    # the result: the stop is relative for any x
+def _cosh_trap(x, gs, levels, growth=0):
+    # ([values], [error estimates], nodes) of int_0^T e^{-x cosh t} g(t) dt
+    # for each g in gs over one node set, for |g(t)| <= e^{growth t}: x
+    # cosh T - growth T = x + digits ln 10 + 5 leaves a negligible tail.  T
+    # is the fixed point of T = acosh(1 + (cut + growth T) / x), approached
+    # from below until within one unit of the exponent.  The integrands are
+    # even, entire and fall doubly exponentially, where the trapezoidal
+    # rule converges exponentially in 1/h (Trefethen & Weideman, SIAM Rev.
+    # 56(3), 2014): steps h = 2^-j, j = 1..levels, each adding the odd
+    # nodes, at mpmath.quad's mp.prec + 20 and its stop, eps/8 on the
+    # extrapolated error of each g's level sums.  The sums see e^{x - x
+    # cosh t} g(t), which is g(0) at t = 0, and e^{-x} scales the results:
+    # the stop is relative for any x
     cut = mpf(mp.dps) * log(mpf(10)) + 5
     T = acosh(1 + cut / x)
     while growth and x * cosh(T) - growth * T < x + cut - 1:
         T = acosh(1 + (cut + growth * T) / x)
-    v, err = quad(lambda t: exp(x - x * cosh(t)) * g(t), [0, T],
-                  error=True, maxdegree=maxdegree, method=_TanhSinh)
-    return v * exp(-x), err * exp(-x)
+    prec, eps = mp.prec, mp.eps / 8
+    with workprec(prec + 20):
+        sums, results = [mpf(g(0)) / 2 for g in gs], []
+        n = int(T * 2 ** levels)  # the last node of the finest level
+        for j in range(1, levels + 1):
+            step = 2 ** (levels - j)  # h in units of the finest step
+            for k in range(step, n + 1, 2 * step if j > 1 else step):
+                t = mpf((k, -levels))
+                w = exp(x - x * cosh(t))
+                for i, g in enumerate(gs):
+                    sums[i] += w * g(t)
+            results.append([s / 2 ** j for s in sums])
+            if j > 1:
+                errs = [_estimate_error([r[i] for r in results], prec, eps)
+                        for i in range(len(gs))]
+                if max(errs) <= eps:
+                    break
+    scale = exp(-x)
+    return ([v * scale for v in results[-1]], [e * scale for e in errs],
+            n // step + 1)
 
 
 def bessel_k_real(nu, x):
-    """K_nu(x) for real nu >= 0, x > 0, by tanh-sinh quadrature of
+    """K_nu(x) for real nu >= 0, x > 0, by trapezoidal quadrature of
     int_0^inf exp(-x cosh t) cosh(nu t) dt."""
     nu = mpf(nu)
     x = mpf(x)
@@ -389,7 +387,7 @@ def bessel_k_real(nu, x):
         raise DomainError("bessel_k_real requires x > 0")
     if mpf_gt(x._mpf_, _K_X_MAX):
         raise OverflowGuardError("x too large for the cosh-integral route")
-    v, err = _cosh_quad(x, lambda t: cosh(nu * t), 10, growth=nu)
+    (v,), (err,), _ = _cosh_trap(x, [lambda t: cosh(nu * t)], 10, growth=nu)
     if err > _ROUNDING * _eps() * abs(v):
         raise NonconvergenceError("bessel_k_real quadrature stalled",
                                   partial=v, tail_estimate=err)
@@ -418,29 +416,26 @@ def _cache_put(cache, key, res):
 
 
 def k_itau_quad(tau, x):
-    """Oracle route for K_{i tau}(x): the cosine integral in extended
-    precision.  The relative error estimate carries the intrinsic
-    exp(pi tau / 2) amplification of the absolute quadrature error."""
+    """Oracle route for K_{i tau}(x): the cosine integral by the
+    trapezoidal rule in extended precision, which also sums K_0(x) over
+    the same nodes.  The relative error estimate (quadrature error +
+    eps K_0) / |K| carries the intrinsic exp(pi tau / 2) amplification
+    of the absolute error."""
     tau, x = abs(mpf(tau)), mpf(x)  # even in tau
     if x <= 0:
         raise DomainError("k_itau_quad requires x > 0")
     key = (tau._mpf_, x._mpf_, mp.prec)
     res = _kq_cache.get(key)
     if res is None:
-        v, qerr = _cosh_quad(x, lambda t: cos(tau * t), 9)
-        # scale of the absolute roundoff floor: int |integrand| <= K_0(x)
-        k0 = _k0(x, mp.prec)
+        # K_0(x), from the same nodes, scales the absolute roundoff floor:
+        # int |integrand| <= K_0(x)
+        (v, k0), (qerr, _), _ = _cosh_trap(
+            x, [lambda t: cos(tau * t), lambda t: 1], 9)
         rel = (qerr + _eps() * k0) / abs(v) if v != 0 else mpf(1)
         res = KernelValue(value=v, rel_error=rel,
                           cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
         _cache_put(_kq_cache, key, res)
     return _checked(res, "k_itau_quad", tau, _settings(config.get())[2])
-
-
-@functools.lru_cache(maxsize=128)
-def _k0(x, prec):
-    # K_0(x) by the same quadrature, shared by every tau at this x
-    return _cosh_quad(x, lambda t: 1)[0]
 
 
 def k_itau_series(tau, x, i_tau=None):

@@ -17,6 +17,7 @@ All commands are deterministic functions of their flags.
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -326,6 +327,7 @@ def cmd_fit_constants(args):
     return EXIT_OK
 
 
+@functools.cache  # argparse queries the terminal size per argument
 def build_parser():
     p = argparse.ArgumentParser(
         prog="index-kernels",

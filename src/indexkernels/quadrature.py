@@ -15,7 +15,7 @@ bessel_j's values with the order's work done once per integral.
 Panels on which the integrand is analytic on and near the panel (the
 product head and its tail ray, cut where it has decayed below quad's
 stop, the olevskii and mehler-fock tails) run Gauss-Legendre; both
-Whittaker panels run tanh-sinh (bessel._TanhSinh).  Every integral goes
+Whittaker panels run tanh-sinh (_TanhSinh).  Every integral goes
 through _quad, which caps the degree and counts the integrand calls;
 _panels cuts the oscillatory ranges at a fixed step.  _GaussLegendre
 builds the Gauss-Legendre nodes in fixed point and keeps them in this
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workprec
 from mpmath import asinh, cos, exp, log, pi, quad, re, sinh, sqrt
-from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 from mpmath.libmp import from_float, to_fixed
 
-from .bessel import (K_X_MAX, _ROUNDING, _TanhSinh, _j_evaluator,
-                     _k_evaluator, asymptotic_table, series_safe_x)
+from .bessel import (K_X_MAX, _ROUNDING, _j_evaluator, _k_evaluator,
+                     asymptotic_table, series_safe_x)
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError)
 from .special import _GUARD, _eps, ln_gamma
@@ -103,6 +103,31 @@ class _GaussLegendre(GaussLegendre):
             w = (2 << 4 * W) // ((one - (r * r >> W)) * dp * dp)
             w = mpf((w, -W), prec=wp)
             nodes += [(mpf((r, -W), prec=wp), w), (mpf((-r, -W), prec=wp), w)]
+        return nodes
+
+
+# tanh-sinh nodes on [-1, 1] by (degree, quad precision), shared by every
+# _TanhSinh (mpmath.quad makes a new rule object per call), and the nodes
+# moved to [a, b], which mpmath stores on their key's second sighting, for
+# the newest _TS_INTERVALS_MAX (a, b, degree, precision) keys
+_TS_NODES, _TS_TRANSFORMED, _TS_SEEN = {}, {}, {}
+_TS_INTERVALS_MAX = 32
+
+
+class _TanhSinh(TanhSinh):
+    """mpmath's tanh-sinh rule, its nodes in the _TS_ dicts, not mpmath's."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.standard_cache = _TS_NODES
+        self.transformed_cache = _TS_TRANSFORMED
+        self.interval_count = _TS_SEEN
+
+    def get_nodes(self, a, b, degree, prec, verbose=False):
+        nodes = super().get_nodes(a, b, degree, prec, verbose)
+        for cache in (_TS_TRANSFORMED, _TS_SEEN):
+            while len(cache) > _TS_INTERVALS_MAX:
+                del cache[next(iter(cache))]
         return nodes
 
 

@@ -18,8 +18,7 @@ from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
 from mpmath.libmp import NoConvergence, mpc_loggamma, round_nearest
 
 from . import config
-from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
-                     PoleError)
+from .errors import DomainError, NonconvergenceError, PoleError
 
 # binet_r refuses |z| below this floor
 BINET_FLOOR = 1.0 / 16.0
@@ -207,17 +206,11 @@ def hyp1f1(a, b, z):
     return _series_adaptive([a], [b], z)
 
 
-# half-width of the dual-evaluation window around the Gauss/Pfaff switch
-_SWITCH_WINDOW = 0.01
-
-
 def hyp2f1(a, b, c, z):
     """Gauss 2F1(a, b; c; z) for real z <= 0.
 
-    Direct series for -1 < z <= 0; Pfaff transform to z/(z-1) in [1/2, 1)
-    for z <= -1.  Near z = -1 the two Pfaff variants (pulling out
-    (1-z)^(-a) vs (1-z)^(-b)) both run and must agree to 10*rel_tol,
-    otherwise a NumericalFailureError is raised.
+    Direct series for -1/2 <= z <= 0; for z < -1/2 the Pfaff transform
+    (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)), whose argument lies in (1/3, 1).
     """
     a, b, c = mpc(a), mpc(b), mpc(c)
     z = mpf(z)
@@ -225,23 +218,9 @@ def hyp2f1(a, b, c, z):
         raise PoleError("2F1 lower parameter at a nonpositive integer")
     if z > 0:
         raise DomainError("2F1 route restricted to real z <= 0")
-
-    def pfaff(p, q):
-        # (1-z)^(-p) 2F1(p, c-q; c; z/(z-1)) for {p, q} = {a, b}
-        zp = z / (z - 1)
-        return (1 - z) ** (-p) * _series_adaptive([p, c - q], [c], mpc(zp))
-
-    if abs(z + 1) < _SWITCH_WINDOW:
-        # the direct sum stalls here (term ratio -> 1), so cross-check the
-        # two Pfaff variants, which stay geometric at z/(z-1) ~ 1/2
-        v_a, v_b = pfaff(a, b), pfaff(b, a)
-        lim = 10 * mpf(config.get().rel_tol) * max(abs(v_a), abs(v_b))
-        if lim > 0 and abs(v_a - v_b) > lim:
-            raise NumericalFailureError(
-                "2F1 Pfaff variant mismatch at z=%s" % z)
-        return v_a
-    if z <= -1:
-        return pfaff(a, b)
+    if 2 * z < -1:
+        return (1 - z) ** (-a) * _series_adaptive([a, c - b], [c],
+                                                  mpc(z / (z - 1)))
     return _series_adaptive([a, b], [c], mpc(z))
 
 

@@ -194,7 +194,7 @@ class TestCoefficientTables:
             mp.dps = saved
 
     def test_memos_bounded(self):
-        for memo in MEMOS + (bessel._asymptotic_memo, bessel._k0,
+        for memo in MEMOS + (bessel._asymptotic_memo,
                              quadrature._hankel0_coeffs):
             assert memo.cache_info().maxsize is not None
 
@@ -622,10 +622,12 @@ class TestBesselKReal:
         # the stop at large x and raised at dps 15 from x = 1.  The cut
         # covers the e^{nu t} growth of cosh(nu t): one that assumed
         # |cosh(nu t)| <= 1 left 1.4e10 units of 10^-40 at (10, 0.1).  At
-        # nu = 10, quad may also report an estimate past its stop and raise
+        # nu = 10, the rule may also report an estimate past its stop and
+        # raise
         with mpmath.workdps(dps):
             for nu in (mpf(0), mpf("2.5"), mpf(5), mpf(10)):
-                for x in ("0.1", "1", "10", "50", "90", "300"):
+                for x in ("0.001", "0.1", "1", "10", "50", "90", "300",
+                          "650"):
                     try:
                         v = bessel_k_real(nu, mpf(x))
                     except NonconvergenceError:
@@ -658,6 +660,18 @@ def _within_estimate(r, tau, x):
     with mpmath.workdps(mp.dps + 20):
         ref = mpmath.besselk(1j * tau, x).real
     return abs(r.value - ref) <= r.rel_error * abs(ref)
+
+
+def _spy_cosh_trap(monkeypatch):
+    # the list of what each _cosh_trap call returns: ([values], [error
+    # estimates], nodes)
+    passes, trap = [], bessel._cosh_trap
+
+    def spy(*args, **kwargs):
+        passes.append(trap(*args, **kwargs))
+        return passes[-1]
+    monkeypatch.setattr(bessel, "_cosh_trap", spy)
+    return passes
 
 
 def _two_series_k(tau, x):
@@ -701,19 +715,18 @@ class TestImaginaryOrderK:
                 assert abs(r.value - ref) <= \
                     (r.rel_error + mpf("1e-35")) * abs(ref) * 10
 
-    def test_k0_memo_bit_identical(self, monkeypatch):
-        # k_itau_quad's K_0 normaliser, memoized per (x, mp.prec), is the
-        # value the quadrature returns, and other tau at that x reuse it
+    def test_k0_of_the_shared_pass(self, monkeypatch):
+        # k_itau_quad's K_0 normaliser comes from the cosine integral's
+        # own nodes, and is K_0(x) to working precision
         monkeypatch.setattr(bessel, "_kq_cache", {})
+        passes = _spy_cosh_trap(monkeypatch)
         x = mpf("1.3")
         for dps in (40, 60):
             with mpmath.workdps(dps):
-                ref = bessel._cosh_quad(x, lambda t: 1)[0]
-                assert bessel._k0(x, mp.prec) == ref
-                hits = bessel._k0.cache_info().hits
                 k_itau_quad(mpf("2.1"), x)
-                k_itau_quad(mpf("3.1"), x)
-                assert bessel._k0.cache_info().hits >= hits + 2
+                k0 = passes[-1][0][1]
+                assert abs(k0 - bessel_k_real(0, x)) <= \
+                    10 * mpf(10) ** -dps * k0
 
     def test_series_precision_loss(self, config_override):
         # a threshold below what even the guarded sum delivers, 10^-dps
@@ -780,6 +793,45 @@ class TestImaginaryOrderK:
             mp.dps = saved_dps
             bessel._ks_cache.clear()
             bessel._ks_cache.update(saved_cache)
+
+
+class TestCoshTrapezoid:
+    # the K integrals' trapezoidal rule
+    def test_k_itau_quad_within_its_estimate(self, monkeypatch):
+        # on a thinned grid of dps, index and argument; it raises only
+        # where the estimate passes the loss threshold
+        monkeypatch.setattr(bessel, "_kq_cache", {})
+        threshold = mpf(config.get().precision_loss_threshold)
+        points = [(mpf(tau), mpf(x)) for tau in ("0", "0.25", "4", "16", "40")
+                  for x in ("0.001", "1", "50", "650")]
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for tau, x in points:
+                    try:
+                        r = k_itau_quad(tau, x)
+                    except PrecisionLossError as exc:
+                        assert exc.rel_error > threshold
+                        r = exc
+                    assert _within_estimate(r, tau, x), (dps, tau, x)
+
+    def test_nodes_at_the_kl_points(self, monkeypatch):
+        # route-crosscheck's kl quadrature points at dps 40, where
+        # tanh-sinh took about 535 nodes
+        monkeypatch.setattr(bessel, "_kq_cache", {})
+        passes = _spy_cosh_trap(monkeypatch)
+        with mpmath.workdps(40):
+            for tau in ("1.027", "5.027"):
+                for x in ("0.535", "1.935"):
+                    k_itau_quad(mpf(tau), mpf(x))
+                    assert passes[-1][2] <= 200, (tau, x)
+
+    def test_one_pass_per_cache_miss(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_kq_cache", {})
+        passes = _spy_cosh_trap(monkeypatch)
+        k_itau_quad(mpf("2.1"), mpf("1.3"))
+        assert len(passes) == 1
+        k_itau_quad(mpf("2.1"), mpf("1.3"))
+        assert len(passes) == 1
 
 
 class TestConfigAtCallTime:
@@ -1238,36 +1290,42 @@ class TestOneAssembly:
 
 
 class TestTanhSinhNodeCache:
+    # the Whittaker panels, the only tanh-sinh integrals: at x = 5 and dps
+    # 15 both panels, [0, 1] and [1, 2], are the same for every tau < 5.9
+    X = mpf(5)
+
+    def _empty(self, monkeypatch):
+        for name in ("_TS_TRANSFORMED", "_TS_SEEN"):
+            monkeypatch.setattr(quadrature, name, {})
+
     def test_second_tau_reuses_nodes(self, monkeypatch):
-        # K_0 is the interval's first sighting, the first tau its second,
-        # which stores the moved nodes; later tau at that x move none, and
-        # every value is the one computed from empty dicts
-        for name in ("_TS_TRANSFORMED", "_TS_SEEN", "_kq_cache"):
-            monkeypatch.setattr(bessel, name, {})
-        bessel._k0.cache_clear()
+        # the first tau is the panels' first sighting, the second tau
+        # their second, which stores the moved nodes; later tau move none,
+        # and every value is the one computed from empty dicts
+        self._empty(monkeypatch)
         moves = []
-        move = bessel._TanhSinh.transform_nodes
-        monkeypatch.setattr(bessel._TanhSinh, "transform_nodes",
+        move = quadrature._TanhSinh.transform_nodes
+        monkeypatch.setattr(quadrature._TanhSinh, "transform_nodes",
                             lambda self, *a: moves.append(1) or move(self, *a))
-        x, taus = mpf("1.3"), (mpf("0.7"), mpf("2.5"), mpf("4.1"))
-        first = [k_itau_quad(tau, x) for tau in taus]
-        assert len(moves) > 0
-        del moves[:]
-        assert k_itau_quad(mpf("5.3"), x) is not None
-        assert moves == []
-        for name in ("_TS_TRANSFORMED", "_TS_SEEN", "_kq_cache"):
-            monkeypatch.setattr(bessel, name, {})
-        bessel._k0.cache_clear()
-        assert [k_itau_quad(tau, x) for tau in taus] == first
+        taus = (mpf("0.7"), mpf("2.5"), mpf("4.1"))
+        with mpmath.workdps(15):
+            first = [whittaker_quad(mpf("0.3"), tau, self.X).value
+                     for tau in taus]
+            assert len(moves) > 0
+            del moves[:]
+            assert whittaker_quad(mpf("0.3"), mpf("3.3"), self.X) is not None
+            assert moves == []
+            self._empty(monkeypatch)
+            assert [whittaker_quad(mpf("0.3"), tau, self.X).value
+                    for tau in taus] == first
 
     def test_dicts_bounded(self, monkeypatch):
-        for name in ("_TS_TRANSFORMED", "_TS_SEEN", "_kq_cache"):
-            monkeypatch.setattr(bessel, name, {})
+        self._empty(monkeypatch)
         with mpmath.workdps(15):
-            for k in range(20):
-                x = mpf(1) + mpf(k) / 7
-                for tau in (mpf("0.7"), mpf("2.5")):
-                    k_itau_quad(tau, x)
-                assert len(bessel._TS_TRANSFORMED) <= bessel._TS_INTERVALS_MAX
-                assert len(bessel._TS_SEEN) <= bessel._TS_INTERVALS_MAX
-        assert len(bessel._TS_SEEN) == bessel._TS_INTERVALS_MAX
+            for k in range(12):
+                whittaker_quad(mpf("0.3"), mpf("0.7"), mpf(1) + mpf(k) / 7)
+                assert len(quadrature._TS_TRANSFORMED) <= \
+                    quadrature._TS_INTERVALS_MAX
+                assert len(quadrature._TS_SEEN) <= \
+                    quadrature._TS_INTERVALS_MAX
+        assert len(quadrature._TS_SEEN) == quadrature._TS_INTERVALS_MAX

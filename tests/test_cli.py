@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf, workdps
 
 from indexkernels import config
-from indexkernels.cli import main, parse_grid
+from indexkernels.cli import build_parser, main, parse_grid
 from indexkernels.errors import DomainError
 
 
@@ -219,6 +219,27 @@ class TestSweepDeterminism:
         assert outs[0].splitlines()[0] == (
             b"kernel,route,x,tau,mu,nu,rho,value_re,value_im,"
             b"rel_err_est,flags,error")
+
+
+class TestParserBuiltOnce:
+    def test_memoized(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_writes_fresh_process_bytes(self, tmp_path, src_env):
+        # --grid appends, so a list kept between parses would carry the
+        # first run's axes into the second
+        argvs = [["sweep", "--kernel", "kl", "--grid", "tau=1:2:1",
+                  "--grid", "x=0.5:1:0.5"],
+                 ["sweep", "--kernel", "kl", "--grid", "tau=3:3:1",
+                  "--grid", "x=2:2:1"]]
+        for i, argv in enumerate(argvs):
+            here, fresh = tmp_path / ("main%d.csv" % i), tmp_path / (
+                "child%d.csv" % i)
+            assert main(argv + ["--out", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "indexkernels.cli", *argv,
+                            "--out", str(fresh)], env=src_env, check=True,
+                           capture_output=True)
+            assert here.read_bytes() == fresh.read_bytes()
 
 
 class TestGlobalState:

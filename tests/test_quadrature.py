@@ -288,7 +288,6 @@ class TestGaussLegendreNodes:
         # the Whittaker panels, the product tail and the K integrals of
         # bessel (k_itau_quad from an empty cache) use no global rule
         monkeypatch.setattr(bessel, "_kq_cache", {})
-        bessel._k0.cache_clear()
         whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
         k_itau_quad(mpf("2.5"), mpf("1.3"))
         bessel_k_real(mpf("0.7"), mpf(2))

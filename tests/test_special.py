@@ -244,7 +244,7 @@ def cases(tau):
         (hyp1f2, 1, 3 - 1j * tau, 3, -4 * tau ** 2),
         (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-0.3")),  # direct
         (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-3.5")),  # Pfaff
-        (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-1.004")),  # window
+        (hyp2f1, a.conjugate(), a, 1 + mu, mpf("-1.004")),  # Pfaff near -1
     ]
 
 
@@ -282,13 +282,36 @@ class TestHypergeometricAccuracy:
                         100 * mpf(10) ** -dps, (dps, z)
 
     def test_2f1_closed_form(self):
-        # 2F1(1, 1; 2; z) = -log1p(-z) / z: the direct series, the Pfaff
-        # pair's window around z = -1 and the Pfaff transform
+        # 2F1(1, 1; 2; z) = -log1p(-z) / z: the direct series and the
+        # Pfaff transform, next to z = -1 and far from it
         for dps in (25, 40, 60):
             with mpmath.workdps(dps):
                 for z in (mpf("-0.3"), mpf("-1.004"), mpf("-3.5")):
                     assert rel(hyp2f1(1, 1, 2, z), -mpmath.log1p(-z) / z) <= \
                         100 * mpf(10) ** -dps, (dps, z)
+
+
+    def test_2f1_next_to_minus_one(self):
+        # the direct sum ran out of its 10000 terms here, just outside
+        # the window around z = -1 where Pfaff used to take over
+        a, b, c, z = mpc(1, 1), mpc(1, -1), mpf("1.5"), mpf("-0.98931")
+        with mpmath.workdps(40):
+            v = hyp2f1(a, b, c, z)
+            with mpmath.workdps(60):
+                ref = mpmath.hyp2f1(a, b, c, z)
+            assert rel(v, ref) <= 100 * mpf(10) ** -40
+
+    def test_2f1_across_the_switch(self):
+        # direct series down to z = -1/2, Pfaff past it
+        a, b, c = mpc(1, 1), mpc(1, -1), mpf("1.5")
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for k in range(141):
+                    z = mpf(-1200 + 5 * k) / 1000
+                    v = hyp2f1(a, b, c, z)
+                    with mpmath.workdps(dps + 20):
+                        ref = mpmath.hyp2f1(a, b, c, z)
+                    assert rel(v, ref) <= 100 * mpf(10) ** -dps, (dps, z)
 
 
 class TestFixedPointSeriesSum:
