@@ -20,7 +20,7 @@ bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
 orders give exactly conjugate values.  The I prefactor and the K_{i tau}
 assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
 operators on raw tuples, so the values are the operators' bit for bit.
-The memos (I and J plans, K constants, asymptotic coefficients) share
+The memos (I and J plans, K constants, series settings) share
 mp's global precision and, like mpmath itself, assume one thread.
 """
 
@@ -55,7 +55,7 @@ _ROUNDING_MPF = from_int(_ROUNDING)
 # moves its term by 2^-64 of itself, far inside the guard bits
 _RATIO_BITS = 64
 _LN2, _LOG2_10 = math.log(2), math.log2(10)
-# K at every index refuses x > 700, where it is below 1e-304
+# k_index at every index refuses x > 700, where K is below 1e-304
 K_X_MAX = 700
 _K_X_MAX = from_int(K_X_MAX)
 # digits a K_{i tau} value may lose a priori (10 are always kept) before
@@ -75,11 +75,9 @@ class KernelValue:
 
 def bessel_i(nu, x):
     """Modified Bessel I_nu(x) for complex order, ascending series summed
-    to min(rel_tol, 10^-dps): the config tolerance is for standalone
-    series, and K_{i tau} takes a small imaginary part of this sum.  The
-    sum also stops once its terms are within one unit of the fixed-point
-    sum's last place, which a tolerance under that resolution (1e-24 at
-    dps 15) would never meet.
+    to 10^-dps, as every series is: K_{i tau} takes a small imaginary part
+    of this sum.  The sum also stops once its terms are within one unit of
+    the fixed-point sum's last place.
 
     The (x/2)^nu prefactor takes the principal branch; 1/Gamma poles make
     leading terms vanish exactly (the evaluator is total in nu).
@@ -103,7 +101,7 @@ def bessel_i(nu, x):
     if conj:
         nu = nu.conjugate()
     cfg = config.get()
-    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, _settings(cfg)[1],
+    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, _settings(cfg)[0],
                                  cfg.max_terms, conj)[0])
 
 
@@ -169,17 +167,16 @@ def _tol_fraction(tol):
 
 
 def _settings(cfg):
-    # what the I and K_{i tau} series read of cfg at mp.prec, converted
-    # once: bessel_i's tolerance (rel_tol, or 10^-dps if smaller) as a
-    # float and by _tol_fraction, and the loss threshold as a libmp value
-    # (exactly the float, as an mpf comparison converts it)
-    return _settings_memo(cfg.rel_tol, cfg.precision_loss_threshold, mp.prec)
+    # what the I, J and K_{i tau} series need at mp.prec, converted once:
+    # the tolerance 10^-dps (a float) by _tol_fraction, and cfg's loss
+    # threshold as a libmp value (exactly the float, as an mpf comparison
+    # converts it)
+    return _settings_memo(cfg.precision_loss_threshold, mp.prec)
 
 
 @functools.lru_cache(maxsize=16)
-def _settings_memo(rel_tol, threshold, prec):
-    tol = min(rel_tol, 10.0 ** (-mp.dps))
-    return tol, _tol_fraction(tol), from_float(threshold)
+def _settings_memo(threshold, prec):
+    return _tol_fraction(10.0 ** (-mp.dps)), from_float(threshold)
 
 
 def _i_sum(plan, x, tol, max_terms):
@@ -216,25 +213,6 @@ def _i_sum(plan, x, tol, max_terms):
     return sr, si, wp, k, mag
 
 
-def asymptotic_table(nu):
-    """Signed large-argument coefficients (-1)^floor(n/2) a_n(nu) of the
-    J/H expansions, n = 0..40, memoized per (nu, mp.prec).
-
-    a_n comes from the pole-free recurrence a_n = a_{n-1} (4 nu^2 -
-    (2n-1)^2) / (8 n), equivalent to the gamma-product form
-    (-1)^n cos(pi nu) Gamma(n+1/2+nu) Gamma(n+1/2-nu) / (2^n n! pi).
-    """
-    return _asymptotic_memo(mpf(nu), mp.prec)
-
-
-@functools.lru_cache(maxsize=128)
-def _asymptotic_memo(nu, prec):
-    a = [mpf(1)]
-    for n in range(1, 41):
-        a.append(a[-1] * (4 * nu ** 2 - (2 * n - 1) ** 2) / (8 * n))
-    return tuple(c if n % 4 < 2 else -c for n, c in enumerate(a))
-
-
 def bessel_j(nu, x, with_error=False):
     """J_nu(x) for real nu > -1, x >= 0.
 
@@ -256,7 +234,7 @@ def bessel_j(nu, x, with_error=False):
         raise DomainError("bessel_j requires x >= 0")
 
     cfg = config.get()
-    return _j_point(nu, x, _j_plan(nu, mp.prec), _tol_fraction(cfg.rel_tol),
+    return _j_point(nu, x, _j_plan(nu, mp.prec), _settings(cfg)[0],
                     cfg.max_terms, _eps(), with_error)
 
 
@@ -435,7 +413,7 @@ def k_itau_quad(tau, x):
         res = KernelValue(value=v, rel_error=rel,
                           cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
         _cache_put(_kq_cache, key, res)
-    return _checked(res, "k_itau_quad", tau, _settings(config.get())[2])
+    return _checked(res, "k_itau_quad", tau, _settings(config.get())[1])
 
 
 def k_itau_series(tau, x, i_tau=None):
@@ -454,12 +432,12 @@ def k_itau_series(tau, x, i_tau=None):
     tau, x = mpf(tau), mpf(x)
     # the key holds what the sum and the choice of a guarded sum read
     cfg = config.get()
-    tol, tol_frac, loss = _settings(cfg)
-    key = (tau._mpf_, x._mpf_, mp.prec, tol, cfg.max_terms, loss)
+    tol, loss = _settings(cfg)
+    key = (tau._mpf_, x._mpf_, mp.prec, cfg.max_terms, loss)
     res = _ks_cache.get(key)
     if res is None:
         res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau, None,
-                       tol_frac, cfg, _eps(), loss, _PLAIN_DIGITS)
+                       tol, cfg, _eps(), loss, _PLAIN_DIGITS)
         _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau, loss)
 
@@ -486,7 +464,7 @@ def _k_point(x, i_tau, tau, kp, tol, cfg, eps, loss, digits):
     # share plans
     with workprec(mp.prec + 32 * (int(bits + 10) // 32 + 1)):
         kp = _k_plan(tau, mp.prec)
-        res = _k_series(*_i_series(kp[0], x, _settings(cfg)[1],
+        res = _k_series(*_i_series(kp[0], x, _settings(cfg)[0],
                                    cfg.max_terms), kp, _eps())
     return KernelValue(+res.value, res.rel_error + eps, res.cancellation)
 
@@ -584,7 +562,7 @@ def _k_evaluator(index):
             return last[1]
         if prec not in plans:
             tau = abs(mpf(index))
-            _, tol, loss = _settings(cfg)
+            tol, loss = _settings(cfg)
             plans[prec] = (tau, _k_plan(tau, prec), tol, cfg, _eps(), loss,
                            math.inf)
         st = plans[prec]
@@ -604,8 +582,7 @@ def _j_evaluator(nu, with_error):
         y, prec = mpf(y), mp.prec
         if prec not in plans:
             n = mpf(nu)
-            plans[prec] = (n, _j_plan(n, prec), _tol_fraction(cfg.rel_tol),
-                           _eps())
+            plans[prec] = (n, _j_plan(n, prec), _settings(cfg)[0], _eps())
         n, plan, tol, eps = plans[prec]
         return _j_point(n, y, plan, tol, cfg.max_terms, eps, with_error)
     return j

@@ -113,39 +113,37 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _run_grid(out, header, points, evaluate, summary):
+    # a CSV row per (key cells, point) of points: the key cells, then the
+    # cells of evaluate(point) -> (cells, holds) and no error, or, on a
+    # numerical failure, blanks and the message.  Writes the CSV and
+    # summary.format(points, violations, failures) to stderr; returns the
+    # exit code
+    rows, n_viol, n_fail = [], 0, 0
+    for key, pt in points:
+        try:
+            cells, holds = evaluate(pt)
+            n_viol += not holds
+            cells = cells + [""]
+        except NUMERICAL_ERRORS as exc:
+            n_fail += 1
+            cells = [None] * (len(header) - len(key) - 1) + [str(exc)]
+        rows.append(key + cells)
+    _write_csv(out, header, rows)
+    print(summary.format(len(rows), n_viol, n_fail), file=sys.stderr)
+    if n_fail:
+        return EXIT_NUMERICAL
+    return EXIT_VIOLATION if n_viol else EXIT_OK
+
+
 def cmd_verify(args):
     bid = args.bound
-    rows = []
     header = ["bound", "n", "mu", "nu", "rho", "tau", "x", "z_abs", "z_arg",
               "lhs", "rhs", "margin", "holds", "error"]
-    n_viol = 0
-    n_fail = 0
-    worst = None
-
-    def record(rep, err="", **pt):
-        nonlocal n_viol, worst
-        if rep is not None and not rep.holds:
-            n_viol += 1
-        if rep is not None and (worst is None or rep.margin < worst[0]):
-            worst = (rep.margin, pt)
-        rows.append([bid, pt.get("n"), pt.get("mu"), pt.get("nu"),
-                     pt.get("rho"), pt.get("tau"), pt.get("x"),
-                     pt.get("z_abs"), pt.get("z_arg"),
-                     rep.lhs if rep else None, rep.rhs if rep else None,
-                     rep.margin if rep else None,
-                     rep.holds if rep else None, err])
-
     if bid == "binet":
         axes = _grids(args, "r=0.25:50:2.5")
-        for r in axes["r"]:
-            for arg_frac in (mpf(0), pi / 4, pi / 2):
-                z = r * exp(1j * arg_frac)
-                try:
-                    rep = bounds.evaluate_bound("binet", z=z)
-                    record(rep, z_abs=r, z_arg=arg_frac)
-                except NUMERICAL_ERRORS as exc:
-                    n_fail += 1
-                    record(None, err=str(exc), z_abs=r, z_arg=arg_frac)
+        points = [dict(z_abs=r, z_arg=a) for r in axes["r"]
+                  for a in (mpf(0), pi / 4, pi / 2)]
     else:
         # the kummer bound holds on 0 < x < 1 only
         axes = _grids(args, "tau=0.5:10:0.5",
@@ -166,25 +164,25 @@ def cmd_verify(args):
                 raise DomainError("bound olevskii requires 0 < mu < 1")
         if bid == "kummer":
             kw["rho"] = mpf(args.rho)
-        for tau in axes["tau"]:
-            for x in axes["x"]:
-                try:
-                    rep = bounds.evaluate_bound(bid, tau=tau, x=x, **kw)
-                    record(rep, tau=tau, x=x, **kw)
-                except NUMERICAL_ERRORS as exc:
-                    n_fail += 1
-                    record(None, err=str(exc), tau=tau, x=x, **kw)
+        points = [dict(tau=tau, x=x, **kw) for tau in axes["tau"]
+                  for x in axes["x"]]
+    worst = []
 
-    _write_csv(args.out, header, rows)
-    total = len(rows)
-    print("bound=%s points=%d violations=%d failures=%d" %
-          (bid, total, n_viol, n_fail), file=sys.stderr)
-    if worst is not None:
+    def evaluate(pt):
+        kw = (dict(z=pt["z_abs"] * exp(1j * pt["z_arg"])) if bid == "binet"
+              else pt)
+        rep = bounds.evaluate_bound(bid, **kw)
+        if not worst or rep.margin < worst[0]:
+            worst[:] = rep.margin, pt
+        return [rep.lhs, rep.rhs, rep.margin, rep.holds], rep.holds
+
+    keys = [[bid] + [pt.get(c) for c in header[1:9]] for pt in points]
+    code = _run_grid(args.out, header, zip(keys, points), evaluate,
+                     "bound=%s points={0} violations={1} failures={2}" % bid)
+    if worst:
         print("worst margin = %s at %s" % (nstr(mpf(worst[0]), 6), worst[1]),
               file=sys.stderr)
-    if n_fail:
-        return EXIT_NUMERICAL
-    return EXIT_VIOLATION if n_viol else EXIT_OK
+    return code
 
 
 def _expansion_report(kernel, tau, x, args):
@@ -203,28 +201,16 @@ def cmd_expand(args):
     axes = _grids(args, "tau=5:12:0.5", "x=0.25:1:0.75")
     header = ["kernel", "tau", "x", "scale", "main", "remainder", "bound",
               "holds", "error"]
-    rows = []
-    n_viol = 0
-    n_fail = 0
-    for tau in axes["tau"]:
-        for x in axes["x"]:
-            try:
-                rep = _expansion_report(args.kernel, tau, x, args)
-                if not rep.bound_holds:
-                    n_viol += 1
-                rows.append([args.kernel, tau, x, rep.scale_factor,
-                             rep.main_term, rep.empirical_remainder,
-                             rep.remainder_bound, rep.bound_holds, ""])
-            except NUMERICAL_ERRORS as exc:
-                n_fail += 1
-                rows.append([args.kernel, tau, x, None, None, None, None,
-                             None, str(exc)])
-    _write_csv(args.out, header, rows)
-    print("kernel=%s points=%d violations=%d failures=%d" %
-          (args.kernel, len(rows), n_viol, n_fail), file=sys.stderr)
-    if n_fail:
-        return EXIT_NUMERICAL
-    return EXIT_VIOLATION if n_viol else EXIT_OK
+
+    def evaluate(pt):
+        rep = _expansion_report(args.kernel, *pt, args)
+        return [rep.scale_factor, rep.main_term, rep.empirical_remainder,
+                rep.remainder_bound, rep.bound_holds], rep.bound_holds
+
+    points = [([args.kernel, tau, x], (tau, x)) for tau in axes["tau"]
+              for x in axes["x"]]
+    return _run_grid(args.out, header, points, evaluate, "kernel=%s points="
+                     "{0} violations={1} failures={2}" % args.kernel)
 
 
 def cmd_crossover(args):
@@ -286,26 +272,20 @@ def cmd_sweep(args):
     axes = _grids(args, "tau=0.5:5:0.5", "x=0.5:2:0.5")
     header = ["kernel", "route", "x", "tau", "mu", "nu", "rho",
               "value_re", "value_im", "rel_err_est", "flags", "error"]
-    rows = []
-    n_fail = 0
-    for tau in axes["tau"]:
-        for x in axes["x"]:
-            try:
-                p = kernels.KernelPoint(kernel=args.kernel, x=x, tau=tau,
-                                        mu=args.mu, nu=args.nu, rho=args.rho)
-                r = kernels.eval(p, route)
-                v = mpc(r.value)
-                rows.append([args.kernel, route, x, tau, args.mu, args.nu,
-                             args.rho, v.real, v.imag, r.rel_error_estimate,
-                             "cancellation" if r.cancellation_flag else "",
-                             ""])
-            except NUMERICAL_ERRORS as exc:
-                n_fail += 1
-                rows.append([args.kernel, route, x, tau, args.mu, args.nu,
-                             args.rho, None, None, None, "", str(exc)])
-    _write_csv(args.out, header, rows)
-    print("points=%d failures=%d" % (len(rows), n_fail), file=sys.stderr)
-    return EXIT_NUMERICAL if n_fail else EXIT_OK
+
+    def evaluate(pt):
+        tau, x = pt
+        p = kernels.KernelPoint(kernel=args.kernel, x=x, tau=tau,
+                                mu=args.mu, nu=args.nu, rho=args.rho)
+        r = kernels.eval(p, route)
+        v = mpc(r.value)
+        return [v.real, v.imag, r.rel_error_estimate,
+                "cancellation" if r.cancellation_flag else ""], True
+
+    points = [([args.kernel, route, x, tau, args.mu, args.nu, args.rho],
+               (tau, x)) for tau in axes["tau"] for x in axes["x"]]
+    return _run_grid(args.out, header, points, evaluate,
+                     "points={0} failures={2}")
 
 
 def cmd_fit_constants(args):

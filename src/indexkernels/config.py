@@ -17,8 +17,8 @@ from .errors import DomainError
 class Config:
     # working precision (decimal digits) for all extended-precision arithmetic
     dps: int = 40
-    # series truncation policy
-    rel_tol: float = 1e-24
+    # terms a series may take before it raises NonconvergenceError; every
+    # series stops at 10^-dps of its sum
     max_terms: int = 10000
     # relative-error threshold above which evaluators raise PrecisionLossError
     precision_loss_threshold: float = 1e-6
@@ -29,10 +29,10 @@ class Config:
     def __post_init__(self):
         if not (self.dps >= 1 and self.max_terms >= 1):
             raise DomainError("dps and max_terms must be >= 1")
-        for name in ("rel_tol", "precision_loss_threshold"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError("%s must be finite and > 0" % name)
+        v = self.precision_loss_threshold
+        if not (math.isfinite(v) and v > 0):
+            raise DomainError(
+                "precision_loss_threshold must be finite and > 0")
         for name in ("bound_slack", "remainder_slack"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):

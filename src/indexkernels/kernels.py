@@ -26,7 +26,7 @@ from .bessel import bessel_i, k_index, k_itau_quad, k_itau_series
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .quadrature import (mehler_fock_sq, olevskii_quad, product_kernel_quad,
                          whittaker_quad)
-from .special import (hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,
+from .special import (_eps, hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,
                       pochhammer)
 
 KERNEL_IDS = ("kl", "lebedev-square", "lebedev-product", "whittaker",
@@ -284,7 +284,7 @@ def whittaker_direct(rho, tau, x, route="f11"):
     elif route == "series218":
         if abs(rho) >= mpf(1) / 2 or x >= 1:
             raise DomainError("series218 route needs |rho| < 1/2 and x < 1")
-        cfg = config.get()
+        cfg, eps = config.get(), _eps()
         s = mpc(1)
         streak = 0
         for k in range(1, cfg.max_terms + 1):
@@ -292,7 +292,7 @@ def whittaker_direct(rho, tau, x, route="f11"):
             s += t
             # alternate terms vanish identically at rho = 0, so one small
             # term is not evidence of convergence; require two in a row
-            if abs(t) < mpf(cfg.rel_tol) * abs(s) and k > 4:
+            if abs(t) < eps * abs(s) and k > 4:
                 streak += 1
                 if streak >= 2:
                     break

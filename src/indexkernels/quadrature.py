@@ -33,7 +33,7 @@ from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 from mpmath.libmp import from_float, to_fixed
 
 from .bessel import (K_X_MAX, _ROUNDING, _j_evaluator, _k_evaluator,
-                     asymptotic_table, series_safe_x)
+                     series_safe_x)
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError)
 from .special import _GUARD, _eps, ln_gamma
@@ -248,9 +248,9 @@ def mehler_fock_sq(mu, tau, x):
 
 
 def _hankel0_pq(z):
-    # P + iQ at z = 1/w: the table's signs are those of i^n, so P + iQ =
-    # sum_{n<12} a_n (iz)^n, summed by Horner on fixed-point integers
-    wp, coeffs = _hankel0_coeffs(mp.prec)
+    # P + iQ at z = 1/w: sum_{n<12} a_n (iz)^n, summed by Horner on
+    # fixed-point integers
+    wp, coeffs, _ = _hankel0_coeffs(mp.prec)
     ur, ui = to_fixed((-z.imag)._mpf_, wp), to_fixed(z.real._mpf_, wp)
     pr = pi_ = 0
     for c in coeffs:
@@ -261,11 +261,14 @@ def _hankel0_pq(z):
 
 @functools.lru_cache(maxsize=16)
 def _hankel0_coeffs(prec):
-    # _hankel0_pq's a_n at 2^(prec + _GUARD), from n = 11 down to 0
+    # (wp = prec + _GUARD, _hankel0_pq's a_11..a_0 at 2^wp, a_12) of the
+    # large-argument H_0 coefficients a_0 = 1, a_n = -a_{n-1} (2n-1)^2 /
+    # (8n), at prec: a_12 bounds the truncation
+    a = [mpf(1)]
+    for n in range(1, 13):
+        a.append(a[-1] * -(2 * n - 1) ** 2 / (8 * n))
     wp = prec + _GUARD
-    table = asymptotic_table(0)[:12]
-    return wp, [to_fixed((c if n % 4 < 2 else -c)._mpf_, wp)
-                for n, c in reversed(list(enumerate(table)))]
+    return wp, [to_fixed(c._mpf_, wp) for c in reversed(a[:12])], a[12]
 
 
 def product_kernel_quad(tau, x):
@@ -301,7 +304,7 @@ def product_kernel_quad(tau, x):
     tail, err_t, n_t = _product_tail(tau, x, U)
     v = 2 * (head + re(1j * tail))
     # Hankel truncation floor: first omitted asymptotic term at the corner
-    trunc = abs(asymptotic_table(0)[12]) / (2 * x * U) ** 12
+    trunc = abs(_hankel0_coeffs(mp.prec)[2]) / (2 * x * U) ** 12
     return QuadResult(v, 2 * (err_h + err_t) + trunc, n_h + n_t)
 
 

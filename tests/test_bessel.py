@@ -14,9 +14,9 @@ from mpmath.libmp import to_fixed
 
 from indexkernels import (bessel, bounds, config, kernels, quadrature,
                           special)
-from indexkernels.bessel import (_tol_fraction, asymptotic_table, bessel_i,
-                                 bessel_j, bessel_k_real, k_index,
-                                 k_itau_quad, k_itau_series, series_safe_x)
+from indexkernels.bessel import (_tol_fraction, bessel_i, bessel_j,
+                                 bessel_k_real, k_index, k_itau_quad,
+                                 k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
 from indexkernels.quadrature import (_hankel0_pq, mehler_fock_sq,
@@ -177,14 +177,13 @@ class TestCoefficientTables:
         short, long_ = mpf("0.3"), mpf(20)
         assert values([short, long_]) == values([long_, short])[::-1]
 
-    def test_keyed_on_precision(self, config_override):
+    def test_keyed_on_precision(self):
         saved = mp.dps
         try:
             for dps in (40, 60):
                 mp.dps = dps
-                with config_override(rel_tol=10 ** -dps):
-                    vi = bessel_i(mpc("0.5", "2.5"), mpf(3))
-                    vj = bessel_j(mpf("0.7"), mpf(3))
+                vi = bessel_i(mpc("0.5", "2.5"), mpf(3))
+                vj = bessel_j(mpf("0.7"), mpf(3))
             with mpmath.workdps(80):
                 ri = mpmath.besseli(mpc("0.5", "2.5"), 3)
                 rj = mpmath.besselj(mpf("0.7"), 3)
@@ -194,7 +193,7 @@ class TestCoefficientTables:
             mp.dps = saved
 
     def test_memos_bounded(self):
-        for memo in MEMOS + (bessel._asymptotic_memo,
+        for memo in MEMOS + (bessel._settings_memo,
                              quadrature._hankel0_coeffs):
             assert memo.cache_info().maxsize is not None
 
@@ -213,7 +212,7 @@ class TestCoefficientTables:
                             ref = mpmath.besselj(nu, x)
                         assert abs(v - ref) <= err
                 # H_0 sums 12 terms; the 13th bounds the truncation
-                c12 = abs(asymptotic_table(0)[12])
+                c12 = abs(quadrature._hankel0_coeffs(mp.prec)[2])
                 for w in (mpc(19), mpc(21), mpc(25, 2), mpc(40, 10)):
                     h = _hankel0_asym(w)
                     with mpmath.workdps(dps + 20):
@@ -224,10 +223,29 @@ class TestCoefficientTables:
         finally:
             mp.dps = saved
 
+    def test_hankel0_coefficients_bit_identical(self):
+        # the H_0 coefficients as the general-order table built them: the
+        # recurrence at nu = 0, signed (-1)^floor(n/2), the signs undone
+        # for the Horner sum, |a_12| for the truncation bound
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                nu, a = mpf(0), [mpf(1)]
+                for n in range(1, 41):
+                    a.append(a[-1] * (4 * nu ** 2 - (2 * n - 1) ** 2)
+                             / (8 * n))
+                table = [c if n % 4 < 2 else -c for n, c in enumerate(a)]
+                wp = mp.prec + _GUARD
+                old = [to_fixed((c if n % 4 < 2 else -c)._mpf_, wp)
+                       for n, c in reversed(list(enumerate(table[:12])))]
+                quadrature._hankel0_coeffs.cache_clear()
+                new_wp, coeffs, a12 = quadrature._hankel0_coeffs(mp.prec)
+                assert (new_wp, coeffs) == (wp, old), dps
+                assert abs(a12)._mpf_ == abs(table[12])._mpf_, dps
 
-def _i_tol():
-    # the tolerance bessel_i sums to: the config's, or 10^-dps if smaller
-    return min(config.get().rel_tol, 10.0 ** -mp.dps)
+
+def _series_tol():
+    # the tolerance every series sums to
+    return 10.0 ** -mp.dps
 
 
 def _mpc_i_loop(nu, x):
@@ -242,7 +260,7 @@ def _mpc_i_loop(nu, x):
               * mp.sinpi(nu.real) / mpmath.pi)
     else:
         c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
-    q, tol = (x / 2) ** 2, mpf(_i_tol())
+    q, tol = (x / 2) ** 2, mpf(_series_tol())
     t = s = mpc(1)
     total = prev = mpf(1)
     streak = 0
@@ -275,7 +293,7 @@ def _mpf_j_loop(nu, x):
     if x <= 20 + nu ** 2 / 2:
         c0 = (x / 2) ** nu * _inv_gamma(nu)
         cfg = config.get()
-        q, tol = (x / 2) ** 2, mpf(cfg.rel_tol)
+        q, tol = (x / 2) ** 2, mpf(_series_tol())
         floor = mpf(10) ** -mp.dps / c0
         t = s = total = mpf(1)
         for k in range(1, cfg.max_terms + 1):
@@ -307,7 +325,7 @@ def _exact_i_sum(nu, x):
     wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
     a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(_i_tol())
+    tol_n, tol_k = _tol_fraction(_series_tol())
     tr = sr = 1 << wp
     ti = si = 0
     prev = top = tr * tr
@@ -340,7 +358,7 @@ def _exact_j_sum(nu, x):
     a = to_fixed(nu._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
     cfg = config.get()
-    tol_n, tol_k = _tol_fraction(cfg.rel_tol)
+    tol_n, tol_k = _tol_fraction(_series_tol())
     floor = to_fixed((mpf(10) ** -mp.dps / c0)._mpf_, wp)
     t = s = 1 << wp
     for k in range(1, cfg.max_terms + 1):
@@ -373,8 +391,8 @@ def _j_points():
 
 class TestFixedPointSeries:
     """The fixed-point sums of bessel_i and bessel_j, at full precision
-    (bessel_i sums to 10^-dps; bessel_j does under rel_tol = 10^-dps),
-    against mpmath at dps+20 and against the mpf loops they replaced."""
+    (both sum to 10^-dps), against mpmath at dps+20 and against the mpf
+    loops they replaced."""
 
     DPS = (25, 40, 60)
 
@@ -416,7 +434,7 @@ class TestFixedPointSeries:
                     assert abs(v - ref) <= k * ulp * scale, (dps, nu, y)
 
     def test_i_stop_rule(self, config_override):
-        # three consecutive non-increasing terms below rel_tol |sum|: the
+        # three consecutive non-increasing terms below 10^-dps |sum|: the
         # series converges with the reference loop's term count and stalls
         # with one term fewer
         for dps in self.DPS:
@@ -466,12 +484,12 @@ class TestFixedPointSeries:
         assert abs(exc.value.tail_estimate - abs(c0 * t)) <= \
             8 * ulp * abs(c0 * t)
 
-    def test_j_against_mpmath(self, config_override):
+    def test_j_against_mpmath(self):
         # ascending: within a few units in the last place, also next to
         # the switch, where the alternating sum cancels seven digits;
         # asymptotic: within the truncation the estimate reports
         for dps in self.DPS:
-            with mpmath.workdps(dps), config_override(rel_tol=10 ** -dps):
+            with mpmath.workdps(dps):
                 ulp = mpf(2) ** -mp.prec
                 for nu, x in _j_points():
                     v, err = bessel_j(nu, x, with_error=True)
@@ -482,14 +500,30 @@ class TestFixedPointSeries:
                     if x <= 20 + nu ** 2 / 2:
                         assert actual <= 8 * ulp * abs(v), (dps, nu, x)
 
-    def test_ratio_tables_match_exact_division(self, config_override):
+    def test_j_ascending_at_working_precision(self):
+        # under the default config: bessel_j and the quadratures' J
+        # evaluator stop at 10^-dps, as every series does (a tolerance of
+        # 1e-24 left J_0(1) off by 5.0e-28 at dps 40)
+        for dps in self.DPS:
+            with mpmath.workdps(dps):
+                for nu in (mpf(0), mpf("0.7"), mpf(4)):
+                    j = bessel._j_evaluator(nu, False)
+                    for x in (mpf("0.3"), mpf(1), mpf("7.5"),
+                              20 + nu ** 2 / 2 - mpf("0.1")):
+                        with mpmath.workdps(dps + 20):
+                            ref = mpmath.besselj(nu, x)
+                        for v in (bessel_j(nu, x), j(x)):
+                            assert rel(v, ref) <= 10 * mpf(10) ** -dps, \
+                                (dps, nu, x)
+
+    def test_ratio_tables_match_exact_division(self):
         # the stored ratios carry 64 bits beyond wp, so the shift-only
         # loops take the exact-division loops' term counts, and their raw
         # sums differ by at most k units of 2^-wp of the largest term (at
         # large x the growing terms amplify either loop's early floor
         # errors: up to 2.4e12 units at dps 40, tau = 3, x = 39.3)
         for dps in self.DPS:
-            with mpmath.workdps(dps), config_override(rel_tol=10 ** -dps):
+            with mpmath.workdps(dps):
                 for nu, y in _i_points():
                     nu = mpc(nu)
                     if nu.imag == 0 and nu.real == int(nu.real) < 0:
@@ -497,7 +531,7 @@ class TestFixedPointSeries:
                     (er, ei), wp, k, top = _exact_i_sum(nu, y)
                     sr, si, wp2, k2, tail = bessel._i_sum(
                         bessel._i_plan(nu, mp.prec), y,
-                        _tol_fraction(_i_tol()), config.get().max_terms)
+                        _tol_fraction(_series_tol()), config.get().max_terms)
                     assert (wp2, k2, tail) == (wp, k, None), (dps, nu, y)
                     assert max(abs(sr - er), abs(si - ei)) <= \
                         k * max(1, top), (dps, nu, y)
@@ -506,15 +540,15 @@ class TestFixedPointSeries:
                         es, wp, k = _exact_j_sum(nu, x)
                         _, s, _, k2, wp2 = bessel._j_sum(
                             nu, x, bessel._j_plan(nu, mp.prec),
-                            _tol_fraction(config.get().rel_tol),
+                            _tol_fraction(_series_tol()),
                             config.get().max_terms, special._eps())
                         assert (wp2, k2) == (wp, k), (dps, nu, x)
                         assert abs(s - es) <= k, (dps, nu, x)
 
-    def test_j_matches_mpf_loop(self, config_override):
+    def test_j_matches_mpf_loop(self):
         # measured up to 4.2 units of the loop's scale
         for dps in self.DPS:
-            with mpmath.workdps(dps), config_override(rel_tol=10 ** -dps):
+            with mpmath.workdps(dps):
                 ulp = mpf(2) ** -mp.prec
                 for nu, x in _j_points():
                     ref, scale = _mpf_j_loop(nu, x)
@@ -553,9 +587,9 @@ def _tolerance_stop_i_sum(plan, x, tol, max_terms):
 
 
 class TestISeriesLowDps:
-    """At dps 15 and 16 the default tolerance, min(rel_tol, 10^-dps) =
-    1e-24, is below the fixed-point sum's one unit 2^-(prec + 24) (6.6e-24
-    at dps 15); the sum stops once its terms are within a unit of 0."""
+    """At dps 15 and 16 a tolerance of 1e-24, where the sums once stopped,
+    is below the fixed-point sum's one unit 2^-(prec + 24) (6.6e-24 at
+    dps 15); the sum also stops once its terms are within a unit of 0."""
 
     TAUS = (mpf("0.5"), mpf(2), mpf("5.123"), mpf("6.054"))
     XS = (mpf("0.001"), mpf("0.1"), mpf("0.5"), mpf("1.78"))
@@ -570,7 +604,7 @@ class TestISeriesLowDps:
                     for x in self.XS:
                         r = k_itau_series(tau, x)
                         *_, k, tail = bessel._i_sum(
-                            plan, x, _tol_fraction(_i_tol()), 10000)
+                            plan, x, _tol_fraction(_series_tol()), 10000)
                         assert tail is None and k < 60, (dps, tau, x)
                         with mpmath.workdps(40):
                             ref = mpmath.besselk(1j * tau, x).real
@@ -591,7 +625,7 @@ class TestISeriesLowDps:
         # first: sums, term counts and stalls are the tolerance rule's
         for dps in (17, 20, 25, 40):
             with mpmath.workdps(dps):
-                tol = _tol_fraction(_i_tol())
+                tol = _tol_fraction(_series_tol())
                 for tau in self.TAUS + (mpf(12), mpf("15.9")):
                     nu = mpc(0, tau)
                     for x in self.XS + (mpf(5), series_safe_x(tau)):
@@ -813,6 +847,16 @@ class TestCoshTrapezoid:
                         assert exc.rel_error > threshold
                         r = exc
                     assert _within_estimate(r, tau, x), (dps, tau, x)
+
+    def test_k_itau_quad_past_the_series_cap(self, monkeypatch):
+        # the cosine integral takes x > K_X_MAX, which k_index refuses
+        monkeypatch.setattr(bessel, "_kq_cache", {})
+        for dps in (25, 40, 60):
+            with mpmath.workdps(dps):
+                for tau in (mpf(0), mpf(1), mpf(16), mpf(40)):
+                    for x in (mpf(800), mpf(5000)):
+                        r = k_itau_quad(tau, x)
+                        assert _within_estimate(r, tau, x), (dps, tau, x)
 
     def test_nodes_at_the_kl_points(self, monkeypatch):
         # route-crosscheck's kl quadrature points at dps 40, where
@@ -1141,7 +1185,7 @@ def _mpc_i(nu, x):
     else:
         c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
     sr, si, wp, _, tail = bessel._i_sum(
-        bessel._i_plan(nu, mp.prec), x, _tol_fraction(_i_tol()),
+        bessel._i_plan(nu, mp.prec), x, _tol_fraction(_series_tol()),
         config.get().max_terms)
     v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if conj:

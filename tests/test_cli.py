@@ -1,13 +1,15 @@
 """CLI contract: exit codes, CSV schema, determinism."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, workdps
 
 from indexkernels import config
-from indexkernels.cli import build_parser, main, parse_grid
+from indexkernels.cli import EXPANSIONS, build_parser, main, parse_grid
 from indexkernels.errors import DomainError
 
 
@@ -221,6 +223,54 @@ class TestSweepDeterminism:
             b"rel_err_est,flags,error")
 
 
+def _point_entries():
+    # bench/workloads.py's POINT_ENTRIES: per subcommand, the (module,
+    # attribute) pairs that bench/child.py replaces to time each grid point
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.POINT_ENTRIES
+
+
+HOOK_GRID = ["--grid", "tau=5:5:1", "--grid", "x=0.5:0.5:1"]
+
+
+def _counting(fn, key, calls):
+    def counted(*args, **kwargs):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestBenchmarkPointHooks:
+    # the CLI looks each per-point entry up as a module attribute at call
+    # time, so a wrapper set on it sees every point
+    COMMANDS = {
+        "verify": [["verify", "--bound", "kl"] + HOOK_GRID],
+        "sweep": [["sweep", "--kernel", "kl"] + HOOK_GRID],
+        "expand": [["expand", "--kernel", kernel] + HOOK_GRID
+                   for kernel in EXPANSIONS],
+        "fit-constants": [["fit-constants", "--T", "1", "--nx", "2",
+                           "--ntau", "2"]],
+    }
+
+    def test_every_subcommand_covered(self):
+        assert sorted(_point_entries()) == sorted(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_entry_called(self, command, capsys, monkeypatch):
+        argvs = self.COMMANDS[command]
+        ref = [run(argv, capsys)[:2] for argv in argvs]
+        entries, calls = _point_entries()[command], {}
+        for mod_name, attr in entries:
+            module = importlib.import_module("indexkernels." + mod_name)
+            monkeypatch.setattr(module, attr, _counting(
+                getattr(module, attr), (mod_name, attr), calls))
+        assert [run(argv, capsys)[:2] for argv in argvs] == ref
+        assert sorted(calls) == sorted(entries)
+
+
 class TestParserBuiltOnce:
     def test_memoized(self):
         assert build_parser() is build_parser()
@@ -395,8 +445,8 @@ class TestConfigValues:
         ("dps = 0", "dps and max_terms must"),
         ("dps = -3", "dps and max_terms must"),
         ("max_terms = 0", "dps and max_terms must"),
-        ("rel_tol = inf", "rel_tol must"),
-        ("rel_tol = 0", "rel_tol must"),
+        ("precision_loss_threshold = 0", "precision_loss_threshold must"),
+        ("rel_tol = 1e-24", "unknown config key 'rel_tol'"),
         ("bound_slack = -1", "bound_slack must"),
         ("remainder_slack = nan", "remainder_slack must")])
     def test_config_value_out_of_range(self, capsys, tmp_path, monkeypatch,

@@ -199,8 +199,8 @@ class TestExpansionOracles:
             _product_oracle(mpf(8), mpf(1))
 
     def test_product_oracle_sums_to_working_precision(self):
-        # summed only to the config rel_tol of 1e-24, the I factor leaves
-        # the remainder off by 1.9e-32 here
+        # summed only to a tolerance of 1e-24, the I factor left the
+        # remainder off by 1.9e-32 here
         tau, x = mpf(12), mpf(2)
         rem = thm3_main_and_bound(tau, x, mpf(5), mpf(2)).empirical_remainder
         with workdps(90):
@@ -315,7 +315,7 @@ class TestOlevskii:
 
 class TestSeriesKernelDigits:
     """The Gauss-series kernels hold working precision: at dps 40 they
-    held 24 and 25 digits while the series stopped at rel_tol."""
+    held 24 and 25 digits while the series stopped at 1e-24."""
 
     def test_olevskii_and_conical_at_working_precision(self):
         half = mpf(1) / 2

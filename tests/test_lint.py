@@ -1,6 +1,7 @@
 """Source checks that need no linter: every import in the package and
-in the tests is used, every local a function binds is read, and every
-top-level name is used somewhere in the package or re-exported.
+in the tests is used, every local a function binds is read, every
+top-level name is used somewhere in the package or re-exported, and
+every `Config` field is read by the package outside `config.py`.
 
 `__init__.py` is left out: its imports are the public re-exports, and it
 defines no function.
@@ -142,3 +143,34 @@ def test_detects_unused_top_level():
 def test_no_unused_top_level():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert unused_top_level(sources, INIT.read_text()) == []
+
+
+def unread_config_fields(config_source, sources):
+    """The fields of the `Config` class of `config_source` that no source
+    of `sources` loads as an attribute, in order of declaration."""
+    cls = next(node for node in ast.parse(config_source).body
+               if isinstance(node, ast.ClassDef) and node.name == "Config")
+    declared = [node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign)]
+    read = {node.attr for src in sources for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [name for name in declared if name not in read]
+
+
+def test_detects_unread_config_field():
+    config_source = ("class Other:\n    d: int = 0\n"
+                     "class Config:\n    a: int = 1\n    b: float = 2.0\n"
+                     "    c: int = 3\n    def f(self):\n"
+                     "        return self.b\n")
+    sources = ["def g(cfg):\n    cfg.b = 1\n    return cfg.a\n",
+               "import dataclasses\n"
+               "def h(cfg):\n    return dataclasses.replace(cfg, c=0)\n"]
+    assert unread_config_fields(config_source, sources) == ["b", "c"]
+
+
+def test_every_config_field_read():
+    # config.py itself reads every field when it checks the ranges
+    config_path = PACKAGE / "config.py"
+    sources = [p.read_text() for p in MODULES if p != config_path]
+    assert unread_config_fields(config_path.read_text(), sources) == []
