@@ -26,17 +26,19 @@ mp's global precision and, like mpmath itself, assume one thread.
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, sinh, sqrt
 from mpmath.calculus.quadrature import QuadratureRule
 from mpmath.libmp import (fone, from_float, fzero, from_int, from_man_exp,
-                          mpc_conjugate, mpc_div_mpf, mpc_exp, mpc_mul,
-                          mpc_mul_mpf, mpc_neg, mpc_sub, mpf_abs, mpf_add,
-                          mpf_cos_sin, mpf_div, mpf_exp, mpf_gt, mpf_hypot,
-                          mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_sign,
-                          mpf_sin_pi, mpf_sub, round_nearest, to_fixed)
+                          from_rational, mpc_conjugate, mpc_div_mpf, mpc_exp,
+                          mpc_mul, mpc_mul_mpf, mpc_neg, mpc_sub, mpf_abs,
+                          mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_gt,
+                          mpf_hypot, mpf_log, mpf_mul, mpf_neg, mpf_pi,
+                          mpf_sign, mpf_sin_pi, mpf_sub, round_nearest,
+                          to_fixed, to_float)
 
 from . import config
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
@@ -95,14 +97,13 @@ def bessel_i(nu, x):
             return mpc(1)
         if nu.real > 0:
             return mpc(0)
-        raise DomainError("bessel_i at x=0 with Re nu < 0")
+        raise DomainError("bessel_i at x=0 with Re nu <= 0")
 
     conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
     if conj:
         nu = nu.conjugate()
-    cfg = config.get()
-    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, _settings(cfg)[0],
-                                 cfg.max_terms, conj)[0])
+    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x,
+                                 _settings(config.get()), conj)[0])
 
 
 def _i_exponent(plan, x):
@@ -113,10 +114,10 @@ def _i_exponent(plan, x):
     return mpc_sub(mpc_mul_mpf(plan[4], lx, prec, _RND), plan[5], prec, _RND)
 
 
-def _i_series(plan, x, tol, max_terms, conj=False):
+def _i_series(plan, x, st, conj=False):
     # (I_nu(x), conjugated if conj, e) at Im nu >= 0, x > 0 from nu's plan
-    # at mp.prec, as libmp pairs, by the libmp calls of the mpc/mpf
-    # operators that formed c0 = exp(e) and c0 times the sum
+    # and the _settings st at mp.prec, as libmp pairs, by the libmp calls
+    # of the mpc/mpf operators that formed c0 = exp(e) and c0 times the sum
     nu, mag = plan[4], plan[6]
     prec = mp.prec
     e = _i_exponent(plan, x)
@@ -131,7 +132,7 @@ def _i_series(plan, x, tol, max_terms, conj=False):
         # accurate near the removable zeros at integer order
         c0 = mpc_div_mpf(mpc_mul_mpf(mpc_neg(c0, prec, _RND), mpf_sin_pi(
             nu[0], prec, _RND), prec, _RND), mpf_pi(prec, _RND), prec, _RND)
-    sr, si, wp, _, tail = _i_sum(plan, x, tol, max_terms)
+    sr, si, wp, _, tail = _i_sum(plan, x, st)
     v = mpc_mul(c0, (from_man_exp(sr, -wp, prec, _RND),
                      from_man_exp(si, -wp, prec, _RND)), prec, _RND)
     if conj:
@@ -160,37 +161,36 @@ def _i_plan(nu, prec):
             [0], nu._mpc_, lg, mag)
 
 
-def _tol_fraction(tol):
-    # the series tolerance as n / 2^k, exactly, with k >= 0
-    _, n, e, _ = mpf(tol)._mpf_
-    return (n << e, 0) if e >= 0 else (n, -e)
+# What the I, J and K_{i tau} series read of the config and mp.prec: the
+# stop 10^-dps rounded to 53 bits as the exact fraction (n, k) = n / 2^k,
+# eps = 10^-dps, max_terms, and the loss threshold as a libmp value (the
+# float exactly, as an mpf comparison converts it and to_float returns it)
+_Settings = namedtuple("_Settings", "tol eps max_terms loss")
 
 
 def _settings(cfg):
-    # what the I, J and K_{i tau} series need at mp.prec, converted once:
-    # the tolerance 10^-dps (a float) by _tol_fraction, and cfg's loss
-    # threshold as a libmp value (exactly the float, as an mpf comparison
-    # converts it)
-    return _settings_memo(cfg.precision_loss_threshold, mp.prec)
+    return _settings_memo(cfg.max_terms, cfg.precision_loss_threshold,
+                          mp.prec)
 
 
 @functools.lru_cache(maxsize=16)
-def _settings_memo(threshold, prec):
-    return _tol_fraction(10.0 ** (-mp.dps)), from_float(threshold)
+def _settings_memo(max_terms, threshold, prec):
+    _, n, e, _ = from_rational(1, 10 ** mp.dps, 53, _RND)  # e < 0
+    return _Settings((n, -e), _eps(), max_terms, from_float(threshold))
 
 
-def _i_sum(plan, x, tol, max_terms):
+def _i_sum(plan, x, st):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
     wp, a, b, rho = plan[:4]
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = tol
+    tol_n, tol_k = st.tol
     tr = sr = 1 << wp
     ti = si = 0
     prev = tr * tr
     streak = 0
-    for k in range(1, max_terms + 1):
+    for k in range(1, st.max_terms + 1):
         if k == len(rho):
             ka = (k << wp) + a
             d = k * (ka * ka + b * b)
@@ -233,25 +233,25 @@ def bessel_j(nu, x, with_error=False):
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
 
-    cfg = config.get()
-    return _j_point(nu, x, _j_plan(nu, mp.prec), _settings(cfg)[0],
-                    cfg.max_terms, _eps(), with_error)
+    return _j_point(nu, x, _j_plan(nu, mp.prec), _settings(config.get()),
+                    with_error)
 
 
-def _j_point(nu, x, plan, tol, max_terms, eps, with_error):
-    # bessel_j past its checks, from nu's plan at mp.prec: the per-point
-    # work of bessel_j and _j_evaluator
+def _j_point(nu, x, plan, st, with_error):
+    # bessel_j past its checks, from nu's plan and the _settings st at
+    # mp.prec: the per-point work of bessel_j and _j_evaluator
     if x <= plan[0]:
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        c0, s, t, k, wp = _j_sum(nu, x, plan, tol, max_terms, eps)
+        c0, s, t, k, wp = _j_sum(nu, x, plan, st)
         v = c0 * mpf((s, -wp))
         if not with_error:
             return v
         # each shift leaves a unit of 2^-wp, and the propagated ones
         # cancel along the alternating tail
-        return v, (c0 * mpf((abs(t) + 4 * k, -wp)) + _ROUNDING * eps * abs(v))
+        return v, (c0 * mpf((abs(t) + 4 * k, -wp))
+                   + _ROUNDING * st.eps * abs(v))
 
     # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum,
     # t_n = t_{n-1} (4 nu^2 - (2n-1)^2) / (8 n x) scaled by 2^wp
@@ -279,7 +279,7 @@ def _j_point(nu, x, plan, tol, max_terms, eps, with_error):
     # truncation plus rounding, dominated by the phase omega, whose
     # absolute error grows like eps * x
     return v, amp * (mpf((mag, -wp))
-                     + _ROUNDING * eps * (1 + x) * mpf((total, -wp)))
+                     + _ROUNDING * st.eps * (1 + x) * mpf((total, -wp)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -294,7 +294,7 @@ def _j_plan(nu, prec):
             +inv_gamma, [0])
 
 
-def _j_sum(nu, x, plan, tol, max_terms, eps):
+def _j_sum(nu, x, plan, st):
     # J_nu(x) = c0 sum_k t_k, t_k = -t_{k-1} (x/2)^2 / (k (k + nu)), at
     # 2^wp: (c0, sum, last term, terms past t_0, wp), or a raise if the
     # terms run out
@@ -302,10 +302,10 @@ def _j_sum(nu, x, plan, tol, max_terms, eps):
     sh = 2 * wp + _RATIO_BITS
     c0 = (x / 2) ** nu * inv_gamma
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = tol
-    floor = to_fixed((eps / c0)._mpf_, wp)
+    tol_n, tol_k = st.tol
+    floor = to_fixed((st.eps / c0)._mpf_, wp)
     t = s = 1 << wp
-    for k in range(1, max_terms + 1):
+    for k in range(1, st.max_terms + 1):
         if k == len(rho):
             rho.append((1 << sh) // (k * ((k << wp) + a)))
         t = -t * rho[k] * q >> sh
@@ -313,7 +313,7 @@ def _j_sum(nu, x, plan, tol, max_terms, eps):
         if abs(t) << tol_k < tol_n * max(abs(s), floor):
             return c0, s, t, k, wp
     raise NonconvergenceError(
-        "bessel_j series did not converge in %d terms" % max_terms,
+        "bessel_j series did not converge in %d terms" % st.max_terms,
         partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
 
 
@@ -413,7 +413,7 @@ def k_itau_quad(tau, x):
         res = KernelValue(value=v, rel_error=rel,
                           cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
         _cache_put(_kq_cache, key, res)
-    return _checked(res, "k_itau_quad", tau, _settings(config.get())[1])
+    return _checked(res, "k_itau_quad", tau, _settings(config.get()).loss)
 
 
 def k_itau_series(tau, x, i_tau=None):
@@ -431,23 +431,22 @@ def k_itau_series(tau, x, i_tau=None):
     threshold.  x > 700 raises OverflowGuardError."""
     tau, x = mpf(tau), mpf(x)
     # the key holds what the sum and the choice of a guarded sum read
-    cfg = config.get()
-    tol, loss = _settings(cfg)
-    key = (tau._mpf_, x._mpf_, mp.prec, cfg.max_terms, loss)
+    st = _settings(config.get())
+    key = (tau._mpf_, x._mpf_, mp.prec, st.max_terms, st.loss)
     res = _ks_cache.get(key)
     if res is None:
         res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau, None,
-                       tol, cfg, _eps(), loss, _PLAIN_DIGITS)
+                       st, _PLAIN_DIGITS)
         _cache_put(_ks_cache, key, res)
-    return _checked(res, "k_itau_series", tau, loss)
+    return _checked(res, "k_itau_series", tau, st.loss)
 
 
-def _k_point(x, i_tau, tau, kp, tol, cfg, eps, loss, digits):
-    # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None): the
-    # series (i_tau: a libmp pair, or None) where _loss_bits keeps to
-    # min(digits, dps - 10) digits and the estimate to loss, else summed
-    # with guard bits, rounded back (eps more on the estimate).  x, tau > 0
-    # finite: sign 0, a mantissa; x <= _K_X_MAX, the guard grows like 2.9 x
+def _k_point(x, i_tau, tau, kp, st, digits):
+    # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None) and
+    # _settings st: the series (i_tau: a libmp pair, or None) where _loss_bits
+    # keeps to min(digits, dps - 10) digits and the estimate to st.loss, else
+    # summed with guard bits, rounded back (eps more on the estimate).  x,
+    # tau > 0 finite: sign 0, a mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
     if x._mpf_[0] or not x._mpf_[1] or tau._mpf_[0] or not tau._mpf_[1]:
         raise DomainError("k_itau_series requires finite x > 0, tau > 0")
     if mpf_gt(x._mpf_, _K_X_MAX):
@@ -455,18 +454,18 @@ def _k_point(x, i_tau, tau, kp, tol, cfg, eps, loss, digits):
     kp = kp or _k_plan(tau, mp.prec)
     bits = _loss_bits(kp, x)
     if bits <= min(digits, mp.dps - 10) * _LOG2_10:
-        i_tau, e = (_i_series(kp[0], x, tol, cfg.max_terms) if i_tau is None
+        i_tau, e = (_i_series(kp[0], x, st) if i_tau is None
                     else (i_tau, _i_exponent(kp[0], x)))
-        res = _k_series(i_tau, e, kp, eps)
-        if not mpf_gt(res.rel_error._mpf_, loss):
+        res = _k_series(i_tau, e, kp, st.eps)
+        if not mpf_gt(res.rel_error._mpf_, st.loss):
             return res
     # 10 bits over the a-priori loss, in steps of 32 so that nearby x
     # share plans
     with workprec(mp.prec + 32 * (int(bits + 10) // 32 + 1)):
         kp = _k_plan(tau, mp.prec)
-        res = _k_series(*_i_series(kp[0], x, _settings(cfg)[0],
-                                   cfg.max_terms), kp, _eps())
-    return KernelValue(+res.value, res.rel_error + eps, res.cancellation)
+        up = _settings_memo(st.max_terms, to_float(st.loss), mp.prec)
+        res = _k_series(*_i_series(kp[0], x, up), kp, up.eps)
+    return KernelValue(+res.value, res.rel_error + st.eps, res.cancellation)
 
 
 def _loss_bits(kp, x):
@@ -547,29 +546,23 @@ def k_index(index, x, i_tau=None):
 # except that a K node takes guard bits only where it would keep fewer
 # than 10 digits, not where it would lose _PLAIN_DIGITS: the tails run to
 # series_safe_x, and a guard costs 1.5-2 sums per node.
-# The config is read when one is made, the order's plans, tolerance and
-# 10^-dps once per precision, on the first node (quad runs 20 bits up).
-# At index 0, and at an order the public function refuses, it is called.
+# The config is read when one is made, the order's plans and _settings
+# once per precision, on the first node (quad runs 20 bits up).  At index
+# 0, and at an order the public function refuses, it is called.
 
 def _k_evaluator(index):
     if not (index and isfinite(index)):
         return lambda y: k_index(index, y)
-    cfg, plans, last = config.get(), {}, [None, None]
+    cfg, plans = config.get(), {}
 
     def k(y):
         y, prec = mpf(y), mp.prec
-        if last[0] == (y, prec):  # a repeated argument: the last value
-            return last[1]
         if prec not in plans:
             tau = abs(mpf(index))
-            tol, loss = _settings(cfg)
-            plans[prec] = (tau, _k_plan(tau, prec), tol, cfg, _eps(), loss,
-                           math.inf)
-        st = plans[prec]
-        v = _checked(_k_point(y, None, *st), "k_itau_series", st[0],
-                     st[-2]).value
-        last[:] = (y, prec), v
-        return v
+            plans[prec] = tau, _k_plan(tau, prec), _settings(cfg)
+        tau, kp, st = plans[prec]
+        return _checked(_k_point(y, None, tau, kp, st, math.inf),
+                        "k_itau_series", tau, st.loss).value
     return k
 
 
@@ -582,7 +575,7 @@ def _j_evaluator(nu, with_error):
         y, prec = mpf(y), mp.prec
         if prec not in plans:
             n = mpf(nu)
-            plans[prec] = (n, _j_plan(n, prec), _settings(cfg)[0], _eps())
-        n, plan, tol, eps = plans[prec]
-        return _j_point(n, y, plan, tol, cfg.max_terms, eps, with_error)
+            plans[prec] = n, _j_plan(n, prec), _settings(cfg)
+        n, plan, st = plans[prec]
+        return _j_point(n, y, plan, st, with_error)
     return j

@@ -3,6 +3,7 @@ matching predicate evaluators, and the grid fit of the two Lebedev-type
 envelope constants for K_{i tau}."""
 
 from dataclasses import dataclass
+from operator import mul, truediv
 
 from mpmath import mpc, mpf, workdps
 from mpmath import exp, log, pi, sinh, sqrt, tan
@@ -14,8 +15,17 @@ from .kernels import (conical_p, olevskii_direct, product_kernel_direct,
                       whittaker_direct)
 from .special import binet_r, hyp1f1, ln_gamma
 
-BOUND_IDS = ("kl", "mehler-fock", "product", "whittaker", "olevskii",
-             "kummer", "binet")
+# each bound's point: the names evaluate_bound takes
+BOUND_PARAMS = {
+    "kl": ("n", "tau", "x"),
+    "mehler-fock": ("n", "mu", "tau", "x"),
+    "product": ("tau", "x"),
+    "whittaker": ("n", "mu", "tau", "x"),
+    "olevskii": ("mu", "nu", "tau", "x"),
+    "kummer": ("rho", "tau", "x"),
+    "binet": ("z",),
+}
+BOUND_IDS = tuple(BOUND_PARAMS)
 
 # the fit grid of fit_lebedev_constants: x from FIT_X_FLOOR, tau over
 # [FIT_TAU_LO, FIT_TAU_HI], at FIT_DPS digits
@@ -152,38 +162,40 @@ def bound_binet_rhs(z):
     return exp(1 / (6 * az)) - 1
 
 
-def evaluate_bound(bound_id, n=None, mu=None, nu=None, rho=None,
-                   tau=None, x=None, z=None):
-    """Evaluate one inequality instance: compute the LHS by the cheapest
-    trusted route, the RHS by its closed form, and report the margin."""
-    point = {k: v for k, v in dict(n=n, mu=mu, nu=nu, rho=rho, tau=tau,
-                                   x=x, z=z).items() if v is not None}
+def evaluate_bound(bound_id, **point):
+    """Evaluate one inequality instance at a point that holds exactly the
+    names BOUND_PARAMS[bound_id]: the RHS by its closed form first (it
+    refuses a point outside the bound's domain), then the LHS by the
+    cheapest trusted route, and report the margin."""
+    names = BOUND_PARAMS.get(bound_id)
+    if names is None:
+        raise DomainError("unknown bound id %r" % (bound_id,))
+    if sorted(point) != sorted(names):
+        raise DomainError("bound %s takes the point %s" % (bound_id, names))
+    n, mu, nu, rho, tau, x, z = map(point.get, "n mu nu rho tau x z".split())
     if bound_id == "kl":
-        lhs = abs(k_index(mpf(tau), mpf(x)))
         rhs = bound_kl_rhs(n, tau, x)
+        lhs = abs(k_index(mpf(tau), mpf(x)))
     elif bound_id == "mehler-fock":
-        z_arg = sqrt(1 + 4 * mpf(x) ** 2)
-        lhs = abs(conical_p(mu, tau, z_arg))
         rhs = bound_mehler_fock_rhs(n, mu, tau, x)
+        lhs = abs(conical_p(mu, tau, sqrt(1 + 4 * mpf(x) ** 2)))
     elif bound_id == "product":
-        lhs = abs(product_kernel_direct(mpf(tau), mpf(x)))
         rhs = bound_product_rhs(x)
+        lhs = abs(product_kernel_direct(mpf(tau), mpf(x)))
     elif bound_id == "whittaker":
+        rhs = bound_whittaker_rhs(n, mu, tau, x)
         # LHS is W_{-mu, i tau}(2x), i.e. rho = -mu at argument 2x
         lhs = abs(whittaker_direct(-mpf(mu), mpf(tau), 2 * mpf(x), "f11"))
-        rhs = bound_whittaker_rhs(n, mu, tau, x)
     elif bound_id == "olevskii":
-        lhs = abs(olevskii_direct(mu, nu, tau, x))
         rhs = bound_olevskii_rhs(mu, nu, tau, x)
+        lhs = abs(olevskii_direct(mu, nu, tau, x))
     elif bound_id == "kummer":
+        rhs = bound_kummer_rhs(rho, tau, x)
         lhs = abs(hyp1f1(mpf(1) / 2 + mpf(rho) + 1j * mpf(tau),
                          1 + 2j * mpf(tau), -mpf(x)))
-        rhs = bound_kummer_rhs(rho, tau, x)
-    elif bound_id == "binet":
-        lhs = abs(binet_r(z))
-        rhs = bound_binet_rhs(z)
     else:
-        raise DomainError("unknown bound id %r" % (bound_id,))
+        rhs = bound_binet_rhs(z)
+        lhs = abs(binet_r(z))
     margin = rhs - lhs
     holds = lhs <= rhs * (1 + mpf(config.get().bound_slack))
     return BoundReport(bound_id, point, lhs, rhs, margin, bool(holds))
@@ -220,22 +232,18 @@ def fit_lebedev_constants(T=1, nx=50, ntau=50, x_cap=20):
         raise DomainError("T must be positive")
     if nx < 2 or ntau < 2:
         raise DomainError("the fit grid needs nx >= 2 and ntau >= 2")
+    fits = []
     with workdps(FIT_DPS):
         taus = _lin_grid(FIT_TAU_LO, FIT_TAU_HI, ntau)
         root_sinh = [sqrt(sinh(pi * tau)) for tau in taus]
         quarter = mpf("0.25")
-        A = mpf(0)
-        argA = None
-        for x in _geom_grid(FIT_X_FLOOR, T, nx):
-            for tau, w in zip(taus, root_sinh):
-                v = abs(k_index(tau, x)) * (tau * x) ** quarter * w
-                if v > A:
-                    A, argA = v, (tau, x)
-        B = mpf(0)
-        argB = None
-        for x in _geom_grid(T, x_cap, nx):
-            for tau, w in zip(taus, root_sinh):
-                v = abs(k_index(tau, x)) * (tau / x) ** quarter * w
-                if v > B:
-                    B, argB = v, (tau, x)
-    return A, argA, B, argB
+        # A weighs by (tau x)^{1/4} below T, B by (tau / x)^{1/4} above
+        for lo, hi, ratio in ((FIT_X_FLOOR, T, mul), (T, x_cap, truediv)):
+            top, arg = mpf(0), None
+            for x in _geom_grid(lo, hi, nx):
+                for tau, w in zip(taus, root_sinh):
+                    v = abs(k_index(tau, x)) * ratio(tau, x) ** quarter * w
+                    if v > top:
+                        top, arg = v, (tau, x)
+            fits += [top, arg]
+    return tuple(fits)

@@ -103,10 +103,7 @@ def cmd_eval(args):
     point = kernels.KernelPoint(kernel=args.kernel, x=args.x, tau=args.tau,
                                 mu=args.mu, nu=args.nu, rho=args.rho)
     res = kernels.eval(point, args.route)
-    val = mpc(res.value)
-    print("value_re =", nstr(val.real, 17))
-    if val.imag != 0:
-        print("value_im =", nstr(val.imag, 17))
+    print("value_re =", nstr(mpf(res.value), 17))
     print("route =", res.route)
     print("rel_error_estimate =", nstr(mpf(res.rel_error_estimate), 3))
     print("cancellation =", res.cancellation_flag)
@@ -149,21 +146,11 @@ def cmd_verify(args):
         axes = _grids(args, "tau=0.5:10:0.5",
                       "x=0.1:0.9:0.1" if bid == "kummer" else "x=0.1:2:0.1")
         kw = {}
-        if bid in ("kl", "mehler-fock", "whittaker"):
-            kw["n"] = args.n
-        if bid in ("mehler-fock", "whittaker"):
-            if args.mu is None:
-                raise DomainError("bound %r requires --mu" % (bid,))
-            kw["mu"] = mpf(args.mu)
-        if bid == "olevskii":
-            if args.mu is None or args.nu is None:
-                raise DomainError("bound olevskii requires --mu and --nu")
-            kw["mu"] = mpf(args.mu)
-            kw["nu"] = mpf(args.nu)
-            if not (0 < kw["mu"] < 1):
-                raise DomainError("bound olevskii requires 0 < mu < 1")
-        if bid == "kummer":
-            kw["rho"] = mpf(args.rho)
+        for name in bounds.BOUND_PARAMS[bid][:-2]:  # tau and x are axes
+            value = getattr(args, name)
+            if value is None:
+                raise DomainError("bound %r requires --%s" % (bid, name))
+            kw[name] = value if name == "n" else mpf(value)
         points = [dict(tau=tau, x=x, **kw) for tau in axes["tau"]
                   for x in axes["x"]]
     worst = []

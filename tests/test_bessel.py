@@ -14,9 +14,8 @@ from mpmath.libmp import to_fixed
 
 from indexkernels import (bessel, bounds, config, kernels, quadrature,
                           special)
-from indexkernels.bessel import (_tol_fraction, bessel_i, bessel_j,
-                                 bessel_k_real, k_index, k_itau_quad,
-                                 k_itau_series, series_safe_x)
+from indexkernels.bessel import (bessel_i, bessel_j, bessel_k_real, k_index,
+                                 k_itau_quad, k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
 from indexkernels.quadrature import (_hankel0_pq, mehler_fock_sq,
@@ -78,6 +77,17 @@ class TestBesselI:
         assert seen == [mpc("1.5", "2.5")]
         assert v == bessel_i(mpc("0.5", "2.5"), mpf(3)).conjugate()
 
+    def test_at_zero(self):
+        # I_0(0) = 1, and 0 at Re nu > 0; I_{-2} is I_2
+        assert bessel_i(0, mpf(0)) == 1
+        assert bessel_i(1, mpf(0)) == 0
+        assert bessel_i(-2, mpf(0)) == 0
+
+    @pytest.mark.parametrize("nu", [1j, mpf("-0.5")])
+    def test_at_zero_refuses_re_nu_not_positive(self, nu):
+        with pytest.raises(DomainError, match="Re nu <= 0"):
+            bessel_i(nu, mpf(0))
+
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10),
            st.floats(min_value=-3, max_value=3))
@@ -88,9 +98,10 @@ class TestBesselI:
 
 
 class TestNonFiniteInput:
-    # the fixed-point sums would read a non-finite input as 0
+    # the fixed-point sums would read a non-finite input as 0; an argument
+    # below the domain is refused as well
     @pytest.mark.parametrize("nu, x", [(1, "nan"), (1, "inf"),
-                                       ("nan", 1), ("inf", 1)])
+                                       ("nan", 1), ("inf", 1), (1, -1)])
     def test_bessel_j_raises(self, nu, x):
         with pytest.raises(DomainError):
             bessel_j(mpf(nu), mpf(x))
@@ -111,6 +122,12 @@ class TestNonFiniteInput:
         if mpf(tau) == 1:
             with pytest.raises(DomainError, match="k_itau_series"):
                 bessel._k_evaluator(mpf(1))(mpf(x))
+
+    @pytest.mark.parametrize("route", [k_itau_quad, bessel_k_real])
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_cosh_integral_routes_raise(self, route, x):
+        with pytest.raises(DomainError, match="requires x > 0"):
+            route(mpf(1), mpf(x))
 
 
 class TestBesselJ:
@@ -325,7 +342,7 @@ def _exact_i_sum(nu, x):
     wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
     a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = _tol_fraction(_series_tol())
+    tol_n, tol_k = bessel._settings(config.get()).tol
     tr = sr = 1 << wp
     ti = si = 0
     prev = top = tr * tr
@@ -358,7 +375,7 @@ def _exact_j_sum(nu, x):
     a = to_fixed(nu._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
     cfg = config.get()
-    tol_n, tol_k = _tol_fraction(_series_tol())
+    tol_n, tol_k = bessel._settings(cfg).tol
     floor = to_fixed((mpf(10) ** -mp.dps / c0)._mpf_, wp)
     t = s = 1 << wp
     for k in range(1, cfg.max_terms + 1):
@@ -516,6 +533,18 @@ class TestFixedPointSeries:
                             assert rel(v, ref) <= 10 * mpf(10) ** -dps, \
                                 (dps, nu, x)
 
+    @pytest.mark.parametrize("dps", [324, 330])
+    def test_j_past_the_float_range(self, dps):
+        # 10^-dps is 0.0 as a float from dps 324 on: a stop built from it
+        # never fired, and J_0(1) raised after max_terms terms
+        with mpmath.workdps(dps):
+            for nu, x in ((mpf(0), mpf(1)), (mpf("0.7"), mpf(15))):
+                j = bessel._j_evaluator(nu, False)
+                with mpmath.workdps(dps + 20):
+                    ref = mpmath.besselj(nu, x)
+                for v in (bessel_j(nu, x), j(x)):
+                    assert rel(v, ref) <= 10 * mpf(10) ** -dps, (dps, nu, x)
+
     def test_ratio_tables_match_exact_division(self):
         # the stored ratios carry 64 bits beyond wp, so the shift-only
         # loops take the exact-division loops' term counts, and their raw
@@ -531,7 +560,7 @@ class TestFixedPointSeries:
                     (er, ei), wp, k, top = _exact_i_sum(nu, y)
                     sr, si, wp2, k2, tail = bessel._i_sum(
                         bessel._i_plan(nu, mp.prec), y,
-                        _tol_fraction(_series_tol()), config.get().max_terms)
+                        bessel._settings(config.get()))
                     assert (wp2, k2, tail) == (wp, k, None), (dps, nu, y)
                     assert max(abs(sr - er), abs(si - ei)) <= \
                         k * max(1, top), (dps, nu, y)
@@ -540,8 +569,7 @@ class TestFixedPointSeries:
                         es, wp, k = _exact_j_sum(nu, x)
                         _, s, _, k2, wp2 = bessel._j_sum(
                             nu, x, bessel._j_plan(nu, mp.prec),
-                            _tol_fraction(_series_tol()),
-                            config.get().max_terms, special._eps())
+                            bessel._settings(config.get()))
                         assert (wp2, k2) == (wp, k), (dps, nu, x)
                         assert abs(s - es) <= k, (dps, nu, x)
 
@@ -604,7 +632,7 @@ class TestISeriesLowDps:
                     for x in self.XS:
                         r = k_itau_series(tau, x)
                         *_, k, tail = bessel._i_sum(
-                            plan, x, _tol_fraction(_series_tol()), 10000)
+                            plan, x, bessel._settings(config.Config()))
                         assert tail is None and k < 60, (dps, tau, x)
                         with mpmath.workdps(40):
                             ref = mpmath.besselk(1j * tau, x).real
@@ -625,15 +653,16 @@ class TestISeriesLowDps:
         # first: sums, term counts and stalls are the tolerance rule's
         for dps in (17, 20, 25, 40):
             with mpmath.workdps(dps):
-                tol = _tol_fraction(_series_tol())
                 for tau in self.TAUS + (mpf(12), mpf("15.9")):
                     nu = mpc(0, tau)
                     for x in self.XS + (mpf(5), series_safe_x(tau)):
                         plan = bessel._i_plan(nu, mp.prec)
                         for max_terms in (3, 10000):
-                            assert bessel._i_sum(plan, x, tol, max_terms) \
+                            st = bessel._settings(
+                                config.Config(max_terms=max_terms))
+                            assert bessel._i_sum(plan, x, st) \
                                 == _tolerance_stop_i_sum(
-                                    plan, x, tol, max_terms), (dps, tau, x)
+                                    plan, x, st.tol, max_terms), (dps, tau, x)
 
 
 class TestBesselKReal:
@@ -1110,8 +1139,8 @@ class TestIntegrandEvaluators:
     @pytest.mark.parametrize("dps", [25, 40, 60])
     def test_k_matches_k_index(self, dps):
         # orders exact and inexact in binary, arguments on both sides of
-        # series_safe_x, the first one twice in a row (the one-entry
-        # memo), then the evaluator at the caller's precision
+        # series_safe_x, the first one twice in a row, then the evaluator
+        # at the caller's precision
         with mpmath.workdps(dps):
             for tau in map(mpf, ("6", "6.054", "1.5", "0.5", "12", "15.9")):
                 k = bessel._k_evaluator(tau)
@@ -1185,8 +1214,7 @@ def _mpc_i(nu, x):
     else:
         c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
     sr, si, wp, _, tail = bessel._i_sum(
-        bessel._i_plan(nu, mp.prec), x, _tol_fraction(_series_tol()),
-        config.get().max_terms)
+        bessel._i_plan(nu, mp.prec), x, bessel._settings(config.get()))
     v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if conj:
         v = v.conjugate()

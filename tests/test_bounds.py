@@ -72,6 +72,25 @@ class TestEvaluate:
             evaluate_bound("olevskii", mu=mpf("1.2"), nu=mpf("0.2"),
                            tau=mpf(1), x=mpf(1))
 
+    @pytest.mark.parametrize("bound_id, point", [
+        ("mehler-fock", dict(n=1, tau=mpf(1), x=mpf(1))),  # no mu
+        ("kl", dict(n=1, mu=mpf(1), tau=mpf(1), x=mpf(1))),
+        ("product", dict(x=mpf(1))),
+        ("binet", {})])
+    def test_point_holds_exactly_the_bound_names(self, bound_id, point):
+        # a missing name was read as None ("cannot create mpf from None")
+        with pytest.raises(DomainError, match="takes"):
+            evaluate_bound(bound_id, **point)
+
+    def test_rhs_refuses_before_the_lhs_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "olevskii_direct",
+                            lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="0 < mu < 1"):
+            evaluate_bound("olevskii", mu=mpf("1.2"), nu=mpf("0.2"),
+                           tau=mpf(1), x=mpf(1))
+        assert calls == []
+
     def test_margin_sign_convention(self):
         rep = evaluate_bound("kl", n=1, tau=mpf(1), x=mpf(1))
         assert rep.lhs > 0 and rep.rhs > rep.lhs
@@ -127,3 +146,4 @@ class TestFit:
     def test_ids_registry(self):
         assert set(BOUND_IDS) == {"kl", "mehler-fock", "product",
                                   "whittaker", "olevskii", "kummer", "binet"}
+        assert BOUND_IDS == tuple(bounds.BOUND_PARAMS)

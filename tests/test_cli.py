@@ -1,6 +1,7 @@
 """CLI contract: exit codes, CSV schema, determinism."""
 
 import importlib.util
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,20 @@ class TestVerify:
                           "--grid", "tau=1:1:1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--bound", "mehler-fock"], "--mu"),
+        (["--bound", "whittaker", "--mu", "0.5"], None),
+        (["--bound", "olevskii", "--mu", "0.5"], "--nu")])
+    def test_bound_flags(self, capsys, argv, flag):
+        code, out, err = run(["verify"] + argv + ["--grid", "tau=1:1:1",
+                                                  "--grid", "x=1:1:1"],
+                             capsys)
+        if flag is None:
+            assert code == 0
+        else:
+            assert (code, out) == (2, "")
+            assert "requires %s" % flag in err
+
     def test_domain_guard(self, capsys):
         code, _, _ = run(["verify", "--bound", "olevskii", "--mu", "1.2",
                           "--nu", "0.2", "--grid", "tau=1:1:1",
@@ -204,6 +219,16 @@ class TestCrossover:
         assert code == 1
         assert "no crossover" in err
 
+    def test_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        # a point that fails voids the search: exit 3 and no tau_star
+        cfg = tmp_path / "index-kernels.cfg"
+        cfg.write_text("max_terms = 3\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
+        code, out, err = run(["crossover", "--kernel", "kl", "--x", "1",
+                              "--grid", "tau=2:6:1"], capsys)
+        assert (code, out) == (3, "")
+        assert "numerical failure at tau=2.0: bessel_i series stalled" in err
+
 
 class TestSweepDeterminism:
     def test_byte_identical(self, tmp_path, src_env):
@@ -223,14 +248,19 @@ class TestSweepDeterminism:
             b"rel_err_est,flags,error")
 
 
+def _bench_module(name):
+    # bench/<name>.py, loaded by path: bench/ is not a package
+    path = Path(__file__).resolve().parents[1] / "bench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _point_entries():
     # bench/workloads.py's POINT_ENTRIES: per subcommand, the (module,
     # attribute) pairs that bench/child.py replaces to time each grid point
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.POINT_ENTRIES
+    return _bench_module("workloads").POINT_ENTRIES
 
 
 HOOK_GRID = ["--grid", "tau=5:5:1", "--grid", "x=0.5:0.5:1"]
@@ -269,6 +299,26 @@ class TestBenchmarkPointHooks:
                 getattr(module, attr), (mod_name, attr), calls))
         assert [run(argv, capsys)[:2] for argv in argvs] == ref
         assert sorted(calls) == sorted(entries)
+
+
+class TestBenchmarkOracle:
+    # the benchmark's correctness gate on a tiny pass of each workload, in
+    # this process: every command exits 0 and bench/oracle.py finds no
+    # wrong row.  A mehler-fock quadrature value at |P| counts as wrong
+    # here, where bench/run.py forgives it as a known defect
+    @pytest.mark.parametrize("name", _bench_module("workloads").NAMES)
+    def test_tiny_pass_correct(self, name, capsys, monkeypatch):
+        monkeypatch.delenv("INDEX_KERNELS_CFG", raising=False)
+        workloads, oracle = _bench_module("workloads"), _bench_module("oracle")
+        outputs = []
+        for argv in workloads.commands(name, 0, tiny=True):
+            code, out, _ = run(list(argv), capsys)
+            assert code == 0, argv
+            outputs.append({"argv": argv, "csv": out})
+        checked, wrong, _ = oracle.check(
+            outputs, config.Config().dps,
+            random.Random("oracle:%s:0" % name), None)
+        assert checked > 0 and wrong == 0, (name, checked, wrong)
 
 
 class TestParserBuiltOnce:

@@ -246,6 +246,10 @@ class TestWhittaker:
         rep = thm4_main_and_bound(rho, tau, x, mpf(5), mpf("0.5"))
         assert mpmath.isfinite(rep.empirical_remainder)
 
+    def test_unknown_route(self):
+        with pytest.raises(DomainError, match="unknown whittaker route"):
+            whittaker_direct(mpf("0.3"), mpf(2), mpf("0.5"), "f12")
+
     def test_series218_raises_when_terms_run_out(self, config_override):
         # terms running out is an error, as in every other series, not a
         # truncated value

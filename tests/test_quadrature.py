@@ -12,7 +12,8 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from indexkernels import bessel, quadrature
 from indexkernels.bessel import bessel_k_real, k_itau_quad
-from indexkernels.errors import NonconvergenceError, OverflowGuardError
+from indexkernels.errors import (DomainError, NonconvergenceError,
+                                 OverflowGuardError)
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
                                      _GaussLegendre, _head_vs_k, _j_coeffs,
                                      _product_tail, _square_coeffs, _tail_ray,
@@ -98,6 +99,11 @@ class TestMehlerFockSq:
     def test_positive(self):
         assert mehler_fock_sq(mpf("0.3"), mpf(1), mpf(1)) > 0
 
+    @pytest.mark.parametrize("mu", ["-0.5", "-1"])
+    def test_refuses_mu_at_or_below_minus_half(self, mu):
+        with pytest.raises(DomainError, match="mu > -1/2"):
+            mehler_fock_sq(mpf(mu), mpf(1), mpf(1))
+
 
 class TestWhittakerQuad:
     def test_against_oracle(self):
@@ -156,6 +162,15 @@ class TestOlevskiiQuad:
         with pytest.raises(NonconvergenceError):
             olevskii_quad(mpf("1.3"), mpf("0.2"), mpf(1),
                           mpf(OLEVSKII_QUAD_X_CAP) + 5)
+
+    @pytest.mark.parametrize("mu, nu, tau, x, message", [
+        ("0.2", "-0.3", "1", "0.5", r"mu \+ nu > 0"),
+        ("1.5", "0.2", "1", "0.5", "0 < mu < 3/2"),
+        ("0.5", "0.2", "0", "0.5", "tau > 0, x > 0"),
+        ("0.5", "0.2", "1", "-1", "tau > 0, x > 0")])
+    def test_domain_refused(self, mu, nu, tau, x, message):
+        with pytest.raises(DomainError, match=message):
+            olevskii_quad(*map(mpf, (mu, nu, tau, x)))
 
 
 def _two_series_head(mu, a, coeffs, order):
