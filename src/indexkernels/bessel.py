@@ -20,13 +20,13 @@ bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
 orders give exactly conjugate values.  The I prefactor and the K_{i tau}
 assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
 operators on raw tuples, so the values are the operators' bit for bit.
-The memos (I and J plans, K constants, series settings) share
-mp's global precision and, like mpmath itself, assume one thread.
+The series read mp.prec alone: the plans carry the stop and eps.  The
+memos (I and J plans, K constants) share mp's global precision and, like
+mpmath itself, assume one thread.
 """
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
@@ -38,14 +38,17 @@ from mpmath.libmp import (fone, from_float, fzero, from_int, from_man_exp,
                           mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_gt,
                           mpf_hypot, mpf_log, mpf_mul, mpf_neg, mpf_pi,
                           mpf_sign, mpf_sin_pi, mpf_sub, round_nearest,
-                          to_fixed, to_float)
+                          to_fixed)
 
-from . import config
+from . import special
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
                      PrecisionLossError)
 from .special import _GUARD, _eps, ln_gamma
 
 _CANC_FLAG = mpf(10 ** 6)
+# the relative-error estimate above which the K_{i tau} routes raise
+# PrecisionLossError, as a libmp value (the float 1e-6 exactly)
+_LOSS = from_float(1e-6)
 _NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
 _TWO = from_int(2)
 _RND = round_nearest  # the rounding of mp's operators
@@ -102,8 +105,7 @@ def bessel_i(nu, x):
     conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
     if conj:
         nu = nu.conjugate()
-    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x,
-                                 _settings(config.get()), conj)[0])
+    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, conj)[0])
 
 
 def _i_exponent(plan, x):
@@ -114,10 +116,10 @@ def _i_exponent(plan, x):
     return mpc_sub(mpc_mul_mpf(plan[4], lx, prec, _RND), plan[5], prec, _RND)
 
 
-def _i_series(plan, x, st, conj=False):
+def _i_series(plan, x, conj=False):
     # (I_nu(x), conjugated if conj, e) at Im nu >= 0, x > 0 from nu's plan
-    # and the _settings st at mp.prec, as libmp pairs, by the libmp calls
-    # of the mpc/mpf operators that formed c0 = exp(e) and c0 times the sum
+    # at mp.prec, as libmp pairs, by the libmp calls of the mpc/mpf
+    # operators that formed c0 = exp(e) and c0 times the sum
     nu, mag = plan[4], plan[6]
     prec = mp.prec
     e = _i_exponent(plan, x)
@@ -132,7 +134,7 @@ def _i_series(plan, x, st, conj=False):
         # accurate near the removable zeros at integer order
         c0 = mpc_div_mpf(mpc_mul_mpf(mpc_neg(c0, prec, _RND), mpf_sin_pi(
             nu[0], prec, _RND), prec, _RND), mpf_pi(prec, _RND), prec, _RND)
-    sr, si, wp, _, tail = _i_sum(plan, x, st)
+    sr, si, wp, _, tail = _i_sum(plan, x)
     v = mpc_mul(c0, (from_man_exp(sr, -wp, prec, _RND),
                      from_man_exp(si, -wp, prec, _RND)), prec, _RND)
     if conj:
@@ -151,46 +153,35 @@ def _i_plan(nu, prec):
     # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used;
     # then as libmp pairs nu and lg = ln Gamma(nu + 1), or -ln Gamma(-nu)
     # on the reflection branch (subtracting it adds ln Gamma(-nu), bit for
-    # bit), and at Re nu = 0 mpc_exp's e^{-Re lg} at prec + 4, else None
+    # bit), at Re nu = 0 mpc_exp's e^{-Re lg} at prec + 4, else None, and
+    # the stop
     wp = prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
     lg = (mpc_neg(ln_gamma(-nu)._mpc_) if nu.imag == 0 and nu.real < 0
           else ln_gamma(nu + 1)._mpc_)
     a = mpf_sub(fzero, lg[0], prec, _RND)
     mag = mpf_exp(a, prec + 4, _RND) if nu.real == 0 and a != fzero else None
     return (wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp),
-            [0], nu._mpc_, lg, mag)
+            [0], nu._mpc_, lg, mag, _stop())
 
 
-# What the I, J and K_{i tau} series read of the config and mp.prec: the
-# stop 10^-dps rounded to 53 bits as the exact fraction (n, k) = n / 2^k,
-# eps = 10^-dps, max_terms, and the loss threshold as a libmp value (the
-# float exactly, as an mpf comparison converts it and to_float returns it)
-_Settings = namedtuple("_Settings", "tol eps max_terms loss")
-
-
-def _settings(cfg):
-    return _settings_memo(cfg.max_terms, cfg.precision_loss_threshold,
-                          mp.prec)
-
-
-@functools.lru_cache(maxsize=16)
-def _settings_memo(max_terms, threshold, prec):
+def _stop():
+    # the series' stop 10^-dps at mp.prec, correctly rounded to 53 bits, as
+    # the exact fraction (n, k) = n / 2^k
     _, n, e, _ = from_rational(1, 10 ** mp.dps, 53, _RND)  # e < 0
-    return _Settings((n, -e), _eps(), max_terms, from_float(threshold))
+    return n, -e
 
 
-def _i_sum(plan, x, st):
+def _i_sum(plan, x):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
-    wp, a, b, rho = plan[:4]
+    wp, a, b, rho, _, _, _, (tol_n, tol_k) = plan
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = st.tol
     tr = sr = 1 << wp
     ti = si = 0
     prev = tr * tr
     streak = 0
-    for k in range(1, st.max_terms + 1):
+    for k in range(1, special.MAX_TERMS + 1):
         if k == len(rho):
             ka = (k << wp) + a
             d = k * (ka * ka + b * b)
@@ -233,25 +224,24 @@ def bessel_j(nu, x, with_error=False):
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
 
-    return _j_point(nu, x, _j_plan(nu, mp.prec), _settings(config.get()),
-                    with_error)
+    return _j_point(nu, x, _j_plan(nu, mp.prec), with_error)
 
 
-def _j_point(nu, x, plan, st, with_error):
-    # bessel_j past its checks, from nu's plan and the _settings st at
-    # mp.prec: the per-point work of bessel_j and _j_evaluator
+def _j_point(nu, x, plan, with_error):
+    # bessel_j past its checks, from nu's plan at mp.prec: the per-point
+    # work of bessel_j and _j_evaluator
     if x <= plan[0]:
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
             return (v, mpf(0)) if with_error else v
-        c0, s, t, k, wp = _j_sum(nu, x, plan, st)
+        c0, s, t, k, wp = _j_sum(nu, x, plan)
         v = c0 * mpf((s, -wp))
         if not with_error:
             return v
         # each shift leaves a unit of 2^-wp, and the propagated ones
         # cancel along the alternating tail
         return v, (c0 * mpf((abs(t) + 4 * k, -wp))
-                   + _ROUNDING * st.eps * abs(v))
+                   + _ROUNDING * plan[7] * abs(v))
 
     # asymptotic branch: sums[0] is the cosine sum, sums[1] the sine sum,
     # t_n = t_{n-1} (4 nu^2 - (2n-1)^2) / (8 n x) scaled by 2^wp
@@ -279,33 +269,33 @@ def _j_point(nu, x, plan, st, with_error):
     # truncation plus rounding, dominated by the phase omega, whose
     # absolute error grows like eps * x
     return v, amp * (mpf((mag, -wp))
-                     + _ROUNDING * st.eps * (1 + x) * mpf((total, -wp)))
+                     + _ROUNDING * plan[7] * (1 + x) * mpf((total, -wp)))
 
 
 @functools.lru_cache(maxsize=128)
 def _j_plan(nu, prec):
     # the branch switch, pi nu / 2, nu at 2^wp, 1/Gamma(nu+1) (with guard
-    # bits: exp makes ln_gamma's absolute error a relative one) and at
-    # index k the ratio 1/(k (k + nu)) at 2^(wp + _RATIO_BITS)
+    # bits: exp makes ln_gamma's absolute error a relative one), at index
+    # k the ratio 1/(k (k + nu)) at 2^(wp + _RATIO_BITS), the stop as in
+    # _i_plan and eps = 10^-dps
     wp = prec + _GUARD
     with workprec(wp):
         inv_gamma = exp(-ln_gamma(nu + 1).real)
     return (20 + nu ** 2 / 2, pi * nu / 2, wp, to_fixed(nu._mpf_, wp),
-            +inv_gamma, [0])
+            +inv_gamma, [0], _stop(), _eps())
 
 
-def _j_sum(nu, x, plan, st):
+def _j_sum(nu, x, plan):
     # J_nu(x) = c0 sum_k t_k, t_k = -t_{k-1} (x/2)^2 / (k (k + nu)), at
     # 2^wp: (c0, sum, last term, terms past t_0, wp), or a raise if the
     # terms run out
-    _, _, wp, a, inv_gamma, rho = plan
+    _, _, wp, a, inv_gamma, rho, (tol_n, tol_k), eps = plan
     sh = 2 * wp + _RATIO_BITS
     c0 = (x / 2) ** nu * inv_gamma
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = st.tol
-    floor = to_fixed((st.eps / c0)._mpf_, wp)
+    floor = to_fixed((eps / c0)._mpf_, wp)
     t = s = 1 << wp
-    for k in range(1, st.max_terms + 1):
+    for k in range(1, special.MAX_TERMS + 1):
         if k == len(rho):
             rho.append((1 << sh) // (k * ((k << wp) + a)))
         t = -t * rho[k] * q >> sh
@@ -313,7 +303,7 @@ def _j_sum(nu, x, plan, st):
         if abs(t) << tol_k < tol_n * max(abs(s), floor):
             return c0, s, t, k, wp
     raise NonconvergenceError(
-        "bessel_j series did not converge in %d terms" % st.max_terms,
+        "bessel_j series did not converge in %d terms" % special.MAX_TERMS,
         partial=c0 * mpf((s, -wp)), tail_estimate=c0 * mpf((abs(t), -wp)))
 
 
@@ -372,9 +362,9 @@ def bessel_k_real(nu, x):
     return v
 
 
-def _checked(res, route, tau, loss):
-    # on cache hits too: the threshold in force at call time applies
-    if mpf_gt(res.rel_error._mpf_, loss):
+def _checked(res, route, tau):
+    # on cache hits too, so a cached failing value raises again
+    if mpf_gt(res.rel_error._mpf_, _LOSS):
         raise PrecisionLossError("%s precision loss (tau=%s)" % (route, tau),
                                  value=res.value, rel_error=res.rel_error)
     return res
@@ -413,7 +403,7 @@ def k_itau_quad(tau, x):
         res = KernelValue(value=v, rel_error=rel,
                           cancellation=(v != 0 and k0 / abs(v) > _CANC_FLAG))
         _cache_put(_kq_cache, key, res)
-    return _checked(res, "k_itau_quad", tau, _settings(config.get()).loss)
+    return _checked(res, "k_itau_quad", tau)
 
 
 def k_itau_series(tau, x, i_tau=None):
@@ -430,23 +420,21 @@ def k_itau_series(tau, x, i_tau=None):
     guard bits, and a call raises if the estimate still crosses the loss
     threshold.  x > 700 raises OverflowGuardError."""
     tau, x = mpf(tau), mpf(x)
-    # the key holds what the sum and the choice of a guarded sum read
-    st = _settings(config.get())
-    key = (tau._mpf_, x._mpf_, mp.prec, st.max_terms, st.loss)
+    key = (tau._mpf_, x._mpf_, mp.prec)
     res = _ks_cache.get(key)
     if res is None:
         res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau, None,
-                       st, _PLAIN_DIGITS)
+                       _PLAIN_DIGITS)
         _cache_put(_ks_cache, key, res)
-    return _checked(res, "k_itau_series", tau, st.loss)
+    return _checked(res, "k_itau_series", tau)
 
 
-def _k_point(x, i_tau, tau, kp, st, digits):
-    # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None) and
-    # _settings st: the series (i_tau: a libmp pair, or None) where _loss_bits
-    # keeps to min(digits, dps - 10) digits and the estimate to st.loss, else
-    # summed with guard bits, rounded back (eps more on the estimate).  x,
-    # tau > 0 finite: sign 0, a mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
+def _k_point(x, i_tau, tau, kp, digits):
+    # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None): the
+    # series (i_tau: a libmp pair, or None) where _loss_bits keeps to
+    # min(digits, dps - 10) digits and the estimate to _LOSS, else summed
+    # with guard bits, rounded back (eps more on the estimate).  x, tau > 0
+    # finite: sign 0, a mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
     if x._mpf_[0] or not x._mpf_[1] or tau._mpf_[0] or not tau._mpf_[1]:
         raise DomainError("k_itau_series requires finite x > 0, tau > 0")
     if mpf_gt(x._mpf_, _K_X_MAX):
@@ -454,18 +442,17 @@ def _k_point(x, i_tau, tau, kp, st, digits):
     kp = kp or _k_plan(tau, mp.prec)
     bits = _loss_bits(kp, x)
     if bits <= min(digits, mp.dps - 10) * _LOG2_10:
-        i_tau, e = (_i_series(kp[0], x, st) if i_tau is None
+        i_tau, e = (_i_series(kp[0], x) if i_tau is None
                     else (i_tau, _i_exponent(kp[0], x)))
-        res = _k_series(i_tau, e, kp, st.eps)
-        if not mpf_gt(res.rel_error._mpf_, st.loss):
+        res = _k_series(i_tau, e, kp)
+        if not mpf_gt(res.rel_error._mpf_, _LOSS):
             return res
     # 10 bits over the a-priori loss, in steps of 32 so that nearby x
     # share plans
     with workprec(mp.prec + 32 * (int(bits + 10) // 32 + 1)):
-        kp = _k_plan(tau, mp.prec)
-        up = _settings_memo(st.max_terms, to_float(st.loss), mp.prec)
-        res = _k_series(*_i_series(kp[0], x, up), kp, up.eps)
-    return KernelValue(+res.value, res.rel_error + st.eps, res.cancellation)
+        up = _k_plan(tau, mp.prec)
+        res = _k_series(*_i_series(up[0], x), up)
+    return KernelValue(+res.value, res.rel_error + kp[5], res.cancellation)
 
 
 def _loss_bits(kp, x):
@@ -493,7 +480,7 @@ def _loss_bits(kp, x):
     return bits + r / _LN2
 
 
-def _k_series(i_tau, e, plan, eps):
+def _k_series(i_tau, e, plan):
     # K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) with its error
     # model, from I and the prefactor's exponent e as libmp pairs and tau's
     # _k_plan, by the libmp calls of the mpf operators
@@ -505,7 +492,7 @@ def _k_series(i_tau, e, plan, eps):
                   if im != fzero else _NO_IMAG_RATIO._mpf_)
     scale = mpf_add(mpf_add(mpf_abs(e[0]), mpf_abs(e[1]), 30, _RND),
                     _ROUNDING_MPF, 30, _RND)  # >= c + |e|, to 30 bits
-    rel_error = mpf_mul(mpf_mul(eps._mpf_, scale, prec, _RND),
+    rel_error = mpf_mul(mpf_mul(plan[5]._mpf_, scale, prec, _RND),
                         mpf_add(canc_ratio, fone, prec, _RND), prec, _RND)
     return KernelValue(value=mp.make_mpf(v),
                        rel_error=mp.make_mpf(rel_error),
@@ -522,11 +509,11 @@ def series_safe_x(index):
 
 @functools.lru_cache(maxsize=128)
 def _k_plan(tau, prec):
-    # K_{i tau}'s needs of tau alone: I plan, sinh(pi tau), and for
-    # _loss_bits log2 tau, log2(c + |lg|) and tau as floats
+    # K_{i tau}'s needs of tau alone: I plan, sinh(pi tau), for _loss_bits
+    # log2 tau, log2(c + |lg|) and tau as floats, and eps = 10^-dps
     ip = _i_plan(mpc(0, tau), prec)
     return (ip, sinh(pi * tau)._mpf_, float(log(tau, 2)),
-            float(log(_ROUNDING + abs(mpc(*ip[5])), 2)), float(tau))
+            float(log(_ROUNDING + abs(mpc(*ip[5])), 2)), float(tau), _eps())
 
 
 def k_index(index, x, i_tau=None):
@@ -546,36 +533,36 @@ def k_index(index, x, i_tau=None):
 # except that a K node takes guard bits only where it would keep fewer
 # than 10 digits, not where it would lose _PLAIN_DIGITS: the tails run to
 # series_safe_x, and a guard costs 1.5-2 sums per node.
-# The config is read when one is made, the order's plans and _settings
-# once per precision, on the first node (quad runs 20 bits up).  At index
-# 0, and at an order the public function refuses, it is called.
+# The order's plans are fetched once per precision, on the first node
+# (quad runs 20 bits up).  At index 0, and at an order the public function
+# refuses, it is called.
 
 def _k_evaluator(index):
     if not (index and isfinite(index)):
         return lambda y: k_index(index, y)
-    cfg, plans = config.get(), {}
+    plans = {}
 
     def k(y):
         y, prec = mpf(y), mp.prec
         if prec not in plans:
             tau = abs(mpf(index))
-            plans[prec] = tau, _k_plan(tau, prec), _settings(cfg)
-        tau, kp, st = plans[prec]
-        return _checked(_k_point(y, None, tau, kp, st, math.inf),
-                        "k_itau_series", tau, st.loss).value
+            plans[prec] = tau, _k_plan(tau, prec)
+        tau, kp = plans[prec]
+        return _checked(_k_point(y, None, tau, kp, math.inf),
+                        "k_itau_series", tau).value
     return k
 
 
 def _j_evaluator(nu, with_error):
     if not (isfinite(nu) and nu > -1):
         return lambda y: bessel_j(nu, y, with_error)
-    cfg, plans = config.get(), {}
+    plans = {}
 
     def j(y):
         y, prec = mpf(y), mp.prec
         if prec not in plans:
             n = mpf(nu)
-            plans[prec] = n, _j_plan(n, prec), _settings(cfg)
-        n, plan, st = plans[prec]
-        return _j_point(n, y, plan, st, with_error)
+            plans[prec] = n, _j_plan(n, prec)
+        n, plan = plans[prec]
+        return _j_point(n, y, plan, with_error)
     return j

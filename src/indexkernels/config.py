@@ -15,24 +15,16 @@ from .errors import DomainError
 
 @dataclass
 class Config:
-    # working precision (decimal digits) for all extended-precision arithmetic
+    # working precision (decimal digits) for all extended-precision
+    # arithmetic; every series stops at 10^-dps of its sum
     dps: int = 40
-    # terms a series may take before it raises NonconvergenceError; every
-    # series stops at 10^-dps of its sum
-    max_terms: int = 10000
-    # relative-error threshold above which evaluators raise PrecisionLossError
-    precision_loss_threshold: float = 1e-6
     # multiplicative slack on bound predicates and remainder-bound checks
     bound_slack: float = 1e-9
     remainder_slack: float = 1e-6
 
     def __post_init__(self):
-        if not (self.dps >= 1 and self.max_terms >= 1):
-            raise DomainError("dps and max_terms must be >= 1")
-        v = self.precision_loss_threshold
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(
-                "precision_loss_threshold must be finite and > 0")
+        if not self.dps >= 1:
+            raise DomainError("dps must be >= 1")
         for name in ("bound_slack", "remainder_slack"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):

@@ -28,7 +28,7 @@ class NonconvergenceError(ArithmeticError):
 
 
 class PrecisionLossError(ArithmeticError):
-    """Estimated relative error exceeded the configured threshold."""
+    """Estimated relative error exceeded the loss threshold, 1e-6."""
 
     def __init__(self, msg, value=None, rel_error=None):
         super().__init__(msg)

@@ -21,7 +21,7 @@ from mpmath import isfinite, mp, mpf, mpc, workdps
 from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
                     tanh)
 
-from . import config
+from . import config, special
 from .bessel import bessel_i, k_index, k_itau_quad, k_itau_series
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .quadrature import (mehler_fock_sq, olevskii_quad, product_kernel_quad,
@@ -272,7 +272,7 @@ def whittaker_direct(rho, tau, x, route="f11"):
     * route "series218": the 1F1 replaced by its terminating-2F1
       rearrangement e^{-x/2}[1 + sum (x/2)^k / k! * c_k(rho, tau)]
       (requires |rho| < 1/2 and x < 1); NonconvergenceError, with the
-      partial 1F1 and its last term, if max_terms terms do not converge.
+      partial 1F1 and its last term, if special.MAX_TERMS terms run out.
     """
     rho = mpf(rho)
     tau = mpf(tau)
@@ -284,10 +284,10 @@ def whittaker_direct(rho, tau, x, route="f11"):
     elif route == "series218":
         if abs(rho) >= mpf(1) / 2 or x >= 1:
             raise DomainError("series218 route needs |rho| < 1/2 and x < 1")
-        cfg, eps = config.get(), _eps()
+        eps, max_terms = _eps(), special.MAX_TERMS
         s = mpc(1)
         streak = 0
-        for k in range(1, cfg.max_terms + 1):
+        for k in range(1, max_terms + 1):
             t = (x / 2) ** k / factorial(k) * hyp2f1_term2(k, rho, tau)
             s += t
             # alternate terms vanish identically at rho = 0, so one small
@@ -300,7 +300,7 @@ def whittaker_direct(rho, tau, x, route="f11"):
                 streak = 0
         else:
             raise NonconvergenceError(
-                "series218 did not converge in %d terms" % cfg.max_terms,
+                "series218 did not converge in %d terms" % max_terms,
                 partial=exp(-x / 2) * s, tail_estimate=exp(-x / 2) * abs(t))
         f = exp(-x / 2) * s
     else:

@@ -1,14 +1,13 @@
 """Complex gamma machinery and generalized hypergeometric series.
 
-Everything here works in mpmath extended precision (>= 30 significant
-digits, see config.Config.dps) so that later kernel assemblies can resolve
-terms of size exp(-pi*tau/2) inside quantities of size 1.  The 1F1, 1F2
-and 2F1 series are summed by mpmath's hypsum, to working precision: in
-fixed point, with guard bits that grow with the cancellation it measures
-(F. Johansson, "Computing hypergeometric functions rigorously", ACM TOMS
-45(3), 2019).  ln_gamma is mpmath's libmp mpc_loggamma at working
-precision, memoized; gamma_via_binet is an independent route to Gamma by
-the Binet integral.
+Everything here works in mpmath extended precision, at mp.prec alone, so
+that later kernel assemblies can resolve terms of size exp(-pi*tau/2)
+inside quantities of size 1.  The 1F1, 1F2 and 2F1 series are summed by
+mpmath's hypsum, to working precision: in fixed point, with guard bits
+that grow with the cancellation it measures (F. Johansson, "Computing
+hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  ln_gamma
+is mpmath's libmp mpc_loggamma at working precision, memoized;
+gamma_via_binet is an independent route to Gamma by the Binet integral.
 """
 
 import functools
@@ -17,11 +16,13 @@ from mpmath import mp, mpf, mpc
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
 from mpmath.libmp import NoConvergence, mpc_loggamma, round_nearest
 
-from . import config
 from .errors import DomainError, NonconvergenceError, PoleError
 
 # binet_r refuses |z| below this floor
 BINET_FLOOR = 1.0 / 16.0
+# terms any series (here, in bessel and kernels.whittaker_direct's
+# series218) may take before it raises NonconvergenceError
+MAX_TERMS = 10000
 
 
 def _eps():
@@ -164,21 +165,20 @@ _GUARD = 24
 def _series_adaptive(nums, dens, z):
     """Taylor sum of prod (a)_k z^k / (prod (b)_k k!) to working precision
     by mpmath's hypsum: fixed-point terms at 50 or more bits beyond
-    mp.prec, rerun at more bits while cancellation leaves the sum short.
-    max_terms is that of the active config.
+    mp.prec, rerun at more bits while cancellation leaves the sum short,
+    in at most MAX_TERMS terms.
     """
-    cfg = config.get()
     params = nums + dens
     for c in params + [z]:
         if not mp.isfinite(c):  # hypsum would read it as 0
             raise NonconvergenceError("hypergeometric series at %s" % c)
     try:
         return mpc(mp.hypsum(len(nums), len(dens), ("C",) * len(params),
-                             params, z, maxterms=cfg.max_terms))
+                             params, z, maxterms=MAX_TERMS))
     except NoConvergence:
         raise NonconvergenceError(
             "hypergeometric series did not converge in %d terms"
-            % cfg.max_terms) from None
+            % MAX_TERMS) from None
     except ValueError:  # hypsum's precision cap
         raise NonconvergenceError(
             "hypergeometric series cancelled past mpmath's precision "

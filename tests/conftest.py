@@ -1,7 +1,5 @@
 """Suite-wide fixtures."""
 
-import contextlib
-import dataclasses
 import os
 from pathlib import Path
 
@@ -38,19 +36,3 @@ def mp_prec_unchanged():
         mp.prec = before  # keep the tests that follow at the old precision
         pytest.fail("test left mp.prec at %d, it was %d" % (after, before))
 
-
-@contextlib.contextmanager
-def _config_override(**changes):
-    prev = config.set_active(dataclasses.replace(config.get(), **changes))
-    try:
-        yield
-    finally:
-        config.set_active(prev)
-
-
-@pytest.fixture
-def config_override():
-    """`with config_override(max_terms=3):` runs its block under the
-    active Config with those fields replaced, and restores the config
-    in force before, also when the block raises."""
-    return _config_override

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_float, to_fixed
 
-from indexkernels import (bessel, bounds, config, kernels, quadrature,
-                          special)
+from indexkernels import bessel, bounds, kernels, quadrature, special
 from indexkernels.bessel import (bessel_i, bessel_j, bessel_k_real, k_index,
                                  k_itau_quad, k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
@@ -210,8 +209,7 @@ class TestCoefficientTables:
             mp.dps = saved
 
     def test_memos_bounded(self):
-        for memo in MEMOS + (bessel._settings_memo,
-                             quadrature._hankel0_coeffs):
+        for memo in MEMOS + (quadrature._hankel0_coeffs,):
             assert memo.cache_info().maxsize is not None
 
     def test_j_and_h0_across_switch(self):
@@ -281,7 +279,7 @@ def _mpc_i_loop(nu, x):
     t = s = mpc(1)
     total = prev = mpf(1)
     streak = 0
-    for k in range(1, config.get().max_terms + 1):
+    for k in range(1, special.MAX_TERMS + 1):
         t = t * q / (k * (k + nu))
         s += t
         mag = abs(t)
@@ -309,11 +307,10 @@ def _mpf_j_loop(nu, x):
     nu, x = mpf(nu), mpf(x)
     if x <= 20 + nu ** 2 / 2:
         c0 = (x / 2) ** nu * _inv_gamma(nu)
-        cfg = config.get()
         q, tol = (x / 2) ** 2, mpf(_series_tol())
         floor = mpf(10) ** -mp.dps / c0
         t = s = total = mpf(1)
-        for k in range(1, cfg.max_terms + 1):
+        for k in range(1, special.MAX_TERMS + 1):
             t = -t * q / (k * (k + nu))
             s += t
             total += abs(t)
@@ -342,12 +339,12 @@ def _exact_i_sum(nu, x):
     wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
     a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = bessel._settings(config.get()).tol
+    tol_n, tol_k = bessel._i_plan(nu, mp.prec)[7]
     tr = sr = 1 << wp
     ti = si = 0
     prev = top = tr * tr
     streak = 0
-    for k in range(1, config.get().max_terms + 1):
+    for k in range(1, special.MAX_TERMS + 1):
         ka = (k << wp) + a
         d = k * (ka * ka + b * b)
         tr, ti = (tr * ka + ti * b) * q // d, (ti * ka - tr * b) * q // d
@@ -374,11 +371,10 @@ def _exact_j_sum(nu, x):
     c0 = (x / 2) ** nu * _inv_gamma(nu)
     a = to_fixed(nu._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    cfg = config.get()
-    tol_n, tol_k = bessel._settings(cfg).tol
+    tol_n, tol_k = bessel._j_plan(nu, mp.prec)[6]
     floor = to_fixed((mpf(10) ** -mp.dps / c0)._mpf_, wp)
     t = s = 1 << wp
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, special.MAX_TERMS + 1):
         t = -t * q // (k * ((k << wp) + a))
         s += t
         if abs(t) << tol_k < tol_n * max(abs(s), floor):
@@ -450,7 +446,7 @@ class TestFixedPointSeries:
                     v = bessel_i(nu, y)
                     assert abs(v - ref) <= k * ulp * scale, (dps, nu, y)
 
-    def test_i_stop_rule(self, config_override):
+    def test_i_stop_rule(self, monkeypatch):
         # three consecutive non-increasing terms below 10^-dps |sum|: the
         # series converges with the reference loop's term count and stalls
         # with one term fewer
@@ -459,20 +455,21 @@ class TestFixedPointSeries:
                 for nu, y in ((3j, mpf("0.7")), (mpc("0.5", "2.5"), mpf(3)),
                               (mpf("-2.5"), mpf(9)), (12j, mpf(20))):
                     _, _, k = _mpc_i_loop(nu, y)
-                    with config_override(max_terms=k):
+                    monkeypatch.setattr(special, "MAX_TERMS", k)
+                    bessel_i(nu, y)
+                    monkeypatch.setattr(special, "MAX_TERMS", k - 1)
+                    with pytest.raises(NonconvergenceError):
                         bessel_i(nu, y)
-                    with config_override(max_terms=k - 1), \
-                            pytest.raises(NonconvergenceError):
-                        bessel_i(nu, y)
+                    monkeypatch.undo()
 
-    def test_stall_carries_partial_and_tail(self, config_override):
+    def test_stall_carries_partial_and_tail(self, monkeypatch):
         ulp = mpf(2) ** -mp.prec
         x = mpf(5)
-        with config_override(max_terms=3):
-            with pytest.raises(NonconvergenceError) as up:
-                bessel_i(3j, x)
-            with pytest.raises(NonconvergenceError) as down:
-                bessel_i(-3j, x)
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
+        with pytest.raises(NonconvergenceError) as up:
+            bessel_i(3j, x)
+        with pytest.raises(NonconvergenceError) as down:
+            bessel_i(-3j, x)
         # the partial is c0 (t_0 + ... + t_3), the tail |c0| |t_3|
         c0 = mpmath.exp(3j * mpmath.log(x / 2) - ln_gamma(1 + 3j))
         t, s = mpc(1), mpc(1)
@@ -485,11 +482,11 @@ class TestFixedPointSeries:
             64 * ulp * abs(c0 * t)
         assert down.value.tail_estimate == up.value.tail_estimate
 
-    def test_j_stall_carries_partial_and_tail(self, config_override):
+    def test_j_stall_carries_partial_and_tail(self, monkeypatch):
         # J_0.7(3) = c0 (t_0 + ... + t_3), the tail |c0 t_3|
         nu, x = mpf("0.7"), mpf(3)
-        with config_override(max_terms=3), \
-                pytest.raises(NonconvergenceError) as exc:
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
+        with pytest.raises(NonconvergenceError) as exc:
             bessel_j(nu, x)
         c0 = (x / 2) ** nu * _inv_gamma(nu)
         t = s = mpf(1)
@@ -518,7 +515,7 @@ class TestFixedPointSeries:
                         assert actual <= 8 * ulp * abs(v), (dps, nu, x)
 
     def test_j_ascending_at_working_precision(self):
-        # under the default config: bessel_j and the quadratures' J
+        # at the default precision: bessel_j and the quadratures' J
         # evaluator stop at 10^-dps, as every series does (a tolerance of
         # 1e-24 left J_0(1) off by 5.0e-28 at dps 40)
         for dps in self.DPS:
@@ -536,7 +533,7 @@ class TestFixedPointSeries:
     @pytest.mark.parametrize("dps", [324, 330])
     def test_j_past_the_float_range(self, dps):
         # 10^-dps is 0.0 as a float from dps 324 on: a stop built from it
-        # never fired, and J_0(1) raised after max_terms terms
+        # never fired, and J_0(1) raised after MAX_TERMS terms
         with mpmath.workdps(dps):
             for nu, x in ((mpf(0), mpf(1)), (mpf("0.7"), mpf(15))):
                 j = bessel._j_evaluator(nu, False)
@@ -559,8 +556,7 @@ class TestFixedPointSeries:
                         nu = -nu  # as bessel_i folds it
                     (er, ei), wp, k, top = _exact_i_sum(nu, y)
                     sr, si, wp2, k2, tail = bessel._i_sum(
-                        bessel._i_plan(nu, mp.prec), y,
-                        bessel._settings(config.get()))
+                        bessel._i_plan(nu, mp.prec), y)
                     assert (wp2, k2, tail) == (wp, k, None), (dps, nu, y)
                     assert max(abs(sr - er), abs(si - ei)) <= \
                         k * max(1, top), (dps, nu, y)
@@ -568,8 +564,7 @@ class TestFixedPointSeries:
                     if x <= 20 + nu ** 2 / 2:
                         es, wp, k = _exact_j_sum(nu, x)
                         _, s, _, k2, wp2 = bessel._j_sum(
-                            nu, x, bessel._j_plan(nu, mp.prec),
-                            bessel._settings(config.get()))
+                            nu, x, bessel._j_plan(nu, mp.prec))
                         assert (wp2, k2) == (wp, k), (dps, nu, x)
                         assert abs(s - es) <= k, (dps, nu, x)
 
@@ -631,8 +626,7 @@ class TestISeriesLowDps:
                     plan = bessel._k_plan(tau, mp.prec)[0]
                     for x in self.XS:
                         r = k_itau_series(tau, x)
-                        *_, k, tail = bessel._i_sum(
-                            plan, x, bessel._settings(config.Config()))
+                        *_, k, tail = bessel._i_sum(plan, x)
                         assert tail is None and k < 60, (dps, tau, x)
                         with mpmath.workdps(40):
                             ref = mpmath.besselk(1j * tau, x).real
@@ -648,7 +642,7 @@ class TestISeriesLowDps:
                         ref = mpmath.besseli(nu, mpf("0.5"))
                     assert abs(v - ref) <= 64 * mpf(2) ** -mp.prec * abs(ref)
 
-    def test_tolerance_stop_unchanged_from_dps_17(self):
+    def test_tolerance_stop_unchanged_from_dps_17(self, monkeypatch):
         # where the tolerance is above a unit the new stop never fires
         # first: sums, term counts and stalls are the tolerance rule's
         for dps in (17, 20, 25, 40):
@@ -658,11 +652,11 @@ class TestISeriesLowDps:
                     for x in self.XS + (mpf(5), series_safe_x(tau)):
                         plan = bessel._i_plan(nu, mp.prec)
                         for max_terms in (3, 10000):
-                            st = bessel._settings(
-                                config.Config(max_terms=max_terms))
-                            assert bessel._i_sum(plan, x, st) \
+                            monkeypatch.setattr(special, "MAX_TERMS",
+                                                max_terms)
+                            assert bessel._i_sum(plan, x) \
                                 == _tolerance_stop_i_sum(
-                                    plan, x, st.tol, max_terms), (dps, tau, x)
+                                    plan, x, plan[7], max_terms), (dps, tau, x)
 
 
 class TestBesselKReal:
@@ -791,31 +785,43 @@ class TestImaginaryOrderK:
                 assert abs(k0 - bessel_k_real(0, x)) <= \
                     10 * mpf(10) ** -dps * k0
 
-    def test_series_precision_loss(self, config_override):
+    def test_series_precision_loss(self, monkeypatch):
         # a threshold below what even the guarded sum delivers, 10^-dps
         # for rounding to working precision, forces a refusal
         k_itau_series(mpf(200), mpf(1))
-        with config_override(precision_loss_threshold=1e-60), \
-                pytest.raises(PrecisionLossError):
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        monkeypatch.setattr(bessel, "_LOSS", from_float(1e-60))
+        with pytest.raises(PrecisionLossError):
             k_itau_series(mpf(200), mpf(1))
 
-    def test_cache_hit_obeys_current_threshold(self, config_override):
+    def test_cache_hit_obeys_current_threshold(self, monkeypatch):
+        # each call checks its result, a cached one too, against the
+        # threshold when it is called
         tau, x = mpf(8), mpf(3)
         k_itau_series(tau, x)
         k_itau_quad(tau, x)
-        with config_override(precision_loss_threshold=1e-40):
-            with pytest.raises(PrecisionLossError):
-                k_itau_series(tau, x)
-            with pytest.raises(PrecisionLossError):
-                k_itau_quad(tau, x)
-
-    def test_series_cache_keys_on_control(self, config_override):
-        # the value cached under the default config is not served under
-        # max_terms = 3, and none is cached by the raising call
-        tau, x = mpf(3), mpf("1.5")
-        v = k_itau_series(tau, x).value
-        with config_override(max_terms=3), pytest.raises(NonconvergenceError):
+        monkeypatch.setattr(bessel, "_LOSS", from_float(1e-40))
+        with pytest.raises(PrecisionLossError):
             k_itau_series(tau, x)
+        with pytest.raises(PrecisionLossError):
+            k_itau_quad(tau, x)
+
+    def test_series_cache_keys_on_control(self, monkeypatch):
+        # the key holds what controls a cached value, tau, x and the
+        # precision (the term cap and loss threshold are constants); a
+        # stalled call caches nothing, and the value summed with the cap
+        # back is the one summed before
+        tau, x = mpf(3), mpf("1.5")
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        v = k_itau_series(tau, x).value
+        assert list(bessel._ks_cache) == [(tau._mpf_, x._mpf_, mp.prec)]
+        with monkeypatch.context() as m:
+            m.setattr(bessel, "_ks_cache", {})
+            m.setattr(special, "MAX_TERMS", 3)
+            with pytest.raises(NonconvergenceError):
+                k_itau_series(tau, x)
+            assert bessel._ks_cache == {}
+        monkeypatch.setattr(bessel, "_ks_cache", {})
         assert k_itau_series(tau, x).value == v
 
     def test_values_are_real_type(self):
@@ -864,7 +870,7 @@ class TestCoshTrapezoid:
         # on a thinned grid of dps, index and argument; it raises only
         # where the estimate passes the loss threshold
         monkeypatch.setattr(bessel, "_kq_cache", {})
-        threshold = mpf(config.get().precision_loss_threshold)
+        threshold = mp.make_mpf(bessel._LOSS)
         points = [(mpf(tau), mpf(x)) for tau in ("0", "0.25", "4", "16", "40")
                   for x in ("0.001", "1", "50", "650")]
         for dps in (25, 40, 60):
@@ -908,10 +914,9 @@ class TestCoshTrapezoid:
 
 
 class TestConfigAtCallTime:
-    # each series leaf reads max_terms from the config in force when it is
-    # called: a value summed first does not shield a later call (for
-    # k_itau_series, its cached value is not served), and the default
-    # config applies again once restored
+    # each series leaf reads special.MAX_TERMS when it is called: a value
+    # summed first does not shield a later call (k_itau_series from an
+    # empty cache), and the default cap applies again once restored
     CALLS = [
         (special.hyp1f1, (mpc(1, 3), 2, mpf("-0.5"))),
         (special.hyp2f1, (mpc("0.5", -4), mpc("0.5", 4), mpf("1.7"),
@@ -923,10 +928,13 @@ class TestConfigAtCallTime:
 
     @pytest.mark.parametrize("f, args", CALLS,
                              ids=[f.__name__ for f, _ in CALLS])
-    def test_max_terms_read_at_call_time(self, config_override, f, args):
+    def test_max_terms_read_at_call_time(self, monkeypatch, f, args):
         before = f(*args)
-        with config_override(max_terms=3), pytest.raises(NonconvergenceError):
-            f(*args)
+        with monkeypatch.context() as m:
+            m.setattr(bessel, "_ks_cache", {})
+            m.setattr(special, "MAX_TERMS", 3)
+            with pytest.raises(NonconvergenceError):
+                f(*args)
         assert f(*args) == before
 
 
@@ -1177,15 +1185,17 @@ class TestIntegrandEvaluators:
         with pytest.raises(DomainError, match="k_itau_series"):
             bessel._k_evaluator(mpf(2))(mpf(0))
 
-    def test_loss_threshold_in_force(self, config_override):
+    def test_loss_threshold_in_force(self, monkeypatch):
         # the K factor's rel_error, about 1e-32 here, and above 10^-46
         # once summed with guard bits at quad's precision, against a
         # tightened threshold, and the same value once the default is back
         args = (mpf("0.7"), mpf(3), mpf("0.8"))
         v = mehler_fock_sq(*args)
-        with config_override(precision_loss_threshold=1e-60), \
-                pytest.raises(PrecisionLossError, match="k_itau_series"):
-            mehler_fock_sq(*args)
+        with monkeypatch.context() as m:
+            m.setattr(bessel, "_ks_cache", {})
+            m.setattr(bessel, "_LOSS", from_float(1e-60))
+            with pytest.raises(PrecisionLossError, match="k_itau_series"):
+                mehler_fock_sq(*args)
         assert mehler_fock_sq(*args) == v
 
     @pytest.mark.parametrize("route, args, message", [
@@ -1193,9 +1203,10 @@ class TestIntegrandEvaluators:
          "bessel_j series did not converge in 3 terms"),
         (whittaker_quad, (mpf("0.3"), mpf(3), mpf(1)),
          "bessel_i series stalled")], ids=["mehler-fock", "whittaker"])
-    def test_max_terms_in_force(self, config_override, route, args, message):
-        with config_override(max_terms=3), \
-                pytest.raises(NonconvergenceError, match=message):
+    def test_max_terms_in_force(self, monkeypatch, route, args, message):
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
+        with pytest.raises(NonconvergenceError, match=message):
             route(*args)
 
 
@@ -1213,8 +1224,7 @@ def _mpc_i(nu, x):
               * mp.sinpi(nu.real) / mpmath.pi)
     else:
         c0 = mpmath.exp(nu * mpmath.log(x / 2) - ln_gamma(nu + 1))
-    sr, si, wp, _, tail = bessel._i_sum(
-        bessel._i_plan(nu, mp.prec), x, bessel._settings(config.get()))
+    sr, si, wp, _, tail = bessel._i_sum(bessel._i_plan(nu, mp.prec), x)
     v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if conj:
         v = v.conjugate()
@@ -1275,7 +1285,7 @@ class TestLibmpAssembly:
         # threshold; elsewhere both give the guarded sum's, which the
         # evaluator, with its wider budget, takes at fewer points
         monkeypatch.setattr(bessel, "_ks_cache", {})
-        loss = config.get().precision_loss_threshold
+        loss = mp.make_mpf(bessel._LOSS)
         for tau, x in self._k_points():
             want = _exact_outcome(_mpc_k, tau, x)
             kept = isinstance(want[0], type) or want[1] <= loss
@@ -1301,13 +1311,15 @@ class TestLibmpAssembly:
             with mpmath.workprec(mp.prec + 20):
                 self._check_k(monkeypatch)
 
-    def test_k_series_raises(self, monkeypatch, config_override):
-        # the stall at max_terms = 3 carries the same partial and tail,
+    def test_k_series_raises(self, monkeypatch):
+        # the stall at MAX_TERMS = 3 carries the same partial and tail,
         # and the loss threshold refuses the same points with the same
         # value and estimate
         with mpmath.workdps(25):
-            for kw in ({"max_terms": 3}, {"precision_loss_threshold": 1e-22}):
-                with config_override(**kw):
+            for module, name, value in ((special, "MAX_TERMS", 3),
+                                        (bessel, "_LOSS", from_float(1e-22))):
+                with monkeypatch.context() as m:
+                    m.setattr(module, name, value)
                     self._check_k(monkeypatch)
 
     @pytest.mark.parametrize("dps", [15, 25, 40, 60])
@@ -1325,13 +1337,13 @@ class TestLibmpAssembly:
                             assert _exact_outcome(bessel_i, nu, x) == \
                                 _exact_outcome(_mpc_i, nu, x), (nu, x)
 
-    def test_bessel_i_stall(self, config_override):
-        with config_override(max_terms=3):
-            for nu in (1, mpc("0.5", "0.3"), -2.5j):
-                for x in (mpf("1.7"), mpf(9)):
-                    out = _exact_outcome(bessel_i, nu, x)
-                    assert out[0] is NonconvergenceError
-                    assert out == _exact_outcome(_mpc_i, nu, x), (nu, x)
+    def test_bessel_i_stall(self, monkeypatch):
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
+        for nu in (1, mpc("0.5", "0.3"), -2.5j):
+            for x in (mpf("1.7"), mpf(9)):
+                out = _exact_outcome(bessel_i, nu, x)
+                assert out[0] is NonconvergenceError
+                assert out == _exact_outcome(_mpc_i, nu, x), (nu, x)
 
 
 class TestOneAssembly:

@@ -7,8 +7,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workdps
+from mpmath.libmp import from_float
 
-from indexkernels import bessel, kernels
+from indexkernels import bessel, kernels, special
 from indexkernels.bessel import (bessel_i, k_index, k_itau_quad,
                                  k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
@@ -191,11 +192,10 @@ class TestExpansionOracles:
                 ref = 2 * bessel_i(1j * tau, x).real * K
             assert v == ref, x
 
-    def test_product_oracle_checks_precision_loss(self, monkeypatch,
-                                                  config_override):
+    def test_product_oracle_checks_precision_loss(self, monkeypatch):
         monkeypatch.setattr(bessel, "_ks_cache", {})  # the summing path
-        with config_override(precision_loss_threshold=1e-60), \
-                pytest.raises(PrecisionLossError):
+        monkeypatch.setattr(bessel, "_LOSS", from_float(1e-60))
+        with pytest.raises(PrecisionLossError):
             _product_oracle(mpf(8), mpf(1))
 
     def test_product_oracle_sums_to_working_precision(self):
@@ -250,12 +250,13 @@ class TestWhittaker:
         with pytest.raises(DomainError, match="unknown whittaker route"):
             whittaker_direct(mpf("0.3"), mpf(2), mpf("0.5"), "f12")
 
-    def test_series218_raises_when_terms_run_out(self, config_override):
+    def test_series218_raises_when_terms_run_out(self, monkeypatch):
         # terms running out is an error, as in every other series, not a
         # truncated value
         rho, tau, x = mpf("0.3"), mpf(2), mpf("0.5")
-        with config_override(max_terms=3), \
+        with monkeypatch.context() as m, \
                 pytest.raises(NonconvergenceError) as exc:
+            m.setattr(special, "MAX_TERMS", 3)
             whittaker_direct(rho, tau, x, "series218")
         # the partial is the 1F1 e^{-x/2} (1 + t_1 + t_2 + t_3), the tail
         # e^{-x/2} |t_3|, t_k = (x/2)^k / k! c_k

@@ -1,7 +1,9 @@
 """Source checks that need no linter: every import in the package and
 in the tests is used, every local a function binds is read, every
-top-level name is used somewhere in the package or re-exported, and
-every `Config` field is read by the package outside `config.py`.
+top-level name is used somewhere in the package or re-exported, every
+`Config` field is read by the package outside `config.py`, and the
+numerical leaves (`special`, `bessel`, `quadrature`) do not import
+`config`: they are functions of mpmath's working precision alone.
 
 `__init__.py` is left out: its imports are the public re-exports, and it
 defines no function.
@@ -174,3 +176,45 @@ def test_every_config_field_read():
     config_path = PACKAGE / "config.py"
     sources = [p.read_text() for p in MODULES if p != config_path]
     assert unread_config_fields(config_path.read_text(), sources) == []
+
+
+
+LEAVES = [PACKAGE / name for name in ("special.py", "bessel.py",
+                                      "quadrature.py")]
+
+
+def config_imports(source):
+    """The lines of the import statements that bind the package's config
+    module or a name from it: `from . import config`, `from .config import
+    get`, `import indexkernels.config` and the absolute `from` forms."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # in the package, `from . import x` names indexkernels.x
+            base = ".".join(filter(None, ["indexkernels" if node.level
+                                          else "", node.module]))
+            modules = [base] + [base + "." + alias.name
+                                for alias in node.names]
+        else:
+            continue
+        if "indexkernels.config" in modules:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detects_config_import():
+    src = ("import math\nfrom . import config\nfrom .config import get\n"
+           "from . import errors, special\nimport indexkernels.config\n"
+           "from indexkernels import bessel, config as c\n"
+           "from .errors import DomainError\nimport configparser\n"
+           "def f():\n    from indexkernels.config import Config\n")
+    assert config_imports(src) == [2, 3, 5, 6, 10]
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=[p.name for p in LEAVES])
+def test_leaf_imports_no_config(path):
+    # the leaves read mp.prec alone; the series' term cap and the loss
+    # threshold are constants
+    assert config_imports(path.read_text()) == []

@@ -328,7 +328,7 @@ class TestFixedPointSeriesSum:
     def test_precision_cap_does_not_converge(self, monkeypatch):
         # hypsum raises ValueError once the cancellation it measures needs
         # more than its precision cap; no test input reaches that cap
-        # within max_terms, so the raise is stood in for
+        # within MAX_TERMS, so the raise is stood in for
         def capped(*args, **kwargs):
             raise ValueError("hypsum() failed to converge")
         monkeypatch.setattr(mp, "hypsum", capped)
