@@ -272,6 +272,10 @@ def _j_point(nu, x, plan, with_error):
                      + _ROUNDING * plan[7] * (1 + x) * mpf((total, -wp)))
 
 
+def _j_switch(nu):
+    return 20 + nu ** 2 / 2  # x past which J_nu takes the Hankel expansion
+
+
 @functools.lru_cache(maxsize=128)
 def _j_plan(nu, prec):
     # the branch switch, pi nu / 2, nu at 2^wp, 1/Gamma(nu+1) (with guard
@@ -281,7 +285,7 @@ def _j_plan(nu, prec):
     wp = prec + _GUARD
     with workprec(wp):
         inv_gamma = exp(-ln_gamma(nu + 1).real)
-    return (20 + nu ** 2 / 2, pi * nu / 2, wp, to_fixed(nu._mpf_, wp),
+    return (_j_switch(nu), pi * nu / 2, wp, to_fixed(nu._mpf_, wp),
             +inv_gamma, [0], _stop(), _eps())
 
 
