@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 
-from mpmath import exp, isfinite, mpc, mpf, nstr, pi, workdps
+from mpmath import exp, isfinite, mpf, nstr, pi, workdps
 
 from . import bounds, config, kernels
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
@@ -258,15 +258,14 @@ def cmd_sweep(args):
     route = args.route
     axes = _grids(args, "tau=0.5:5:0.5", "x=0.5:2:0.5")
     header = ["kernel", "route", "x", "tau", "mu", "nu", "rho",
-              "value_re", "value_im", "rel_err_est", "flags", "error"]
+              "value_re", "rel_err_est", "flags", "error"]
 
     def evaluate(pt):
         tau, x = pt
         p = kernels.KernelPoint(kernel=args.kernel, x=x, tau=tau,
                                 mu=args.mu, nu=args.nu, rho=args.rho)
         r = kernels.eval(p, route)
-        v = mpc(r.value)
-        return [v.real, v.imag, r.rel_error_estimate,
+        return [r.value, r.rel_error_estimate,
                 "cancellation" if r.cancellation_flag else ""], True
 
     points = [([args.kernel, route, x, tau, args.mu, args.nu, args.rho],

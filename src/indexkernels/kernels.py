@@ -494,9 +494,9 @@ def eval(point, route):
     and a cancellation flag attached.
 
     The mehler-fock quadrature route integrates P^2 times its gamma weight
-    (mehler_fock_sq), which fixes only |P|; it takes the sign from the
-    series route (conical_p), which costs milliseconds against the
-    seconds of the quadrature.
+    (mehler_fock_sq); |P| carries half its relative estimate.  It takes
+    the sign from the series route (conical_p), which costs milliseconds
+    against the seconds of the quadrature.
     """
     p = point
     k = p.kernel
@@ -556,10 +556,11 @@ def eval(point, route):
         if route == "quadrature":
             sq = mehler_fock_sq(p.mu, p.tau, p.x)
             g = exp(2 * ln_gamma(p.mu + mpf(1) / 2 + 1j * p.tau).real)
-            v = sqrt(sq / g)
+            v = sqrt(sq.value / g)
             if conical_p(p.mu, p.tau, sqrt(1 + 4 * p.x ** 2)) < 0:
                 v = -v
-            return EvalResult(v, route, mpf("1e-10"), False)
+            rel = _from_quad(sq, route).rel_error_estimate / 2
+            return EvalResult(v, route, rel, False)
     elif k == "olevskii":
         if route == "series":
             v = olevskii_direct(p.mu, p.nu, p.tau, p.x)

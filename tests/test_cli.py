@@ -240,8 +240,8 @@ class TestSweepDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[0] == (
-            b"kernel,route,x,tau,mu,nu,rho,value_re,value_im,"
-            b"rel_err_est,flags,error")
+            b"kernel,route,x,tau,mu,nu,rho,value_re,rel_err_est,flags,"
+            b"error")
 
 
 def _bench_module(name):

@@ -13,7 +13,7 @@ from indexkernels import bessel, kernels, special
 from indexkernels.bessel import (bessel_i, k_index, k_itau_quad,
                                  k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
-                                 PrecisionLossError)
+                                 NumericalFailureError, PrecisionLossError)
 from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
                                   _thm1_phase, conical_p, eval,
                                   k_squared_direct, olevskii_decay_slopes,
@@ -387,6 +387,26 @@ class TestDispatch:
             q = eval(p, "quadrature").value
             assert rel(eval(p, "series").value, q) < mpf("1e-8")
         assert abs(q - mpf("-0.0558158")) < mpf("1e-7")
+
+    @pytest.mark.parametrize("dps", [25, 40])
+    @pytest.mark.parametrize("tau", [4, 12])
+    @pytest.mark.parametrize("x", [4, 8])
+    def test_mehler_fock_quadrature_estimate_covers_error(self, dps, tau, x):
+        # the tail's J_mu(x y)^2 oscillates with period pi/x, which
+        # panels of fixed length miss at these x; the value is within its
+        # estimate of the Legendre oracle, or the route raises
+        p = KernelPoint(kernel="mehler-fock", x=x, tau=tau, mu="0.5")
+        try:
+            with workdps(dps):
+                r = eval(p, "quadrature")
+        except (NonconvergenceError, NumericalFailureError,
+                PrecisionLossError):
+            return
+        with workdps(dps + 20):
+            ref = mpmath.legenp(-mpf(1) / 2 + 1j * tau, -mpf(1) / 2,
+                                mpmath.sqrt(1 + 4 * mpf(x) ** 2), type=3).real
+        assert abs(r.value - ref) <= r.rel_error_estimate * abs(ref), \
+            (abs(r.value - ref) / abs(ref), r.rel_error_estimate)
 
     def test_routes_agree_olevskii(self):
         p = KernelPoint(kernel="olevskii", x="0.5", tau=1, mu="1.3", nu="0.2")

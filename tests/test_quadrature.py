@@ -15,9 +15,9 @@ from indexkernels.bessel import bessel_k_real, k_itau_quad
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError)
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
-                                     _GaussLegendre, _head_vs_k, _j_coeffs,
-                                     _product_tail, _square_coeffs, _tail_ray,
-                                     mehler_fock_sq, olevskii_quad,
+                                     QuadResult, _GaussLegendre, _head_vs_k,
+                                     _j_coeffs, _product_tail, _square_coeffs,
+                                     _tail_ray, mehler_fock_sq, olevskii_quad,
                                      product_kernel_quad, whittaker_quad)
 from indexkernels.special import ln_gamma
 
@@ -134,6 +134,31 @@ class TestPanelsBreakAtJSwitch:
         pts, _ = calls[0]
         assert pts[0] < cut < pts[-1] and cut in pts
 
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_mehler_fock_tail(self, monkeypatch, x):
+        # the tail is the route's only _quad: its head is termwise
+        calls = _recorded_quads(monkeypatch)
+        mu, x = mpf("0.7"), mpf(x)
+        with mpmath.workdps(40):
+            mehler_fock_sq(mu, mpf(3), x)
+            cut = bessel._j_plan(mu, mp.prec)[0] / x
+        (pts, _), = calls
+        assert pts[0] < cut < pts[-1] and cut in pts
+
+
+class TestRouteContract:
+    # every integral route returns a QuadResult from the work it did
+    @pytest.mark.parametrize("route, args", [
+        (mehler_fock_sq, ("0.7", "3", "0.8")),
+        (product_kernel_quad, ("0.5", "1")),
+        (whittaker_quad, ("0.3", "3", "1")),
+        (olevskii_quad, ("0.5", "0.25", "3", "0.3"))],
+        ids=["mehler-fock", "product", "whittaker", "olevskii"])
+    def test_quad_result(self, route, args):
+        r = route(*map(mpf, args))
+        assert isinstance(r, QuadResult)
+        assert r.abs_error_estimate >= 0 and r.nodes_used > 0
+
 
 class TestProductTail:
     # the Gauss-Legendre panels on [0, S] against the whole ray: the
@@ -158,12 +183,12 @@ class TestMehlerFockSq:
         # integral equals Gamma(mu + 1/2 + i tau)|^2 P^2; pinned P from
         # the associated Legendre oracle
         mu, tau, x = mpf("0.4"), mpf(2), mpf("0.5")
-        sq = mehler_fock_sq(mu, tau, x)
+        sq = mehler_fock_sq(mu, tau, x).value
         g = mpmath.exp(2 * ln_gamma(mu + mpf("0.5") + 1j * tau).real)
         assert rel(mpmath.sqrt(sq / g), CONICAL_PIN) < mpf("1e-12")
 
     def test_positive(self):
-        assert mehler_fock_sq(mpf("0.3"), mpf(1), mpf(1)) > 0
+        assert mehler_fock_sq(mpf("0.3"), mpf(1), mpf(1)).value > 0
 
     @pytest.mark.parametrize("mu", ["-0.5", "-1"])
     def test_refuses_mu_at_or_below_minus_half(self, mu):
@@ -224,10 +249,12 @@ class TestOlevskiiQuad:
         r = olevskii_quad(mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3"))
         assert r.nodes_used <= 400
 
-    @pytest.mark.parametrize("dps", [25, 40])
+    @pytest.mark.parametrize("dps", [25, 40, 60])
     @pytest.mark.parametrize("mu, nu", [("0.5", "0.25"), ("0.75", "0")])
     @pytest.mark.parametrize("tau", ["0.5", "8"])
     def test_estimate_covers_error(self, dps, mu, nu, tau):
+        # past J's switch J's own error (about 1e-21) dominates at dps 60,
+        # and the estimate carries it
         mu, nu, tau = mpf(mu), mpf(nu), mpf(tau)
         for x in (mpf("0.3"), mpf(2), mpf(5)):
             with mpmath.workdps(dps):
