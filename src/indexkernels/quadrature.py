@@ -20,10 +20,12 @@ through _quad, which caps the degree and counts the integrand calls.
 The three J-weighted integrals, the product head and the J K moments
 (_jk_moment) of the olevskii and mehler-fock tails, go through _j_quad:
 _panels sizes its panels by J's period and breaks them at J's branch
-switch, and J's own error joins the estimate.  _GaussLegendre builds
-the Gauss-Legendre nodes in fixed point and keeps them in this
-module, not in mpmath's global rule: 0.012 s for degrees 1-6 at dps 40,
-where mpmath's mpf builder takes 0.20 s.
+switch, and J's own error joins the estimate.  The moments' heads on
+(0, 1] are termwise: with J or J^2 as a power series (_j_coeffs), each
+term against K's ascending I series is a 1F2 at 1/4 (_head_vs_k).
+_GaussLegendre builds the Gauss-Legendre nodes in fixed point and keeps
+them here, not in mpmath's global rule: 0.012 s for degrees 1-6 at dps
+40, where mpmath's mpf builder takes 0.20 s.
 """
 
 import functools
@@ -39,7 +41,8 @@ from .bessel import (K_X_MAX, _ROUNDING, _j_evaluator, _j_switch, _k_evaluator,
                      series_safe_x)
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError)
-from .special import _GUARD, _eps, ln_gamma
+from . import special
+from .special import _GUARD, _eps, hyp1f2, ln_gamma
 
 # the oscillatory product-kernel quadrature is trusted for tau <= this
 PRODUCT_QUAD_TAU_CAP = 2.0
@@ -159,62 +162,44 @@ def _k_cutoff():
     return mpf(mp.dps) * log(mpf(10)) + 15
 
 
-def _j_coeffs(nu, x):
-    """Ascending coefficients of J_nu(x y) = sum_j c_j y^{nu + 2j}, down
-    to 10^-(dps+5)."""
+def _j_coeffs(nu, x, power):
+    """Ascending coefficients of J_nu(x y)^power = sum_j c_j y^{power nu +
+    2j}, power 1 or 2, down to 10^-(dps+5), by the term ratio of J's series
+    or of J^2's, (x y/2)^{2nu} / Gamma(nu+1)^2 1F2(nu+1/2; nu+1, 2nu+1;
+    -(x y)^2) (DLMF 10.8.3)."""
     tol = mpf(10) ** (-mp.dps - 5)
-    c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1).real)
-    coeffs = [c0]
+    coeffs = [exp(power * (nu * log(x / 2) - ln_gamma(nu + 1).real))]
     q = (x / 2) ** 2
-    j = 0
-    while abs(coeffs[-1]) > tol or j < 4:
-        j += 1
-        coeffs.append(-coeffs[-1] * q / (j * (j + nu)))
-        if j > 400:
-            raise NonconvergenceError("J coefficient series stalled",
-                                      partial=None, tail_estimate=None)
-    return coeffs
-
-
-def _square_coeffs(coeffs):
-    n = len(coeffs)
-    return [sum(coeffs[i] * coeffs[j - i] for i in range(j + 1))
-            for j in range(n)]
+    for j in range(1, special.MAX_TERMS + 1):
+        c = -coeffs[-1] * q / (j * (j + nu))
+        coeffs.append(c if power == 1 else
+                      c * 2 * (2 * nu + 2 * j - 1) / (j + 2 * nu))
+        if abs(coeffs[-1]) <= tol and j >= 4:
+            return coeffs
+    raise NonconvergenceError("J coefficient series did not converge in %d "
+                              "terms" % special.MAX_TERMS)
 
 
 def _head_vs_k(mu, a, coeffs, order):
     """int_0^1 y^{mu-1} [sum_j c_j y^{a+2j}] K_{i*order}(y) dy, exactly,
-    by termwise integration against the ascending I_{i*order} series.
+    by termwise integration against the ascending I_{i*order} series, and
+    the rounding estimate of its sum over j.
 
     The K factor oscillates in log y near 0, which defeats direct
     quadrature on (0, 1]; the series form integrates each power in
     closed form instead.  As in k_itau_series, the I_{-i*order} sum is
     the conjugate of the I_{i*order} one S, so K contributes
-    -pi Im S / sinh(pi order)."""
-    order = mpf(order)
-    sigma = 1j * order
-    tol = mpf(10) ** (-mp.dps - 5)
-    gk = exp(ln_gamma(sigma + 1))              # Gamma(sigma + k + 1) at k=0
-    two_s = mpc(2) ** (-sigma)
-    p = mpf(1)                                 # 4^-k / k!
-    s = mpc(0)
-    k = 0
-    while True:
-        w = p / gk * two_s
-        inner = mpc(0)
-        for j, c in enumerate(coeffs):
-            inner += c / (mu + a + 2 * j + 2 * k + sigma)
-        term = w * inner
-        s += term
-        if abs(term) < tol * (1 + abs(s)) and k > 3:
-            break
-        k += 1
-        gk = gk * (sigma + k)
-        p /= 4 * k
-        if k > 300:
-            raise NonconvergenceError("head series stalled",
-                                      partial=s, tail_estimate=None)
-    return -pi * s.imag / sinh(pi * order)
+    -pi Im S / sinh(pi order).  With sigma = i order and beta = mu + a +
+    2j + sigma, c_j y^{mu+a+2j-1} against I_sigma's series integrates to
+    2^-sigma / Gamma(sigma+1) c_j / beta 1F2(beta/2; beta/2+1, sigma+1;
+    1/4), since 1/(beta + 2k) = (beta/2)_k / (beta (beta/2+1)_k)."""
+    sigma = 1j * mpf(order)
+    w = pi * mpc(2) ** -sigma * exp(-ln_gamma(sigma + 1)) / sinh(pi * order)
+    betas = [mu + a + 2 * j + sigma for j in range(len(coeffs))]
+    terms = [c / b * hyp1f2(b / 2, b / 2 + 1, sigma + 1, mpf(1) / 4)
+             for c, b in zip(coeffs, betas)]
+    return (-(w * sum(terms)).imag,
+            _ROUNDING * _eps() * abs(w) * sum(map(abs, terms)))
 
 
 def _j_quad(nu, c, power, w, pts, b):
@@ -238,18 +223,19 @@ def _j_quad(nu, c, power, w, pts, b):
 def _jk_moment(s, nu, x, tau, power):
     """int_0^inf y^{s-1} J_nu(x y)^power K_{2 i tau}(y) dy, power 1 or 2.
 
-    Split at y = 1: the head is integrated termwise (see _head_vs_k), the
-    tail by _j_quad with the exponentially decaying K factor, up to Y."""
-    c = _j_coeffs(nu, x)
-    head = _head_vs_k(s, power * nu, _square_coeffs(c) if power == 2 else c,
-                      2 * tau)
+    Split at y = 1: the tail by _j_quad with the exponentially decaying K
+    factor, up to Y, then the head termwise (_head_vs_k), whose rounding
+    joins the estimate: J^2's coefficients, near e^{2x}, cancel in its
+    sum past x of about 20."""
     k = _k_evaluator(2 * tau)
     # keep the K argument inside series_safe_x, past which every node
     # takes guard bits; beyond it the K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     tail, err, nodes = _j_quad(nu, x, power, lambda y: y ** (s - 1) * k(y),
                                [], Y)
-    err += 2 * Y ** max(s - 1, mpf(0)) * exp(-Y)
+    head, head_err = _head_vs_k(s, power * nu, _j_coeffs(nu, x, power),
+                                2 * tau)
+    err += head_err + 2 * Y ** max(s - 1, mpf(0)) * exp(-Y)
     return QuadResult(head + tail, err, nodes)
 
 
@@ -387,6 +373,8 @@ def olevskii_quad(mu, nu, tau, x):
     mu, nu, tau, x = mpf(mu), mpf(nu), mpf(tau), mpf(x)
     if mu + nu <= 0:
         raise DomainError("olevskii_quad requires mu + nu > 0")
+    if nu <= -1:
+        raise DomainError("olevskii_quad requires nu > -1")
     if not (0 < mu < mpf(3) / 2):
         raise DomainError("olevskii_quad requires 0 < mu < 3/2")
     if tau <= 0 or x <= 0:

@@ -104,6 +104,15 @@ class TestEval:
             assert (code, out) == (3, ""), route
             assert "did not converge in 3 terms" in err
 
+    @pytest.mark.parametrize("nu", ["-1.2", "-1"])
+    def test_olevskii_quadrature_refuses_nu(self, capsys, nu):
+        # a usage error of the route's own, not one from ln_gamma
+        code, out, err = run(["eval", "--kernel", "olevskii", "--route",
+                              "quadrature", "--mu", "1.4", "--nu", nu,
+                              "--x", "0.5", "--tau", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "olevskii_quad requires nu > -1" in err
+
     def test_near_one_limit(self, capsys):
         code, out, _ = run(["eval", "--kernel", "olevskii", "--mu", "1.3",
                             "--nu", "0.2", "--x", "1e-4", "--tau", "1"],

@@ -339,6 +339,23 @@ class TestSeriesKernelDigits:
                     assert rel(v, r) <= 100 * mpf(10) ** -dps, (dps, v, r)
 
 
+def _mehler_fock_quadrature_within_estimate(mu, tau, x, dps):
+    # |P| from the quadrature route at dps is within its relative
+    # estimate of mpmath's Legendre function at dps + 20, or the route
+    # raises
+    p = KernelPoint(kernel="mehler-fock", x=x, tau=tau, mu=mu)
+    try:
+        with workdps(dps):
+            r = eval(p, "quadrature")
+    except (NonconvergenceError, NumericalFailureError, PrecisionLossError):
+        return
+    with workdps(dps + 20):
+        ref = mpmath.legenp(-mpf(1) / 2 + 1j * tau, -mpf(mu),
+                            mpmath.sqrt(1 + 4 * mpf(x) ** 2), type=3).real
+    assert abs(r.value - ref) <= r.rel_error_estimate * abs(ref), \
+        (abs(r.value - ref) / abs(ref), r.rel_error_estimate)
+
+
 class TestDispatch:
     def test_point_validation(self):
         with pytest.raises(DomainError):
@@ -395,18 +412,14 @@ class TestDispatch:
         # the tail's J_mu(x y)^2 oscillates with period pi/x, which
         # panels of fixed length miss at these x; the value is within its
         # estimate of the Legendre oracle, or the route raises
-        p = KernelPoint(kernel="mehler-fock", x=x, tau=tau, mu="0.5")
-        try:
-            with workdps(dps):
-                r = eval(p, "quadrature")
-        except (NonconvergenceError, NumericalFailureError,
-                PrecisionLossError):
-            return
-        with workdps(dps + 20):
-            ref = mpmath.legenp(-mpf(1) / 2 + 1j * tau, -mpf(1) / 2,
-                                mpmath.sqrt(1 + 4 * mpf(x) ** 2), type=3).real
-        assert abs(r.value - ref) <= r.rel_error_estimate * abs(ref), \
-            (abs(r.value - ref) / abs(ref), r.rel_error_estimate)
+        _mehler_fock_quadrature_within_estimate("0.5", tau, x, dps)
+
+    @pytest.mark.parametrize("mu, tau, x, dps", [
+        ("0", 1, 18, 25), ("0", 1, 30, 25), ("0.5", 4, 30, 40)])
+    def test_mehler_fock_quadrature_at_large_x(self, mu, tau, x, dps):
+        # the head's J^2 coefficients, near e^{2x}, run past J's (109
+        # against 67 at (mu, x) = (1/2, 30), dps 25) and cancel in its sum
+        _mehler_fock_quadrature_within_estimate(mu, tau, x, dps)
 
     def test_routes_agree_olevskii(self):
         p = KernelPoint(kernel="olevskii", x="0.5", tau=1, mu="1.3", nu="0.2")

@@ -10,14 +10,14 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.calculus.quadrature import GaussLegendre
 
-from indexkernels import bessel, quadrature
+from indexkernels import bessel, quadrature, special
 from indexkernels.bessel import bessel_k_real, k_itau_quad
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError)
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
                                      QuadResult, _GaussLegendre, _head_vs_k,
-                                     _j_coeffs, _product_tail, _square_coeffs,
-                                     _tail_ray, mehler_fock_sq, olevskii_quad,
+                                     _j_coeffs, _product_tail, _tail_ray,
+                                     mehler_fock_sq, olevskii_quad,
                                      product_kernel_quad, whittaker_quad)
 from indexkernels.special import ln_gamma
 
@@ -273,7 +273,9 @@ class TestOlevskiiQuad:
         ("0.2", "-0.3", "1", "0.5", r"mu \+ nu > 0"),
         ("1.5", "0.2", "1", "0.5", "0 < mu < 3/2"),
         ("0.5", "0.2", "0", "0.5", "tau > 0, x > 0"),
-        ("0.5", "0.2", "1", "-1", "tau > 0, x > 0")])
+        ("0.5", "0.2", "1", "-1", "tau > 0, x > 0"),
+        ("1.4", "-1.2", "1", "0.5", "nu > -1"),
+        ("1.4", "-1", "1", "0.5", "nu > -1")])
     def test_domain_refused(self, mu, nu, tau, x, message):
         with pytest.raises(DomainError, match=message):
             olevskii_quad(*map(mpf, (mu, nu, tau, x)))
@@ -311,9 +313,25 @@ def _two_series_head(mu, a, coeffs, order):
     return (mpmath.pi * s / (2j * mpmath.sinh(mpmath.pi * order))).real
 
 
+def _square_coeffs(coeffs):
+    # the full Cauchy square of a coefficient list, 2n - 1 long
+    n = len(coeffs)
+    return [sum(coeffs[i] * coeffs[j - i]
+                for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
+            for j in range(2 * n - 1)]
+
+
+def _long_coeffs(nu, x, power):
+    # J's coefficients at dps + 30, down to 10^-(dps+35), or their Cauchy
+    # square, which is as long as J^2 needs
+    with mpmath.workdps(mp.dps + 30):
+        c = _j_coeffs(nu, x, 1)
+        return c if power == 1 else _square_coeffs(c)
+
+
 class TestHeadVsK:
     # (mu, nu, x, order): the olevskii head (mu, nu), and the mehler-fock
-    # head (1, 2 mu) with squared coefficients, marked by mu = None
+    # head (1, 2 nu) with squared coefficients, marked by mu = None
     POINTS = [(mpf("0.5"), mpf("0.25"), mpf("0.3"), 6),
               (mpf("1.3"), mpf("0.2"), mpf("0.5"), 2),
               (mpf("0.7"), mpf(1), mpf(4), 1),
@@ -322,17 +340,53 @@ class TestHeadVsK:
               (None, mpf("0.4"), mpf("0.5"), 4),
               (None, mpf(0), mpf(3), 1)]
 
+    @staticmethod
+    def _heads(mu, nu, x, order):
+        # (head, its rounding estimate) at dps, and the two-series head
+        # at dps + 30 on _long_coeffs
+        power = 2 if mu is None else 1
+        mu, a = (mpf(1), 2 * nu) if mu is None else (mu, nu)
+        head = _head_vs_k(mu, a, _j_coeffs(nu, x, power), order)
+        with mpmath.workdps(mp.dps + 30):
+            ref = _two_series_head(mu, a, _long_coeffs(nu, x, power), order)
+        return head, ref
+
     @pytest.mark.parametrize("dps", [25, 40, 60])
     def test_matches_two_series_sum(self, dps):
         with mpmath.workdps(dps):
-            for mu, nu, x, order in self.POINTS:
-                if mu is None:
-                    args = (mpf(1), 2 * nu,
-                            _square_coeffs(_j_coeffs(nu, x)), order)
-                else:
-                    args = (mu, nu, _j_coeffs(nu, x), order)
-                assert _head_vs_k(*args) == _two_series_head(*args), \
-                    (mu, nu, x, order)
+            for point in self.POINTS:
+                (head, _), ref = self._heads(*point)
+                assert abs(head - ref) <= mpf(10) ** (3 - dps) * abs(ref), \
+                    point
+
+    @pytest.mark.parametrize("dps", [25, 40])
+    def test_cancelling_sum_within_its_rounding(self, dps):
+        # the J^2 coefficients at x = 30 reach 6e22 and cancel in the sum
+        # over j to a head of -1.5e-8
+        with mpmath.workdps(dps):
+            (head, rounding), ref = self._heads(None, mpf("0.5"), mpf(30), 8)
+        assert abs(head - ref) <= rounding, (abs(head - ref), rounding)
+
+    @pytest.mark.parametrize("dps", [25, 40])
+    def test_square_coefficients(self, dps):
+        # J^2's closed-form coefficients are the Cauchy square of J's, and
+        # run at least as far as that square stays above the stop
+        with mpmath.workdps(dps):
+            tol = mpf(10) ** (-dps - 5)
+            for nu in map(mpf, ("0", "0.5", "0.7")):
+                for x in map(mpf, ("0.8", "3", "30")):
+                    c, ref = _j_coeffs(nu, x, 2), _long_coeffs(nu, x, 2)
+                    last = max(i for i, r in enumerate(ref) if abs(r) > tol)
+                    assert len(c) > last, (nu, x)
+                    big = max(map(abs, ref))
+                    assert all(abs(a - b) <= mpf(10) ** (3 - dps) * big
+                               for a, b in zip(c, ref)), (nu, x)
+
+    def test_max_terms_in_force(self, monkeypatch):
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
+        with pytest.raises(NonconvergenceError,
+                           match="J coefficient series did not converge in 3"):
+            _j_coeffs(mpf("0.7"), mpf("0.8"), 2)
 
 
 def _gauss_legendre_routes():
