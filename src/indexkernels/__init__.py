@@ -3,7 +3,7 @@ their Lebedev square/product combinations, index Whittaker, conical and
 conjugate-parameter Gauss hypergeometric kernels, with machine-checkable
 uniform bounds and asymptotic remainder bounds."""
 
-from .config import Config, get as get_config, load_from_env, set_active
+from .config import Config, get as get_config
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError, PoleError, PrecisionLossError)
 

@@ -75,7 +75,7 @@ class KernelValue:
     """A real kernel value with its relative-error estimate."""
     value: object            # mpf
     rel_error: object        # mpf, >= 0
-    cancellation: bool = False
+    cancellation: bool
 
 
 def bessel_i(nu, x):

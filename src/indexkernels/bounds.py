@@ -1,6 +1,7 @@
 """Closed-form right-hand sides of the uniform kernel inequalities, the
-matching predicate evaluators, and the grid fit of the two Lebedev-type
-envelope constants for K_{i tau}."""
+evaluation of both sides at a point, and the grid fit of the two
+Lebedev-type envelope constants for K_{i tau}.  Whether a point holds
+under a slack is the CLI's verdict."""
 
 from dataclasses import dataclass
 from operator import mul, truediv
@@ -8,7 +9,6 @@ from operator import mul, truediv
 from mpmath import mpc, mpf, workdps
 from mpmath import exp, log, pi, sinh, sqrt, tan
 
-from . import config
 from .bessel import k_index
 from .errors import DomainError
 from .kernels import (conical_p, olevskii_direct, product_kernel_direct,
@@ -42,7 +42,6 @@ class BoundReport:
     lhs: object
     rhs: object
     margin: object
-    holds: bool
 
 
 def _abs_gamma(z):
@@ -196,9 +195,7 @@ def evaluate_bound(bound_id, **point):
     else:
         rhs = bound_binet_rhs(z)
         lhs = abs(binet_r(z))
-    margin = rhs - lhs
-    holds = lhs <= rhs * (1 + mpf(config.get().bound_slack))
-    return BoundReport(bound_id, point, lhs, rhs, margin, bool(holds))
+    return BoundReport(bound_id, point, lhs, rhs, rhs - lhs)
 
 
 def _geom_grid(lo, hi, count):

@@ -99,7 +99,7 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def cmd_eval(args):
+def cmd_eval(args, cfg):
     point = kernels.KernelPoint(kernel=args.kernel, x=args.x, tau=args.tau,
                                 mu=args.mu, nu=args.nu, rho=args.rho)
     res = kernels.eval(point, args.route)
@@ -133,7 +133,7 @@ def _run_grid(out, header, points, evaluate, summary):
     return EXIT_VIOLATION if n_viol else EXIT_OK
 
 
-def cmd_verify(args):
+def cmd_verify(args, cfg):
     bid = args.bound
     header = ["bound", "n", "mu", "nu", "rho", "tau", "x", "z_abs", "z_arg",
               "lhs", "rhs", "margin", "holds", "error"]
@@ -153,6 +153,7 @@ def cmd_verify(args):
             kw[name] = value if name == "n" else mpf(value)
         points = [dict(tau=tau, x=x, **kw) for tau in axes["tau"]
                   for x in axes["x"]]
+    slack = mpf(cfg.bound_slack)
     worst = []
 
     def evaluate(pt):
@@ -161,7 +162,8 @@ def cmd_verify(args):
         rep = bounds.evaluate_bound(bid, **kw)
         if not worst or rep.margin < worst[0]:
             worst[:] = rep.margin, pt
-        return [rep.lhs, rep.rhs, rep.margin, rep.holds], rep.holds
+        holds = rep.lhs <= rep.rhs * (1 + slack)
+        return [rep.lhs, rep.rhs, rep.margin, holds], holds
 
     keys = [[bid] + [pt.get(c) for c in header[1:9]] for pt in points]
     code = _run_grid(args.out, header, zip(keys, points), evaluate,
@@ -184,15 +186,17 @@ def _expansion_report(kernel, tau, x, args):
                                        mpf(args.x0))
 
 
-def cmd_expand(args):
+def cmd_expand(args, cfg):
     axes = _grids(args, "tau=5:12:0.5", "x=0.25:1:0.75")
     header = ["kernel", "tau", "x", "scale", "main", "remainder", "bound",
               "holds", "error"]
+    slack = mpf(cfg.remainder_slack)
 
     def evaluate(pt):
         rep = _expansion_report(args.kernel, *pt, args)
-        return [rep.scale_factor, rep.main_term, rep.empirical_remainder,
-                rep.remainder_bound, rep.bound_holds], rep.bound_holds
+        rem, bound = rep.empirical_remainder, rep.remainder_bound
+        holds = abs(rem) <= bound * (1 + slack)
+        return [rep.scale_factor, rep.main_term, rem, bound, holds], holds
 
     points = [([args.kernel, tau, x], (tau, x)) for tau in axes["tau"]
               for x in axes["x"]]
@@ -200,7 +204,7 @@ def cmd_expand(args):
                      "{0} violations={1} failures={2}" % args.kernel)
 
 
-def cmd_crossover(args):
+def cmd_crossover(args, cfg):
     point_kw = dict(mu=args.mu, nu=args.nu, rho=args.rho)
     x, tol = mpf(args.x), mpf(args.tol)
     taus = _grids(args, "tau=2:20:0.5")["tau"]
@@ -254,7 +258,7 @@ def cmd_crossover(args):
     return EXIT_OK
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, cfg):
     route = args.route
     axes = _grids(args, "tau=0.5:5:0.5", "x=0.5:2:0.5")
     header = ["kernel", "route", "x", "tau", "mu", "nu", "rho",
@@ -274,7 +278,7 @@ def cmd_sweep(args):
                      "points={0} failures={2}")
 
 
-def cmd_fit_constants(args):
+def cmd_fit_constants(args, cfg):
     T, x_cap, nx, ntau = mpf(args.T), mpf(args.X), args.nx, args.ntau
     x_floor, taus = bounds.FIT_X_FLOOR, (bounds.FIT_TAU_LO, bounds.FIT_TAU_HI)
     if not (x_floor < T < x_cap):
@@ -368,16 +372,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = config.load_from_env()
+        cfg = config.get()
         if getattr(args, "slack", None) is not None:
             cfg = dataclasses.replace(cfg, bound_slack=args.slack,
                                       remainder_slack=args.slack)
-        prev = config.set_active(cfg)  # restored, with mp.dps, on the way out
-        try:
-            with workdps(cfg.dps):
-                return args.func(args)
-        finally:
-            config.set_active(prev)
+        with workdps(cfg.dps):  # restores the caller's precision
+            return args.func(args, cfg)
     except (DomainError, ValueError) as exc:
         print("usage error: %s" % (exc,), file=sys.stderr)
         return EXIT_USAGE

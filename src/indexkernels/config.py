@@ -1,9 +1,10 @@
-"""Runtime configuration.
+"""Runtime configuration of the command-line harness.
 
-Precedence: explicit keyword arguments / CLI flags > the key=value file
-named by the INDEX_KERNELS_CFG environment variable > the defaults below.
-A key the file names that is not a field below, a file that cannot be
-read and a value out of its field's range are each a DomainError.
+The CLI reads it with precedence flags > the key=value file named by the
+INDEX_KERNELS_CFG environment variable > the defaults below; the library
+reads no configuration.  A key the file names that is not a field below,
+a file that cannot be read and a value out of its field's range are each
+a DomainError.
 """
 
 import math
@@ -33,12 +34,10 @@ class Config:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
-_active = None
 
-
-def load_from_env():
+def get():
     """The defaults, with the overrides from the file named by
-    INDEX_KERNELS_CFG, if set."""
+    INDEX_KERNELS_CFG, if set; the file is read on each call."""
     path = os.environ.get("INDEX_KERNELS_CFG")
     if not path:
         return Config()
@@ -60,18 +59,3 @@ def load_from_env():
                                   % (key, path, ", ".join(_FIELD_TYPES)))
             overrides[key] = _FIELD_TYPES[key](val.strip())
     return Config(**overrides)
-
-
-def get():
-    """The active configuration (env file applied on first access)."""
-    global _active
-    if _active is None:
-        _active = load_from_env()
-    return _active
-
-
-def set_active(cfg):
-    """Make cfg the active configuration; return the one it replaces."""
-    global _active
-    prev, _active = _active, cfg
-    return prev

@@ -21,7 +21,7 @@ from mpmath import isfinite, mp, mpf, mpc, workdps
 from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
                     tanh)
 
-from . import config, special
+from . import special
 from .bessel import bessel_i, k_index, k_itau_quad, k_itau_series
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .quadrature import (mehler_fock_sq, olevskii_quad, product_kernel_quad,
@@ -71,7 +71,7 @@ class EvalResult:
     value: object
     route: str
     rel_error_estimate: object
-    cancellation_flag: bool = False
+    cancellation_flag: bool
 
 
 @dataclass
@@ -79,16 +79,11 @@ class ExpansionReport:
     main_term: object
     empirical_remainder: object
     remainder_bound: object
-    bound_holds: bool
     scale_factor: object
 
 
 def _reduce_phase(theta):
     return theta - 2 * pi * mp.floor(theta / (2 * pi) + mpf(1) / 2)
-
-
-def _slack():
-    return mpf(config.get().remainder_slack)
 
 
 def _lebedev_phase(tau, x):
@@ -166,8 +161,7 @@ def thm1_report(N, tau, x, tau0, X):
     scale, main = thm1_main(tau, x)
     rem = thm1_remainder_explicit(N, tau, x)
     bound = thm1_remainder_bound(N, tau, tau0, X)
-    holds = abs(rem) <= bound * (1 + _slack())
-    return ExpansionReport(main, rem, bound, bool(holds), scale)
+    return ExpansionReport(main, rem, bound, scale)
 
 
 # ------------------------------------------------------------- K^2_{i tau}
@@ -212,8 +206,7 @@ def thm2_main_and_bound(tau, x, tau0, X):
              + (1 / tau) * (8 * X * sqrt(cth) / sqrt(pi * tau0) * i1
                             + exp(1 / (6 * tau0)) + 2 * X ** 2
                             + exp(1 / (3 * tau0)) / (12 * tau0)))
-    holds = abs(rem) <= bound * (1 + _slack())
-    return ExpansionReport(main, rem, bound, bool(holds), scale)
+    return ExpansionReport(main, rem, bound, scale)
 
 
 # --------------------------------------------- [I_{i tau}+I_{-i tau}] K
@@ -257,8 +250,7 @@ def thm3_main_and_bound(tau, x, tau0, X):
         * (1 + X ** 2 / tau0 * (1 + 1 / tau0))
         + X ** 2 / sqrt(tau) * (1 + 1 / tau0)
         + sqrt(tau) * exp(-2 * pi * tau))
-    holds = abs(rem) <= bound * (1 + _slack())
-    return ExpansionReport(main, rem, bound, bool(holds), scale)
+    return ExpansionReport(main, rem, bound, scale)
 
 
 # ------------------------------------------------------- W_{rho, i tau}
@@ -359,8 +351,7 @@ def thm4_main_and_bound(rho, tau, x, tau0, x0):
     blow = (1 - x0) ** (-2 * (1 + abs(rho))) - exp(x0)
     bound = (1 / tau) * (a * (2 + a) + (1 + a / tau) ** 2
                          * (blow + exp(-2 * pi * tau) * (tau + blow)))
-    holds = abs(rem) <= bound * (1 + _slack())
-    return ExpansionReport(main, rem, bound, bool(holds), scale)
+    return ExpansionReport(main, rem, bound, scale)
 
 
 # ------------------------------------------------- conical / Mehler-Fock

@@ -114,7 +114,7 @@ def test_criterion_6_binet_bound():
     for r in radii:
         for arg in (mpf(0), mpmath.pi / 4, mpmath.pi / 2):
             rep = evaluate_bound("binet", z=r * mpmath.exp(1j * arg))
-            ok = ok and rep.holds
+            ok = ok and rep.lhs <= rep.rhs * (1 + mpf(1e-9))
     report(6, "stirling remainder envelope on three rays", ok)
 
 

