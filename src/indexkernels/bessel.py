@@ -21,8 +21,9 @@ orders give exactly conjugate values.  The I prefactor and the K_{i tau}
 assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
 operators on raw tuples, so the values are the operators' bit for bit.
 The series read mp.prec alone: the plans carry the stop and eps.  The
-memos (I and J plans, K constants) share mp's global precision and, like
-mpmath itself, assume one thread.
+memos (I and J plans, K constants), which the quadrature nodes (_k_node,
+_j_point) read too, share mp's global precision and, like mpmath itself,
+assume one thread.
 """
 
 import functools
@@ -224,12 +225,13 @@ def bessel_j(nu, x, with_error=False):
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
 
-    return _j_point(nu, x, _j_plan(nu, mp.prec), with_error)
+    return _j_point(nu, x, with_error)
 
 
-def _j_point(nu, x, plan, with_error):
-    # bessel_j past its checks, from nu's plan at mp.prec: the per-point
-    # work of bessel_j and _j_evaluator
+def _j_point(nu, x, with_error):
+    # bessel_j past its checks, from nu's plan at mp.prec: also the J node
+    # of the quadrature integrands, whose orders their routes check
+    plan = _j_plan(nu, mp.prec)
     if x <= plan[0]:
         if x == 0:
             v = mpf(1) if nu == 0 else mpf(0)
@@ -427,23 +429,23 @@ def k_itau_series(tau, x, i_tau=None):
     key = (tau._mpf_, x._mpf_, mp.prec)
     res = _ks_cache.get(key)
     if res is None:
-        res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau, None,
+        res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau,
                        _PLAIN_DIGITS)
         _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau)
 
 
-def _k_point(x, i_tau, tau, kp, digits):
-    # k_itau_series and _k_evaluator from tau's _k_plan (kp, or None): the
-    # series (i_tau: a libmp pair, or None) where _loss_bits keeps to
-    # min(digits, dps - 10) digits and the estimate to _LOSS, else summed
-    # with guard bits, rounded back (eps more on the estimate).  x, tau > 0
-    # finite: sign 0, a mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
+def _k_point(x, i_tau, tau, digits):
+    # k_itau_series and _k_node from tau's _k_plan: the series (i_tau: a
+    # libmp pair, or None) where _loss_bits keeps to min(digits, dps - 10)
+    # digits and the estimate to _LOSS, else summed with guard bits,
+    # rounded back (eps more on the estimate).  x, tau > 0 finite: sign 0,
+    # a mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
     if x._mpf_[0] or not x._mpf_[1] or tau._mpf_[0] or not tau._mpf_[1]:
         raise DomainError("k_itau_series requires finite x > 0, tau > 0")
     if mpf_gt(x._mpf_, _K_X_MAX):
         raise OverflowGuardError("x too large for the I-series route")
-    kp = kp or _k_plan(tau, mp.prec)
+    kp = _k_plan(tau, mp.prec)
     bits = _loss_bits(kp, x)
     if bits <= min(digits, mp.dps - 10) * _LOG2_10:
         i_tau, e = (_i_series(kp[0], x) if i_tau is None
@@ -457,6 +459,15 @@ def _k_point(x, i_tau, tau, kp, digits):
         up = _k_plan(tau, mp.prec)
         res = _k_series(*_i_series(up[0], x), up)
     return KernelValue(+res.value, res.rel_error + kp[5], res.cancellation)
+
+
+def _k_node(tau, y):
+    # a quadrature node's K_{i tau}(y), y rounded to mp.prec: k_itau_series
+    # uncached, guarded where it would keep under 10 digits, not where it
+    # would lose _PLAIN_DIGITS: the tails run to series_safe_x, and a guard
+    # costs 1.5-2 sums per node
+    return _checked(_k_point(mpf(y), None, tau, math.inf), "k_itau_series",
+                    tau).value
 
 
 def _loss_bits(kp, x):
@@ -530,43 +541,3 @@ def k_index(index, x, i_tau=None):
     if index == 0:
         return bessel_k_real(0, x)
     return k_itau_series(index, x, i_tau=i_tau).value
-
-
-# The quadrature integrands' evaluators: y -> k_index(index, y) and y ->
-# bessel_j(nu, y, with_error) for the nodes of one integral, bit for bit,
-# except that a K node takes guard bits only where it would keep fewer
-# than 10 digits, not where it would lose _PLAIN_DIGITS: the tails run to
-# series_safe_x, and a guard costs 1.5-2 sums per node.
-# The order's plans are fetched once per precision, on the first node
-# (quad runs 20 bits up).  At index 0, and at an order the public function
-# refuses, it is called.
-
-def _k_evaluator(index):
-    if not (index and isfinite(index)):
-        return lambda y: k_index(index, y)
-    plans = {}
-
-    def k(y):
-        y, prec = mpf(y), mp.prec
-        if prec not in plans:
-            tau = abs(mpf(index))
-            plans[prec] = tau, _k_plan(tau, prec)
-        tau, kp = plans[prec]
-        return _checked(_k_point(y, None, tau, kp, math.inf),
-                        "k_itau_series", tau).value
-    return k
-
-
-def _j_evaluator(nu, with_error):
-    if not (isfinite(nu) and nu > -1):
-        return lambda y: bessel_j(nu, y, with_error)
-    plans = {}
-
-    def j(y):
-        y, prec = mpf(y), mp.prec
-        if prec not in plans:
-            n = mpf(nu)
-            plans[prec] = n, _j_plan(n, prec)
-        n, plan = plans[prec]
-        return _j_point(n, y, plan, with_error)
-    return j

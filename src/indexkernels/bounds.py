@@ -198,16 +198,6 @@ def evaluate_bound(bound_id, **point):
     return BoundReport(bound_id, point, lhs, rhs, rhs - lhs)
 
 
-def _geom_grid(lo, hi, count):
-    lo = mpf(lo)
-    hi = mpf(hi)
-    step = (log(hi) - log(lo)) / (count - 1)
-    # exact endpoints: grids that meet at a point evaluate the same x,
-    # which the exactly keyed K caches then share
-    inner = [exp(log(lo) + k * step) for k in range(1, count - 1)]
-    return [lo] + inner + [hi]
-
-
 def _lin_grid(lo, hi, count):
     lo = mpf(lo)
     hi = mpf(hi)
@@ -215,7 +205,16 @@ def _lin_grid(lo, hi, count):
     return [lo + k * step for k in range(count)]
 
 
-def fit_lebedev_constants(T=1, nx=50, ntau=50, x_cap=20):
+def _geom_grid(lo, hi, count):
+    lo = mpf(lo)
+    hi = mpf(hi)
+    # exact endpoints: grids that meet at a point evaluate the same x,
+    # which the exactly keyed K caches then share
+    inner = _lin_grid(log(lo), log(hi), count)[1:-1]
+    return [lo] + [exp(t) for t in inner] + [hi]
+
+
+def fit_lebedev_constants(T, nx, ntau, x_cap):
     """Grid maxima of the two K_{i tau} envelope functionals:
 
     A = max |K_{i tau}(x)| (tau x)^{1/4} sqrt(sinh(pi tau)) on (0, T],

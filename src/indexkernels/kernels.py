@@ -255,7 +255,7 @@ def thm3_main_and_bound(tau, x, tau0, X):
 
 # ------------------------------------------------------- W_{rho, i tau}
 
-def whittaker_direct(rho, tau, x, route="f11"):
+def whittaker_direct(rho, tau, x, route):
     """W_{rho, i tau}(x) by either of two equivalent assemblies:
 
     * route "f11": 2 Re[Gamma(-2 i tau) x^{i tau + 1/2}

@@ -8,14 +8,14 @@ independent of the series/hypergeometric routes in `kernels`:
 * whittaker_quad     -- Laplace-type K moment for W_{-mu, i tau}(2x),
 * olevskii_quad      -- J_nu K moment for the conjugate-parameter 2F1.
 
-The K_{i index} and J_nu factors inside the integrands come from the
-bessel module's per-integral evaluators, which return k_index's and
-bessel_j's values with the order's work done once per integral.
+The K_{i index} and J_nu factors inside the integrands are the bessel
+module's point functions, _k_node and _j_point, which take the order's
+plan from bessel's LRU memos.
 
 Panels on which the integrand is analytic on and near the panel (the
 product head and its tail ray, cut where it has decayed below quad's
 stop, the olevskii and mehler-fock tails) run Gauss-Legendre; both
-Whittaker panels run tanh-sinh (_TanhSinh).  Every integral goes
+Whittaker panels run tanh-sinh (special._TanhSinh).  Every integral goes
 through _quad, which caps the degree and counts the integrand calls.
 The three J-weighted integrals, the product head and the J K moments
 (_jk_moment) of the olevskii and mehler-fock tails, go through _j_quad:
@@ -34,15 +34,15 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workprec
 from mpmath import asinh, cos, exp, log, pi, quad, re, sinh, sqrt
-from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
+from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_float, to_fixed
 
-from .bessel import (K_X_MAX, _ROUNDING, _j_evaluator, _j_switch, _k_evaluator,
+from .bessel import (K_X_MAX, _ROUNDING, _j_point, _j_switch, _k_node,
                      series_safe_x)
 from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
                      OverflowGuardError)
 from . import special
-from .special import _GUARD, _eps, hyp1f2, ln_gamma
+from .special import _GUARD, _TanhSinh, _eps, hyp1f2, ln_gamma
 
 # the oscillatory product-kernel quadrature is trusted for tau <= this
 PRODUCT_QUAD_TAU_CAP = 2.0
@@ -109,31 +109,6 @@ class _GaussLegendre(GaussLegendre):
             w = (2 << 4 * W) // ((one - (r * r >> W)) * dp * dp)
             w = mpf((w, -W), prec=wp)
             nodes += [(mpf((r, -W), prec=wp), w), (mpf((-r, -W), prec=wp), w)]
-        return nodes
-
-
-# tanh-sinh nodes on [-1, 1] by (degree, quad precision), shared by every
-# _TanhSinh (mpmath.quad makes a new rule object per call), and the nodes
-# moved to [a, b], which mpmath stores on their key's second sighting, for
-# the newest _TS_INTERVALS_MAX (a, b, degree, precision) keys
-_TS_NODES, _TS_TRANSFORMED, _TS_SEEN = {}, {}, {}
-_TS_INTERVALS_MAX = 32
-
-
-class _TanhSinh(TanhSinh):
-    """mpmath's tanh-sinh rule, its nodes in the _TS_ dicts, not mpmath's."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.standard_cache = _TS_NODES
-        self.transformed_cache = _TS_TRANSFORMED
-        self.interval_count = _TS_SEEN
-
-    def get_nodes(self, a, b, degree, prec, verbose=False):
-        nodes = super().get_nodes(a, b, degree, prec, verbose)
-        for cache in (_TS_TRANSFORMED, _TS_SEEN):
-            while len(cache) > _TS_INTERVALS_MAX:
-                del cache[next(iter(cache))]
         return nodes
 
 
@@ -206,11 +181,10 @@ def _j_quad(nu, c, power, w, pts, b):
     # (value, error estimate, integrand calls) of int J_nu(c y)^power w(y)
     # over pts + _panels(1, b, 8 pi / c, J's switch / c), J with its error:
     # b times the largest power J^(power-1) J_err w at a node joins quad's
-    j = _j_evaluator(nu, True)
     worst = [mpf(0)]
 
     def f(y):
-        v, v_err = j(c * y)
+        v, v_err = _j_point(nu, c * y, True)
         wy = w(y)
         worst[0] = max(worst[0], abs(power * v ** (power - 1) * v_err * wy))
         return v ** power * wy
@@ -227,12 +201,11 @@ def _jk_moment(s, nu, x, tau, power):
     factor, up to Y, then the head termwise (_head_vs_k), whose rounding
     joins the estimate: J^2's coefficients, near e^{2x}, cancel in its
     sum past x of about 20."""
-    k = _k_evaluator(2 * tau)
     # keep the K argument inside series_safe_x, past which every node
     # takes guard bits; beyond it the K_0 envelope bounds the dropped tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
-    tail, err, nodes = _j_quad(nu, x, power, lambda y: y ** (s - 1) * k(y),
-                               [], Y)
+    tail, err, nodes = _j_quad(
+        nu, x, power, lambda y: y ** (s - 1) * _k_node(2 * tau, y), [], Y)
     head, head_err = _head_vs_k(s, power * nu, _j_coeffs(nu, x, power),
                                 2 * tau)
     err += head_err + 2 * Y ** max(s - 1, mpf(0)) * exp(-Y)
@@ -298,7 +271,7 @@ def product_kernel_quad(tau, x):
 
     U = max(mpf(25), 25 / (2 * x))
     head, err_h, n_h = _j_quad(
-        0, 2 * x, 1, lambda u: cos(2 * tau * asinh(u)) / sqrt(1 + u ** 2),
+        mpf(0), 2 * x, 1, lambda u: cos(2 * tau * asinh(u)) / sqrt(1 + u ** 2),
         [mpf(0)], U)
     tail, err_t, n_t = _product_tail(tau, x, U)
     v = 2 * (head + re(1j * tail))
@@ -352,10 +325,9 @@ def whittaker_quad(mu, tau, x):
         raise OverflowGuardError("whittaker_quad: K's argument passes %d"
                                  % K_X_MAX)
 
-    k = _k_evaluator(tau)
-
     def h(y):
-        return exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2) * k(x * (y + 1))
+        return (exp(-x * y) * (y + 1) ** (-mu - mpf(1) / 2)
+                * _k_node(tau, x * (y + 1)))
 
     # keep the K argument x(y+1) inside series_safe_x, past which every
     # node takes guard bits; Y > 1

@@ -7,13 +7,16 @@ mpmath's hypsum, to working precision: in fixed point, with guard bits
 that grow with the cancellation it measures (F. Johansson, "Computing
 hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  ln_gamma
 is mpmath's libmp mpc_loggamma at working precision, memoized;
-gamma_via_binet is an independent route to Gamma by the Binet integral.
+gamma_via_binet is an independent route to Gamma by the Binet integral,
+on _TanhSinh: mpmath's tanh-sinh rule with its nodes kept here, not in
+mpmath's global rule (quadrature's Whittaker panels use it too).
 """
 
 import functools
 
 from mpmath import mp, mpf, mpc
 from mpmath import bernoulli, exp, factorial, log, pi, quad, sqrt
+from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import NoConvergence, mpc_loggamma, round_nearest
 
 from .errors import DomainError, NonconvergenceError, PoleError
@@ -84,6 +87,31 @@ def gamma_c(z):
     return exp(ln_gamma(z))
 
 
+# tanh-sinh nodes on [-1, 1] by (degree, quad precision), shared by every
+# _TanhSinh (mpmath.quad makes a new rule object per call), and the nodes
+# moved to [a, b], which mpmath stores on their key's second sighting, for
+# the newest _TS_INTERVALS_MAX (a, b, degree, precision) keys
+_TS_NODES, _TS_TRANSFORMED, _TS_SEEN = {}, {}, {}
+_TS_INTERVALS_MAX = 32
+
+
+class _TanhSinh(TanhSinh):
+    """mpmath's tanh-sinh rule, its nodes in the _TS_ dicts, not mpmath's."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.standard_cache = _TS_NODES
+        self.transformed_cache = _TS_TRANSFORMED
+        self.interval_count = _TS_SEEN
+
+    def get_nodes(self, a, b, degree, prec, verbose=False):
+        nodes = super().get_nodes(a, b, degree, prec, verbose)
+        for cache in (_TS_TRANSFORMED, _TS_SEEN):
+            while len(cache) > _TS_INTERVALS_MAX:
+                del cache[next(iter(cache))]
+        return nodes
+
+
 # ---------------------------------------------------------------------------
 # Binet remainder r(z): Gamma(z) = sqrt(2 pi) exp((z-1/2) log z - z) (1+r(z))
 # ---------------------------------------------------------------------------
@@ -131,7 +159,8 @@ def binet_r(z):
         # mu(w) = mu(w+1) + (w + 1/2) log(1 + 1/w) - 1
         corr += (w + mpf(1) / 2) * log(1 + 1 / w) - 1
         w += 1
-    j = quad(lambda t: exp(-w * t) * _binet_h(t), [0, mp.inf])
+    j = quad(lambda t: exp(-w * t) * _binet_h(t), [0, mp.inf],
+             method=_TanhSinh)
     return exp(j + corr) - 1
 
 

@@ -134,9 +134,9 @@ def test_criterion_8_fit_stability():
     # base fit, 2x refinement for stability, 3x-denser grid out-of-sample;
     # a denser grid approaches the true sup from below, so out-of-sample
     # maxima may exceed the fitted constants by at most the same 2%
-    A1, _, B1, _ = fit_lebedev_constants(nx=30, ntau=30)
-    A2, _, B2, _ = fit_lebedev_constants(nx=60, ntau=60)
-    A3, _, B3, _ = fit_lebedev_constants(nx=90, ntau=90)
+    A1, _, B1, _ = fit_lebedev_constants(T=1, nx=30, ntau=30, x_cap=20)
+    A2, _, B2, _ = fit_lebedev_constants(T=1, nx=60, ntau=60, x_cap=20)
+    A3, _, B3, _ = fit_lebedev_constants(T=1, nx=90, ntau=90, x_cap=20)
     drift = max(abs(A2 - A1) / A1, abs(B2 - B1) / B1)
     oos = A3 <= A2 * mpf("1.02") and B3 <= B2 * mpf("1.02")
     report(8, "fit drift %s, out-of-sample %s" % (mpmath.nstr(drift, 3), oos),

@@ -115,12 +115,12 @@ class TestNonFiniteInput:
         ("nan", 1), ("inf", 1), (0, 1), (-1, 1), (1, "nan"), (1, "inf"),
         (1, "-inf"), (1, 0), (1, -1)])
     def test_k_itau_series_raises(self, tau, x):
-        # and the K evaluator of the quadrature integrands at such an x
+        # and the K node of the quadrature integrands at such an x
         with pytest.raises(DomainError, match="k_itau_series"):
             k_itau_series(mpf(tau), mpf(x))
         if mpf(tau) == 1:
             with pytest.raises(DomainError, match="k_itau_series"):
-                bessel._k_evaluator(mpf(1))(mpf(x))
+                bessel._k_node(mpf(1), mpf(x))
 
     @pytest.mark.parametrize("route", [k_itau_quad, bessel_k_real])
     @pytest.mark.parametrize("x", [0, -1])
@@ -516,17 +516,17 @@ class TestFixedPointSeries:
 
     def test_j_ascending_at_working_precision(self):
         # at the default precision: bessel_j and the quadratures' J
-        # evaluator stop at 10^-dps, as every series does (a tolerance of
+        # node stop at 10^-dps, as every series does (a tolerance of
         # 1e-24 left J_0(1) off by 5.0e-28 at dps 40)
         for dps in self.DPS:
             with mpmath.workdps(dps):
                 for nu in (mpf(0), mpf("0.7"), mpf(4)):
-                    j = bessel._j_evaluator(nu, False)
                     for x in (mpf("0.3"), mpf(1), mpf("7.5"),
                               20 + nu ** 2 / 2 - mpf("0.1")):
                         with mpmath.workdps(dps + 20):
                             ref = mpmath.besselj(nu, x)
-                        for v in (bessel_j(nu, x), j(x)):
+                        for v in (bessel_j(nu, x),
+                                  bessel._j_point(nu, x, False)):
                             assert rel(v, ref) <= 10 * mpf(10) ** -dps, \
                                 (dps, nu, x)
 
@@ -536,10 +536,9 @@ class TestFixedPointSeries:
         # never fired, and J_0(1) raised after MAX_TERMS terms
         with mpmath.workdps(dps):
             for nu, x in ((mpf(0), mpf(1)), (mpf("0.7"), mpf(15))):
-                j = bessel._j_evaluator(nu, False)
                 with mpmath.workdps(dps + 20):
                     ref = mpmath.besselj(nu, x)
-                for v in (bessel_j(nu, x), j(x)):
+                for v in (bessel_j(nu, x), bessel._j_point(nu, x, False)):
                     assert rel(v, ref) <= 10 * mpf(10) ** -dps, (dps, nu, x)
 
     def test_ratio_tables_match_exact_division(self):
@@ -1086,7 +1085,7 @@ class TestOneRoute:
         monkeypatch.setattr(bessel, "_i_series", lambda *a: sums.append(a))
         routes = (lambda x: k_index(mpf(1), x), lambda x: k_index(0, x),
                   lambda x: k_itau_series(mpf(5), x),
-                  bessel._k_evaluator(mpf(2)))
+                  lambda x: bessel._k_node(mpf(2), x))
         for route in routes:
             for x in (mpf("700.001"), mpf(10) ** 6):
                 with pytest.raises(OverflowGuardError):
@@ -1140,28 +1139,28 @@ def _outcome(f, *args):
 
 
 class TestIntegrandEvaluators:
-    """The K and J evaluators of the quadrature integrands: made at the
-    caller's precision and run at quad's, 20 bits above, they return
-    k_index's and bessel_j's values bit for bit, and raise as they do."""
+    """The K and J nodes of the quadrature integrands, bessel._k_node and
+    bessel._j_point: at the caller's precision and at quad's, 20 bits
+    above, they return k_index's and bessel_j's values bit for bit, and
+    raise as they do."""
 
     @pytest.mark.parametrize("dps", [25, 40, 60])
     def test_k_matches_k_index(self, dps):
         # orders exact and inexact in binary, arguments on both sides of
-        # series_safe_x, the first one twice in a row, then the evaluator
-        # at the caller's precision
+        # series_safe_x, the first one twice in a row, then the node at
+        # the caller's precision
         with mpmath.workdps(dps):
             for tau in map(mpf, ("6", "6.054", "1.5", "0.5", "12", "15.9")):
-                k = bessel._k_evaluator(tau)
                 with mpmath.workprec(mp.prec + 20):
                     safe = series_safe_x(tau)
                     ys = [mpf("0.3"), mpf("0.3"), mpf("2.7"),
                           safe - mpf("0.2"), safe + mpf("0.2")]
                     for y in ys:
-                        assert _outcome(k, y) == _outcome(k_index, tau, y), \
-                            (dps, tau, y)
+                        assert _outcome(bessel._k_node, tau, y) == \
+                            _outcome(k_index, tau, y), (dps, tau, y)
                 for y in ys[1:3]:
-                    assert _outcome(k, y) == _outcome(k_index, tau, y), \
-                        (dps, tau, y)
+                    assert _outcome(bessel._k_node, tau, y) == \
+                        _outcome(k_index, tau, y), (dps, tau, y)
 
     @pytest.mark.parametrize("dps", [25, 40, 60])
     def test_j_matches_bessel_j(self, dps):
@@ -1171,19 +1170,19 @@ class TestIntegrandEvaluators:
             for nu in map(mpf, ("0", "0.25", "0.7")):
                 switch = 20 + nu ** 2 / 2
                 for with_error in (False, True):
-                    j = bessel._j_evaluator(nu, with_error)
                     with mpmath.workprec(mp.prec + 20):
                         for y in (mpf(0), mpf("0.3"), mpf("5.1"),
                                   switch - mpf("0.1"), switch + mpf("0.1"),
                                   mpf(60)):
-                            assert j(y) == bessel_j(nu, y, with_error), \
+                            assert bessel._j_point(nu, y, with_error) == \
+                                bessel_j(nu, y, with_error), \
                                 (dps, nu, y, with_error)
 
     def test_refusals_are_the_public_ones(self):
-        with pytest.raises(DomainError, match="nu > -1"):
-            bessel._j_evaluator(mpf(-1), False)(mpf(1))
+        # a J node's order is its route's to refuse (mehler_fock_sq and
+        # olevskii_quad check it); a K node refuses its argument itself
         with pytest.raises(DomainError, match="k_itau_series"):
-            bessel._k_evaluator(mpf(2))(mpf(0))
+            bessel._k_node(mpf(2), mpf(0))
 
     def test_loss_threshold_in_force(self, monkeypatch):
         # the K factor's rel_error, about 1e-32 here, and above 10^-46
@@ -1280,17 +1279,17 @@ class TestLibmpAssembly:
             yield tau, top
 
     def _check_k(self, monkeypatch):
-        # k_itau_series and the K evaluator give the reference's outcome
-        # where they sum at mp.prec and its estimate keeps to the loss
+        # k_itau_series and the K node give the reference's outcome where
+        # they sum at mp.prec and its estimate keeps to the loss
         # threshold; elsewhere both give the guarded sum's, which the
-        # evaluator, with its wider budget, takes at fewer points
+        # node, with its wider budget, takes at fewer points
         monkeypatch.setattr(bessel, "_ks_cache", {})
         loss = mp.make_mpf(bessel._LOSS)
         for tau, x in self._k_points():
             want = _exact_outcome(_mpc_k, tau, x)
             kept = isinstance(want[0], type) or want[1] <= loss
             got = _exact_outcome(k_itau_series, tau, x)
-            node = _exact_outcome(bessel._k_evaluator(tau), x)
+            node = _exact_outcome(bessel._k_node, tau, x)
             if kept and _plain(tau, x, bessel._PLAIN_DIGITS):
                 assert got == want, (tau, x)
             elif got[0] is PrecisionLossError:
@@ -1356,7 +1355,7 @@ class TestOneAssembly:
                 lambda: k_itau_series(tau, x),
                 lambda: k_index(tau, x),
                 lambda: kernels._product_oracle(tau, x),
-                lambda: bessel._k_evaluator(tau)(x)]
+                lambda: bessel._k_node(tau, x)]
 
     @pytest.mark.parametrize("name", ["_i_series", "_k_series"])
     def test_patched_routine_stops_every_route(self, monkeypatch, name):
@@ -1374,13 +1373,14 @@ class TestOneAssembly:
 
 
 class TestTanhSinhNodeCache:
-    # the Whittaker panels, the only tanh-sinh integrals: at x = 5 and dps
-    # 15 both panels, [0, 1] and [1, 2], are the same for every tau < 5.9
+    # the Whittaker panels, which share special._TanhSinh with binet_r: at
+    # x = 5 and dps 15 both panels, [0, 1] and [1, 2], are the same for
+    # every tau < 5.9
     X = mpf(5)
 
     def _empty(self, monkeypatch):
         for name in ("_TS_TRANSFORMED", "_TS_SEEN"):
-            monkeypatch.setattr(quadrature, name, {})
+            monkeypatch.setattr(special, name, {})
 
     def test_second_tau_reuses_nodes(self, monkeypatch):
         # the first tau is the panels' first sighting, the second tau
@@ -1388,8 +1388,8 @@ class TestTanhSinhNodeCache:
         # and every value is the one computed from empty dicts
         self._empty(monkeypatch)
         moves = []
-        move = quadrature._TanhSinh.transform_nodes
-        monkeypatch.setattr(quadrature._TanhSinh, "transform_nodes",
+        move = special._TanhSinh.transform_nodes
+        monkeypatch.setattr(special._TanhSinh, "transform_nodes",
                             lambda self, *a: moves.append(1) or move(self, *a))
         taus = (mpf("0.7"), mpf("2.5"), mpf("4.1"))
         with mpmath.workdps(15):
@@ -1408,8 +1408,7 @@ class TestTanhSinhNodeCache:
         with mpmath.workdps(15):
             for k in range(12):
                 whittaker_quad(mpf("0.3"), mpf("0.7"), mpf(1) + mpf(k) / 7)
-                assert len(quadrature._TS_TRANSFORMED) <= \
-                    quadrature._TS_INTERVALS_MAX
-                assert len(quadrature._TS_SEEN) <= \
-                    quadrature._TS_INTERVALS_MAX
-        assert len(quadrature._TS_SEEN) == quadrature._TS_INTERVALS_MAX
+                assert len(special._TS_TRANSFORMED) <= \
+                    special._TS_INTERVALS_MAX
+                assert len(special._TS_SEEN) <= special._TS_INTERVALS_MAX
+        assert len(special._TS_SEEN) == special._TS_INTERVALS_MAX

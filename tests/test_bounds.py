@@ -123,7 +123,7 @@ class TestEvaluate:
 
 class TestFit:
     def test_fit_finite_and_recorded(self):
-        A, argA, B, argB = fit_lebedev_constants(nx=10, ntau=10)
+        A, argA, B, argB = fit_lebedev_constants(T=1, nx=10, ntau=10, x_cap=20)
         assert mpmath.isfinite(A) and A > 0
         assert mpmath.isfinite(B) and B > 0
         assert argA is not None and argB is not None
@@ -132,14 +132,14 @@ class TestFit:
         # a finer grid can only find a larger (or equal) max if it nests;
         # doubling an even grid count nests the endpoints, so just check
         # the drift is small rather than signed
-        A1, _, B1, _ = fit_lebedev_constants(nx=24, ntau=24)
-        A2, _, B2, _ = fit_lebedev_constants(nx=48, ntau=48)
+        A1, _, B1, _ = fit_lebedev_constants(T=1, nx=24, ntau=24, x_cap=20)
+        A2, _, B2, _ = fit_lebedev_constants(T=1, nx=48, ntau=48, x_cap=20)
         assert abs(A2 - A1) / A1 < mpf("0.05")
         assert abs(B2 - B1) / B1 < mpf("0.05")
 
     def test_bad_domain(self):
         with pytest.raises(DomainError):
-            fit_lebedev_constants(T=0)
+            fit_lebedev_constants(T=0, nx=50, ntau=50, x_cap=20)
 
     def test_sinh_once_per_tau(self, monkeypatch):
         # sqrt(sinh(pi tau)) is formed once per tau (it was once per grid
@@ -147,7 +147,7 @@ class TestFit:
         calls = []
         monkeypatch.setattr(bounds, "sinh",
                             lambda z: calls.append(z) or mpmath.sinh(z))
-        fit = fit_lebedev_constants(nx=4, ntau=4)
+        fit = fit_lebedev_constants(T=1, nx=4, ntau=4, x_cap=20)
         assert len(calls) == 4
         with mpmath.workprec(90):
             pinned = [mpf(v) for v in (

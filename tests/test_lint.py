@@ -4,7 +4,8 @@ top-level name is used somewhere in the package or re-exported, every
 `Config` field is read by the package outside `config.py`, and no
 library module imports `config`: only the CLI reads the configuration,
 so the library's values and reports are functions of their arguments
-and mpmath's working precision alone.
+and mpmath's working precision alone.  Every `quad` call in the package
+names its rule, which keeps its nodes off mpmath's global rules.
 
 `__init__.py` is left out: its imports are the public re-exports, and it
 defines no function.
@@ -219,3 +220,25 @@ def test_leaf_imports_no_config(path):
     # threshold being constants; the bound and remainder verdicts under
     # a slack are the CLI's
     assert config_imports(path.read_text()) == []
+
+
+def quad_calls_without_method(source):
+    """The lines of the calls to a function named `quad` (`quad(...)`,
+    `mpmath.quad(...)`, `mp.quad(...)`) that pass no `method=`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "quad"
+            and "method" not in [kw.arg for kw in node.keywords]]
+
+
+def test_detects_quad_without_method():
+    src = ("from mpmath import mp, quad\nquad(f, [0, 1])\n"
+           "quad(f, [0, 1], method=R)\nmp.quad(f, [0, 1], error=True)\n"
+           "_quad(f, [0, 1])\nmp.quad(f, [0, 1], method='gauss-legendre')\n")
+    assert quad_calls_without_method(src) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_quad_names_its_rule(path):
+    assert quad_calls_without_method(path.read_text()) == []

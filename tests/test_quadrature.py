@@ -459,16 +459,20 @@ class TestGaussLegendreNodes:
         assert mp.prec == prec
 
     def test_tanh_sinh_routes_leave_mpmath_state_alone(
-            self, monkeypatch, empty_tanh_sinh_rule):
-        # the Whittaker panels, the product tail and the K integrals of
-        # bessel (k_itau_quad from an empty cache) use no global rule
+            self, monkeypatch, empty_tanh_sinh_rule, empty_mpmath_rule):
+        # the Whittaker panels, the product tail, the K integrals of
+        # bessel (k_itau_quad from an empty cache) and the Binet integral
+        # use no global rule
         monkeypatch.setattr(bessel, "_kq_cache", {})
         whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
         k_itau_quad(mpf("2.5"), mpf("1.3"))
         bessel_k_real(mpf("0.7"), mpf(2))
         product_kernel_quad(mpf("0.5"), mpf(1))
-        for name in _RULE_CACHES:
-            assert getattr(empty_tanh_sinh_rule, name) == {}, name
+        special.binet_r(mpc("1.5", 2))
+        special.gamma_via_binet(mpf("0.8"))
+        for rule in (empty_tanh_sinh_rule, empty_mpmath_rule):
+            for name in _RULE_CACHES:
+                assert getattr(rule, name) == {}, name
 
     def test_no_mpmath_node_builder(self, monkeypatch, empty_mpmath_rule):
         def refuse(*args, **kwargs):
