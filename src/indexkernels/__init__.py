@@ -11,7 +11,7 @@ from .special import (binet_r, gamma_c, gamma_via_binet, hyp1f1, hyp1f2,
                       hyp2f1, hyp2f1_term2, ln_gamma, pochhammer)
 from .bessel import (KernelValue, bessel_i, bessel_j, bessel_k_real,
                      k_index, k_itau_quad, k_itau_series)
-from .quadrature import (QuadResult, mehler_fock_sq, olevskii_quad,
+from .quadrature import (QuadResult, mehler_fock_quad, olevskii_quad,
                          product_kernel_quad, whittaker_quad)
 from .kernels import (EvalResult, ExpansionReport, KernelPoint, conical_p,
                       k_squared_direct, olevskii_decay_slopes,

@@ -24,7 +24,7 @@ from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
 from . import special
 from .bessel import bessel_i, k_index, k_itau_quad, k_itau_series
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
-from .quadrature import (mehler_fock_sq, olevskii_quad, product_kernel_quad,
+from .quadrature import (mehler_fock_quad, olevskii_quad, product_kernel_quad,
                          whittaker_quad)
 from .special import (_eps, hyp1f1, hyp1f2, hyp2f1, hyp2f1_term2, ln_gamma,
                       pochhammer)
@@ -482,13 +482,7 @@ def _from_quad(r, route):
 
 def eval(point, route):
     """Evaluate a kernel point by the named route, with an error estimate
-    and a cancellation flag attached.
-
-    The mehler-fock quadrature route integrates P^2 times its gamma weight
-    (mehler_fock_sq); |P| carries half its relative estimate.  It takes
-    the sign from the series route (conical_p), which costs milliseconds
-    against the seconds of the quadrature.
-    """
+    and a cancellation flag attached."""
     p = point
     k = p.kernel
     if k == "kl":
@@ -545,13 +539,7 @@ def eval(point, route):
             return EvalResult(v, route, mpf("1e-25") * exp(pi * p.tau),
                               p.tau > 16)
         if route == "quadrature":
-            sq = mehler_fock_sq(p.mu, p.tau, p.x)
-            g = exp(2 * ln_gamma(p.mu + mpf(1) / 2 + 1j * p.tau).real)
-            v = sqrt(sq.value / g)
-            if conical_p(p.mu, p.tau, sqrt(1 + 4 * p.x ** 2)) < 0:
-                v = -v
-            rel = _from_quad(sq, route).rel_error_estimate / 2
-            return EvalResult(v, route, rel, False)
+            return _from_quad(mehler_fock_quad(p.mu, p.tau, p.x), route)
     elif k == "olevskii":
         if route == "series":
             v = olevskii_direct(p.mu, p.nu, p.tau, p.x)

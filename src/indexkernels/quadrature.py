@@ -3,10 +3,11 @@
 The four kernel integrals implemented here give evaluation paths that are
 independent of the series/hypergeometric routes in `kernels`:
 
-* mehler_fock_sq     -- squared conical-function modulus as a J^2 K moment,
+* mehler_fock_quad    -- signed Mehler-Dirichlet integral for the conical
+                         function,
 * product_kernel_quad -- oscillatory J_0 integral for [I+I]K,
-* whittaker_quad     -- Laplace-type K moment for W_{-mu, i tau}(2x),
-* olevskii_quad      -- J_nu K moment for the conjugate-parameter 2F1.
+* whittaker_quad      -- Laplace-type K moment for W_{-mu, i tau}(2x),
+* olevskii_quad       -- J_nu K moment for the conjugate-parameter 2F1.
 
 The K_{i index} and J_nu factors inside the integrands are the bessel
 module's point functions, _k_node and _j_point, which take the order's
@@ -14,15 +15,16 @@ plan from bessel's LRU memos.
 
 Panels on which the integrand is analytic on and near the panel (the
 product head and its tail ray, cut where it has decayed below quad's
-stop, the olevskii and mehler-fock tails) run Gauss-Legendre; both
-Whittaker panels run tanh-sinh (special._TanhSinh).  Every integral goes
-through _quad, which caps the degree and counts the integrand calls.
-The three J-weighted integrals, the product head and the J K moments
-(_jk_moment) of the olevskii and mehler-fock tails, go through _j_quad:
-_panels sizes its panels by J's period and breaks them at J's branch
-switch, and J's own error joins the estimate.  The moments' heads on
-(0, 1] are termwise: with J or J^2 as a power series (_j_coeffs), each
-term against K's ascending I series is a 1F2 at 1/4 (_head_vs_k).
+stop, the olevskii tail, the mehler-fock panels past the first) run
+Gauss-Legendre; both Whittaker panels and the first mehler-fock panel,
+its endpoint singularity substituted away, run tanh-sinh
+(special._TanhSinh).  Every integral goes through _quad, which caps the
+degree and counts the integrand calls.  The two J-weighted integrals,
+the product head and the olevskii tail, go through _j_quad: _panels
+sizes its panels by J's period and breaks them at J's branch switch,
+and J's own error joins the estimate.  The olevskii head on (0, 1] is
+termwise: with J as a power series (_j_coeffs), each term against K's
+ascending I series is a 1F2 at 1/4 (_head_vs_k).
 _GaussLegendre builds the Gauss-Legendre nodes in fixed point and keeps
 them here, not in mpmath's global rule: 0.012 s for degrees 1-6 at dps
 40, where mpmath's mpf builder takes 0.20 s.
@@ -39,8 +41,7 @@ from mpmath.libmp import from_float, to_fixed
 
 from .bessel import (K_X_MAX, _ROUNDING, _j_point, _j_switch, _k_node,
                      series_safe_x)
-from .errors import (DomainError, NonconvergenceError, NumericalFailureError,
-                     OverflowGuardError)
+from .errors import DomainError, NonconvergenceError, OverflowGuardError
 from . import special
 from .special import _GUARD, _TanhSinh, _eps, hyp1f2, ln_gamma
 
@@ -137,18 +138,14 @@ def _k_cutoff():
     return mpf(mp.dps) * log(mpf(10)) + 15
 
 
-def _j_coeffs(nu, x, power):
-    """Ascending coefficients of J_nu(x y)^power = sum_j c_j y^{power nu +
-    2j}, power 1 or 2, down to 10^-(dps+5), by the term ratio of J's series
-    or of J^2's, (x y/2)^{2nu} / Gamma(nu+1)^2 1F2(nu+1/2; nu+1, 2nu+1;
-    -(x y)^2) (DLMF 10.8.3)."""
+def _j_coeffs(nu, x):
+    """Ascending coefficients of J_nu(x y) = sum_j c_j y^{nu + 2j}, down to
+    10^-(dps+5), by the term ratio of J's series."""
     tol = mpf(10) ** (-mp.dps - 5)
-    coeffs = [exp(power * (nu * log(x / 2) - ln_gamma(nu + 1).real))]
+    coeffs = [exp(nu * log(x / 2) - ln_gamma(nu + 1).real)]
     q = (x / 2) ** 2
     for j in range(1, special.MAX_TERMS + 1):
-        c = -coeffs[-1] * q / (j * (j + nu))
-        coeffs.append(c if power == 1 else
-                      c * 2 * (2 * nu + 2 * j - 1) / (j + 2 * nu))
+        coeffs.append(-coeffs[-1] * q / (j * (j + nu)))
         if abs(coeffs[-1]) <= tol and j >= 4:
             return coeffs
     raise NonconvergenceError("J coefficient series did not converge in %d "
@@ -177,56 +174,58 @@ def _head_vs_k(mu, a, coeffs, order):
             _ROUNDING * _eps() * abs(w) * sum(map(abs, terms)))
 
 
-def _j_quad(nu, c, power, w, pts, b):
-    # (value, error estimate, integrand calls) of int J_nu(c y)^power w(y)
-    # over pts + _panels(1, b, 8 pi / c, J's switch / c), J with its error:
-    # b times the largest power J^(power-1) J_err w at a node joins quad's
+def _j_quad(nu, c, w, pts, b):
+    # (value, error estimate, integrand calls) of int J_nu(c y) w(y) over
+    # pts + _panels(1, b, 8 pi / c, J's switch / c), J with its error: b
+    # times the largest J_err w at a node joins quad's
     worst = [mpf(0)]
 
     def f(y):
         v, v_err = _j_point(nu, c * y, True)
         wy = w(y)
-        worst[0] = max(worst[0], abs(power * v ** (power - 1) * v_err * wy))
-        return v ** power * wy
+        worst[0] = max(worst[0], abs(v_err * wy))
+        return v * wy
 
     pts = pts + _panels(mpf(1), b, 8 * pi / c, _j_switch(nu) / c)
     v, err, nodes = _quad(f, pts, _GaussLegendre)
     return v, err + b * worst[0], nodes
 
 
-def _jk_moment(s, nu, x, tau, power):
-    """int_0^inf y^{s-1} J_nu(x y)^power K_{2 i tau}(y) dy, power 1 or 2.
+def mehler_fock_quad(mu, tau, x):
+    """P^{-mu}_{-1/2+i tau}(cosh xi), xi = asinh 2x, as the Mehler-Dirichlet
+    integral (DLMF 14.12) sqrt(2/pi) sinh(xi)^-mu / Gamma(mu+1/2)
+    int_0^xi cos(tau t) (cosh xi - cosh t)^{mu-1/2} dt, a QuadResult.
 
-    Split at y = 1: the tail by _j_quad with the exponentially decaying K
-    factor, up to Y, then the head termwise (_head_vs_k), whose rounding
-    joins the estimate: J^2's coefficients, near e^{2x}, cancel in its
-    sum past x of about 20."""
-    # keep the K argument inside series_safe_x, past which every node
-    # takes guard bits; beyond it the K_0 envelope bounds the dropped tail
-    Y = min(_k_cutoff(), series_safe_x(2 * tau))
-    tail, err, nodes = _j_quad(
-        nu, x, power, lambda y: y ** (s - 1) * _k_node(2 * tau, y), [], Y)
-    head, head_err = _head_vs_k(s, power * nu, _j_coeffs(nu, x, power),
-                                2 * tau)
-    err += head_err + 2 * Y ** max(s - 1, mpf(0)) * exp(-Y)
-    return QuadResult(head + tail, err, nodes)
-
-
-def mehler_fock_sq(mu, tau, x):
-    """2 int_0^inf J_mu(x y)^2 K_{2 i tau}(y) dy (_jk_moment), the squared
-    modulus of the conical function times its gamma weight, as a
-    QuadResult with a nonnegative real value."""
+    In s = xi - t the base is 2 sinh(xi - s/2) sinh(s/2), which does not
+    cancel.  The first panel, s <= min(xi, pi/tau), runs tanh-sinh in
+    u = s^{mu+1/2}, where the endpoint factor is bounded; the rest runs
+    Gauss-Legendre on panels of at most pi/tau."""
     mu, tau, x = mpf(mu), mpf(tau), mpf(x)
     if mu <= mpf(-1) / 2:
-        raise DomainError("mehler_fock_sq requires mu > -1/2")
+        raise DomainError("mehler_fock_quad requires mu > -1/2")
     if tau <= 0 or x <= 0:
-        raise DomainError("mehler_fock_sq requires tau > 0, x > 0")
-    m = _jk_moment(mpf(1), mu, x, tau, 2)
-    if m.value < -m.abs_error_estimate:
-        raise NumericalFailureError(
-            "mehler_fock_sq negative beyond error estimate")
-    return QuadResult(2 * max(m.value, mpf(0)), 2 * m.abs_error_estimate,
-                      m.nodes_used)
+        raise DomainError("mehler_fock_quad requires tau > 0, x > 0")
+    xi, a = asinh(2 * x), mu + mpf(1) / 2
+    s1, worst = min(xi, pi / tau), [mpf(0)]
+
+    def f(s, per=1):
+        # the integrand in s, or with per = s, a times the integrand in u
+        v = (cos(tau * (xi - s))
+             * (2 * sinh(xi - s / 2) * sinh(s / 2) / per) ** (a - 1))
+        worst[0] = max(worst[0], abs(v))
+        return v
+
+    def f_u(u):
+        s = u ** (1 / a)
+        return f(s, s)
+
+    head, err_h, n_h = _quad(f_u, [mpf(0), s1 ** a], _TanhSinh)
+    rest, err, n_r = _quad(f, _panels(s1, xi, pi / tau), _GaussLegendre)
+    # the value falls far below the integral of |f| as tau grows: add
+    # the rounding of a sum of nodes as large as the largest
+    err += err_h / a + _ROUNDING * _eps() * (s1 ** a / a + xi - s1) * worst[0]
+    pref = sqrt(2 / pi) * (2 * x) ** -mu * exp(-ln_gamma(a).real)
+    return QuadResult(pref * (head / a + rest), pref * err, n_h + n_r)
 
 
 def _hankel0_pq(z):
@@ -271,7 +270,7 @@ def product_kernel_quad(tau, x):
 
     U = max(mpf(25), 25 / (2 * x))
     head, err_h, n_h = _j_quad(
-        mpf(0), 2 * x, 1, lambda u: cos(2 * tau * asinh(u)) / sqrt(1 + u ** 2),
+        mpf(0), 2 * x, lambda u: cos(2 * tau * asinh(u)) / sqrt(1 + u ** 2),
         [mpf(0)], U)
     tail, err_t, n_t = _product_tail(tau, x, U)
     v = 2 * (head + re(1j * tail))
@@ -340,8 +339,9 @@ def whittaker_quad(mu, tau, x):
 
 
 def olevskii_quad(mu, nu, tau, x):
-    """Conjugate-parameter 2F1 at -x^2 as the J_nu K_{2 i tau} moment,
-    normalized by 2^{2-mu} x^{-nu} Gamma(nu+1) / |Gamma((mu+nu)/2+i tau)|^2."""
+    """Conjugate-parameter 2F1 at -x^2 as the moment int_0^inf y^{mu-1}
+    J_nu(x y) K_{2 i tau}(y) dy, normalized by 2^{2-mu} x^{-nu}
+    Gamma(nu+1) / |Gamma((mu+nu)/2+i tau)|^2."""
     mu, nu, tau, x = mpf(mu), mpf(nu), mpf(tau), mpf(x)
     if mu + nu <= 0:
         raise DomainError("olevskii_quad requires mu + nu > 0")
@@ -356,8 +356,15 @@ def olevskii_quad(mu, nu, tau, x):
             "oscillatory tail beyond the trusted x range",
             partial=None, tail_estimate=None)
 
-    m = _jk_moment(mu, nu, x, tau, 1)
+    # split at y = 1: the tail by _j_quad up to Y, where K has decayed,
+    # then the head termwise (_head_vs_k), whose rounding joins the
+    # estimate.  Y keeps K's argument inside series_safe_x, past which
+    # every node takes guard bits; the K_0 envelope bounds the cut tail
+    Y = min(_k_cutoff(), series_safe_x(2 * tau))
+    tail, err, nodes = _j_quad(
+        nu, x, lambda y: y ** (mu - 1) * _k_node(2 * tau, y), [], Y)
+    head, head_err = _head_vs_k(mu, nu, _j_coeffs(nu, x), 2 * tau)
+    err += head_err + 2 * Y ** max(mu - 1, mpf(0)) * exp(-Y)
     lg2 = 2 * ln_gamma((mu + nu) / 2 + 1j * tau).real
     pref = 2 ** (2 - mu) * x ** (-nu) * exp(ln_gamma(nu + 1).real - lg2)
-    return QuadResult(pref * m.value, pref * m.abs_error_estimate,
-                      m.nodes_used)
+    return QuadResult(pref * (head + tail), pref * err, nodes)

@@ -17,8 +17,7 @@ from indexkernels.bessel import (bessel_i, bessel_j, bessel_k_real, k_index,
                                  k_itau_quad, k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError, PrecisionLossError)
-from indexkernels.quadrature import (_hankel0_pq, mehler_fock_sq,
-                                     olevskii_quad, whittaker_quad)
+from indexkernels.quadrature import _hankel0_pq, olevskii_quad, whittaker_quad
 from indexkernels.special import _GUARD, ln_gamma
 
 I0_1 = mpf("1.26606587775200833559824462521")
@@ -1093,14 +1092,12 @@ class TestOneRoute:
         assert sums == []
 
     def test_quadrature_routes_call_no_cosine_integral(self, monkeypatch):
-        # the K nodes of olevskii_quad at index 24 and of mehler_fock_sq
-        # at index 20, which the cosine integral served while the series
-        # stopped at index 16
+        # the K nodes of olevskii_quad at index 24, which the cosine
+        # integral served while the series stopped at index 16
         calls = []
         monkeypatch.setattr(bessel, "k_itau_quad",
                             lambda *args: calls.append(args))
         olevskii_quad(mpf("0.5"), mpf("0.5"), mpf(12), mpf(1))
-        mehler_fock_sq(mpf("0.7"), mpf(10), mpf("0.8"))
         assert calls == []
 
 
@@ -1179,29 +1176,29 @@ class TestIntegrandEvaluators:
                                 (dps, nu, y, with_error)
 
     def test_refusals_are_the_public_ones(self):
-        # a J node's order is its route's to refuse (mehler_fock_sq and
-        # olevskii_quad check it); a K node refuses its argument itself
+        # a J node's order is its route's to refuse (olevskii_quad checks
+        # it); a K node refuses its argument itself
         with pytest.raises(DomainError, match="k_itau_series"):
             bessel._k_node(mpf(2), mpf(0))
 
     def test_loss_threshold_in_force(self, monkeypatch):
-        # the K factor's rel_error, about 1e-32 here, and above 10^-46
-        # once summed with guard bits at quad's precision, against a
-        # tightened threshold, and the same value once the default is back
-        args = (mpf("0.7"), mpf(3), mpf("0.8"))
-        v = mehler_fock_sq(*args)
+        # the K factors' rel_error, 4e-45 to 1e-14 at these nodes (dps
+        # 40), against a tightened threshold, and the same value once the
+        # default is back
+        args = (mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3"))
+        v = olevskii_quad(*args)
         with monkeypatch.context() as m:
             m.setattr(bessel, "_ks_cache", {})
             m.setattr(bessel, "_LOSS", from_float(1e-60))
             with pytest.raises(PrecisionLossError, match="k_itau_series"):
-                mehler_fock_sq(*args)
-        assert mehler_fock_sq(*args) == v
+                olevskii_quad(*args)
+        assert olevskii_quad(*args) == v
 
     @pytest.mark.parametrize("route, args, message", [
-        (mehler_fock_sq, (mpf("0.7"), mpf(3), mpf("0.8")),
+        (olevskii_quad, (mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3")),
          "bessel_j series did not converge in 3 terms"),
         (whittaker_quad, (mpf("0.3"), mpf(3), mpf(1)),
-         "bessel_i series stalled")], ids=["mehler-fock", "whittaker"])
+         "bessel_i series stalled")], ids=["olevskii", "whittaker"])
     def test_max_terms_in_force(self, monkeypatch, route, args, message):
         monkeypatch.setattr(bessel, "_ks_cache", {})
         monkeypatch.setattr(special, "MAX_TERMS", 3)

@@ -13,7 +13,7 @@ from indexkernels import bessel, kernels, special
 from indexkernels.bessel import (bessel_i, k_index, k_itau_quad,
                                  k_itau_series, series_safe_x)
 from indexkernels.errors import (DomainError, NonconvergenceError,
-                                 NumericalFailureError, PrecisionLossError)
+                                 PrecisionLossError)
 from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
                                   _thm1_phase, conical_p, eval,
                                   k_squared_direct, olevskii_decay_slopes,
@@ -342,15 +342,11 @@ class TestSeriesKernelDigits:
 
 
 def _mehler_fock_quadrature_within_estimate(mu, tau, x, dps):
-    # |P| from the quadrature route at dps is within its relative
-    # estimate of mpmath's Legendre function at dps + 20, or the route
-    # raises
+    # P from the quadrature route at dps is within its relative estimate
+    # of mpmath's Legendre function at dps + 20
     p = KernelPoint(kernel="mehler-fock", x=x, tau=tau, mu=mu)
-    try:
-        with workdps(dps):
-            r = eval(p, "quadrature")
-    except (NonconvergenceError, NumericalFailureError, PrecisionLossError):
-        return
+    with workdps(dps):
+        r = eval(p, "quadrature")
     with workdps(dps + 20):
         ref = mpmath.legenp(-mpf(1) / 2 + 1j * tau, -mpf(mu),
                             mpmath.sqrt(1 + 4 * mpf(x) ** 2), type=3).real
@@ -411,17 +407,27 @@ class TestDispatch:
     @pytest.mark.parametrize("tau", [4, 12])
     @pytest.mark.parametrize("x", [4, 8])
     def test_mehler_fock_quadrature_estimate_covers_error(self, dps, tau, x):
-        # the tail's J_mu(x y)^2 oscillates with period pi/x, which
-        # panels of fixed length miss at these x; the value is within its
-        # estimate of the Legendre oracle, or the route raises
+        # the value is within its estimate of the Legendre oracle
         _mehler_fock_quadrature_within_estimate("0.5", tau, x, dps)
 
     @pytest.mark.parametrize("mu, tau, x, dps", [
-        ("0", 1, 18, 25), ("0", 1, 30, 25), ("0.5", 4, 30, 40)])
+        ("0", 1, 18, 25), ("0", 1, 30, 25), ("0.5", 4, 30, 40),
+        ("0.5", 4, 50, 40), ("0.5", 4, 80, 40), ("0.7", 40, 1000, 25)])
     def test_mehler_fock_quadrature_at_large_x(self, mu, tau, x, dps):
-        # the head's J^2 coefficients, near e^{2x}, run past J's (109
-        # against 67 at (mu, x) = (1/2, 30), dps 25) and cancel in its sum
+        # the range xi = asinh 2x grows with x, and at tau = 40 it takes
+        # about 100 panels of pi/tau
         _mehler_fock_quadrature_within_estimate(mu, tau, x, dps)
+
+    def test_mehler_fock_quadrature_needs_no_series(self, monkeypatch):
+        # the route is signed on its own: it asks the series route it
+        # checks for nothing, not even a sign
+        def refuse(*args):
+            raise AssertionError("conical_p called")
+
+        monkeypatch.setattr(kernels, "conical_p", refuse)
+        p = KernelPoint(kernel="mehler-fock", x="0.8", tau=3, mu="0.7")
+        v = eval(p, "quadrature").value
+        assert abs(v - mpf("-0.0558158165123093")) < mpf("1e-16")
 
     def test_routes_agree_olevskii(self):
         p = KernelPoint(kernel="olevskii", x="0.5", tau=1, mu="1.3", nu="0.2")

@@ -17,7 +17,7 @@ from indexkernels.errors import (DomainError, NonconvergenceError,
 from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
                                      QuadResult, _GaussLegendre, _head_vs_k,
                                      _j_coeffs, _product_tail, _tail_ray,
-                                     mehler_fock_sq, olevskii_quad,
+                                     mehler_fock_quad, olevskii_quad,
                                      product_kernel_quad, whittaker_quad)
 from indexkernels.special import ln_gamma
 
@@ -134,22 +134,11 @@ class TestPanelsBreakAtJSwitch:
         pts, _ = calls[0]
         assert pts[0] < cut < pts[-1] and cut in pts
 
-    @pytest.mark.parametrize("x", [1, 2])
-    def test_mehler_fock_tail(self, monkeypatch, x):
-        # the tail is the route's only _quad: its head is termwise
-        calls = _recorded_quads(monkeypatch)
-        mu, x = mpf("0.7"), mpf(x)
-        with mpmath.workdps(40):
-            mehler_fock_sq(mu, mpf(3), x)
-            cut = bessel._j_plan(mu, mp.prec)[0] / x
-        (pts, _), = calls
-        assert pts[0] < cut < pts[-1] and cut in pts
-
 
 class TestRouteContract:
     # every integral route returns a QuadResult from the work it did
     @pytest.mark.parametrize("route, args", [
-        (mehler_fock_sq, ("0.7", "3", "0.8")),
+        (mehler_fock_quad, ("0.7", "3", "0.8")),
         (product_kernel_quad, ("0.5", "1")),
         (whittaker_quad, ("0.3", "3", "1")),
         (olevskii_quad, ("0.5", "0.25", "3", "0.3"))],
@@ -178,22 +167,37 @@ class TestProductTail:
             assert abs(tail - ref) <= est, (dps, x, tau, abs(tail - ref), est)
 
 
-class TestMehlerFockSq:
-    def test_matches_conical_square(self):
-        # integral equals Gamma(mu + 1/2 + i tau)|^2 P^2; pinned P from
-        # the associated Legendre oracle
-        mu, tau, x = mpf("0.4"), mpf(2), mpf("0.5")
-        sq = mehler_fock_sq(mu, tau, x).value
-        g = mpmath.exp(2 * ln_gamma(mu + mpf("0.5") + 1j * tau).real)
-        assert rel(mpmath.sqrt(sq / g), CONICAL_PIN) < mpf("1e-12")
+class TestMehlerFockQuad:
+    def test_matches_conical_pin(self):
+        # the signed P, pinned to 30 digits from the associated Legendre
+        # oracle, at dps 25
+        with mpmath.workdps(25):
+            r = mehler_fock_quad(mpf("0.4"), mpf(2), mpf("0.5"))
+            assert rel(r.value, CONICAL_PIN) < mpf(10) ** -22
 
-    def test_positive(self):
-        assert mehler_fock_sq(mpf("0.3"), mpf(1), mpf(1)).value > 0
+    @pytest.mark.parametrize("dps", [25, 40])
+    @pytest.mark.parametrize("mu", ["0", "0.5", "2"])
+    def test_estimate_covers_error(self, dps, mu):
+        # the first panel's u = s^(mu+1/2) at the singular endpoint, a
+        # range of pi/tau or of the whole xi = asinh 2x, and about 100
+        # panels of pi/tau at (tau, x) = (12, 1000)
+        mu = mpf(mu)
+        for tau in (mpf("0.5"), mpf(12)):
+            for x in (mpf("0.3"), mpf(8), mpf(1000)):
+                with mpmath.workdps(dps):
+                    r = mehler_fock_quad(mu, tau, x)
+                with mpmath.workdps(dps + 30):
+                    ref = mpmath.legenp(-mpf(1) / 2 + 1j * tau, -mu,
+                                        mpmath.sqrt(1 + 4 * x ** 2),
+                                        type=3).real
+                err = abs(r.value - ref)
+                assert err <= mpf(10) ** (4 - dps) * abs(ref), (tau, x, err)
+                assert err <= r.abs_error_estimate, (tau, x, err, r)
 
     @pytest.mark.parametrize("mu", ["-0.5", "-1"])
     def test_refuses_mu_at_or_below_minus_half(self, mu):
         with pytest.raises(DomainError, match="mu > -1/2"):
-            mehler_fock_sq(mpf(mu), mpf(1), mpf(1))
+            mehler_fock_quad(mpf(mu), mpf(1), mpf(1))
 
 
 class TestWhittakerQuad:
@@ -313,87 +317,43 @@ def _two_series_head(mu, a, coeffs, order):
     return (mpmath.pi * s / (2j * mpmath.sinh(mpmath.pi * order))).real
 
 
-def _square_coeffs(coeffs):
-    # the full Cauchy square of a coefficient list, 2n - 1 long
-    n = len(coeffs)
-    return [sum(coeffs[i] * coeffs[j - i]
-                for i in range(max(0, j - n + 1), min(j, n - 1) + 1))
-            for j in range(2 * n - 1)]
-
-
-def _long_coeffs(nu, x, power):
-    # J's coefficients at dps + 30, down to 10^-(dps+35), or their Cauchy
-    # square, which is as long as J^2 needs
+def _long_coeffs(nu, x):
+    # J's coefficients at dps + 30, down to 10^-(dps+35)
     with mpmath.workdps(mp.dps + 30):
-        c = _j_coeffs(nu, x, 1)
-        return c if power == 1 else _square_coeffs(c)
+        return _j_coeffs(nu, x)
 
 
 class TestHeadVsK:
-    # (mu, nu, x, order): the olevskii head (mu, nu), and the mehler-fock
-    # head (1, 2 nu) with squared coefficients, marked by mu = None
+    # (mu, nu, x, order): the olevskii head
     POINTS = [(mpf("0.5"), mpf("0.25"), mpf("0.3"), 6),
               (mpf("1.3"), mpf("0.2"), mpf("0.5"), 2),
               (mpf("0.7"), mpf(1), mpf(4), 1),
-              (mpf("0.2"), mpf(0), mpf(2), mpf("0.5")),
-              (None, mpf("0.7"), mpf("0.8"), 6),
-              (None, mpf("0.4"), mpf("0.5"), 4),
-              (None, mpf(0), mpf(3), 1)]
-
-    @staticmethod
-    def _heads(mu, nu, x, order):
-        # (head, its rounding estimate) at dps, and the two-series head
-        # at dps + 30 on _long_coeffs
-        power = 2 if mu is None else 1
-        mu, a = (mpf(1), 2 * nu) if mu is None else (mu, nu)
-        head = _head_vs_k(mu, a, _j_coeffs(nu, x, power), order)
-        with mpmath.workdps(mp.dps + 30):
-            ref = _two_series_head(mu, a, _long_coeffs(nu, x, power), order)
-        return head, ref
+              (mpf("0.2"), mpf(0), mpf(2), mpf("0.5"))]
 
     @pytest.mark.parametrize("dps", [25, 40, 60])
     def test_matches_two_series_sum(self, dps):
+        # the head at dps against the two-series head at dps + 30 on
+        # _long_coeffs
         with mpmath.workdps(dps):
-            for point in self.POINTS:
-                (head, _), ref = self._heads(*point)
+            for mu, nu, x, order in self.POINTS:
+                head, _ = _head_vs_k(mu, nu, _j_coeffs(nu, x), order)
+                with mpmath.workdps(dps + 30):
+                    ref = _two_series_head(mu, nu, _long_coeffs(nu, x), order)
                 assert abs(head - ref) <= mpf(10) ** (3 - dps) * abs(ref), \
-                    point
-
-    @pytest.mark.parametrize("dps", [25, 40])
-    def test_cancelling_sum_within_its_rounding(self, dps):
-        # the J^2 coefficients at x = 30 reach 6e22 and cancel in the sum
-        # over j to a head of -1.5e-8
-        with mpmath.workdps(dps):
-            (head, rounding), ref = self._heads(None, mpf("0.5"), mpf(30), 8)
-        assert abs(head - ref) <= rounding, (abs(head - ref), rounding)
-
-    @pytest.mark.parametrize("dps", [25, 40])
-    def test_square_coefficients(self, dps):
-        # J^2's closed-form coefficients are the Cauchy square of J's, and
-        # run at least as far as that square stays above the stop
-        with mpmath.workdps(dps):
-            tol = mpf(10) ** (-dps - 5)
-            for nu in map(mpf, ("0", "0.5", "0.7")):
-                for x in map(mpf, ("0.8", "3", "30")):
-                    c, ref = _j_coeffs(nu, x, 2), _long_coeffs(nu, x, 2)
-                    last = max(i for i, r in enumerate(ref) if abs(r) > tol)
-                    assert len(c) > last, (nu, x)
-                    big = max(map(abs, ref))
-                    assert all(abs(a - b) <= mpf(10) ** (3 - dps) * big
-                               for a, b in zip(c, ref)), (nu, x)
+                    (mu, nu, x, order)
 
     def test_max_terms_in_force(self, monkeypatch):
         monkeypatch.setattr(special, "MAX_TERMS", 3)
         with pytest.raises(NonconvergenceError,
                            match="J coefficient series did not converge in 3"):
-            _j_coeffs(mpf("0.7"), mpf("0.8"), 2)
+            _j_coeffs(mpf("0.7"), mpf("0.8"))
 
 
 def _gauss_legendre_routes():
     # one call of each route with a Gauss-Legendre panel
     product_kernel_quad(mpf("0.5"), mpf(1))
     olevskii_quad(mpf("0.5"), mpf("0.25"), mpf(3), mpf("0.3"))
-    mehler_fock_sq(mpf("0.7"), mpf(3), mpf("0.8"))
+    mehler_fock_quad(mpf("0.7"), mpf(3), mpf("0.8"))
 
 
 @functools.cache
@@ -460,11 +420,12 @@ class TestGaussLegendreNodes:
 
     def test_tanh_sinh_routes_leave_mpmath_state_alone(
             self, monkeypatch, empty_tanh_sinh_rule, empty_mpmath_rule):
-        # the Whittaker panels, the product tail, the K integrals of
-        # bessel (k_itau_quad from an empty cache) and the Binet integral
-        # use no global rule
+        # the Whittaker panels, the Mehler-Fock first panel, the product
+        # tail, the K integrals of bessel (k_itau_quad from an empty cache)
+        # and the Binet integral use no global rule
         monkeypatch.setattr(bessel, "_kq_cache", {})
         whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
+        mehler_fock_quad(mpf("0.7"), mpf(3), mpf("0.8"))
         k_itau_quad(mpf("2.5"), mpf("1.3"))
         bessel_k_real(mpf("0.7"), mpf(2))
         product_kernel_quad(mpf("0.5"), mpf(1))
