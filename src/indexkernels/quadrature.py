@@ -19,12 +19,14 @@ stop, the olevskii tail, the mehler-fock panels past the first) run
 Gauss-Legendre; both Whittaker panels and the first mehler-fock panel,
 its endpoint singularity substituted away, run tanh-sinh
 (special._TanhSinh).  Every integral goes through _quad, which caps the
-degree and counts the integrand calls.  The two J-weighted integrals,
-the product head and the olevskii tail, go through _j_quad: _panels
-sizes its panels by J's period and breaks them at J's branch switch,
-and J's own error joins the estimate.  The olevskii head on (0, 1] is
-termwise: with J as a power series (_j_coeffs), each term against K's
-ascending I series is a 1F2 at 1/4 (_head_vs_k).
+degree, counts the integrand calls, returns the largest node (the
+rounding scale of the Mehler-Fock and product-tail estimates) and
+refuses an estimate that mpmath has saturated.  The J-weighted product
+head and olevskii tail go through _j_quad: _panels sizes its panels by
+J's period and breaks them at J's branch switch, and J's own error joins
+the estimate.  The olevskii head on (0, 1] is termwise, with guard bits:
+with J as a power series (_j_coeffs), each term against K's ascending I
+series is a 1F2 at 1/4 (_head_vs_k).
 _GaussLegendre builds the Gauss-Legendre nodes in fixed point and keeps
 them here, not in mpmath's global rule: 0.012 s for degrees 1-6 at dps
 40, where mpmath's mpf builder takes 0.20 s.
@@ -45,10 +47,6 @@ from .errors import DomainError, NonconvergenceError, OverflowGuardError
 from . import special
 from .special import _GUARD, _TanhSinh, _eps, hyp1f2, ln_gamma
 
-# the oscillatory product-kernel quadrature is trusted for tau <= this
-PRODUCT_QUAD_TAU_CAP = 2.0
-# the olevskii quadrature's oscillatory tail is trusted for x <= this
-OLEVSKII_QUAD_X_CAP = 10.0
 # mpmath.quad's maxdegree on every panel of the four routes; Gauss-Legendre
 # degree m is 3 * 2^(m-1) nodes, built by _GaussLegendre once per precision
 MAXDEGREE = 6
@@ -114,15 +112,22 @@ class _GaussLegendre(GaussLegendre):
 
 
 def _quad(f, pts, method):
-    # mpmath.quad at MAXDEGREE: (value, error estimate, integrand calls)
-    calls = [0]
+    # mpmath.quad at MAXDEGREE: (value, error estimate, integrand calls,
+    # largest |f| at a node).  quad caps each panel's estimate at 1, so a
+    # total of 1 or more bounds nothing: refuse it
+    calls, peak = [0], [mpf(0)]
 
     def g(t):
+        v = f(t)
         calls[0] += 1
-        return f(t)
+        peak[0] = max(peak[0], abs(v))
+        return v
 
     v, err = quad(g, pts, error=True, maxdegree=MAXDEGREE, method=method)
-    return v, err, calls[0]
+    if err >= 1:
+        raise NonconvergenceError("quadrature did not converge at degree %d"
+                                  % MAXDEGREE)
+    return v, err, calls[0], peak[0]
 
 
 def _panels(a, b, step, cut=None):
@@ -187,7 +192,7 @@ def _j_quad(nu, c, w, pts, b):
         return v * wy
 
     pts = pts + _panels(mpf(1), b, 8 * pi / c, _j_switch(nu) / c)
-    v, err, nodes = _quad(f, pts, _GaussLegendre)
+    v, err, nodes, _ = _quad(f, pts, _GaussLegendre)
     return v, err + b * worst[0], nodes
 
 
@@ -206,24 +211,23 @@ def mehler_fock_quad(mu, tau, x):
     if tau <= 0 or x <= 0:
         raise DomainError("mehler_fock_quad requires tau > 0, x > 0")
     xi, a = asinh(2 * x), mu + mpf(1) / 2
-    s1, worst = min(xi, pi / tau), [mpf(0)]
+    s1 = min(xi, pi / tau)
 
     def f(s, per=1):
         # the integrand in s, or with per = s, a times the integrand in u
-        v = (cos(tau * (xi - s))
-             * (2 * sinh(xi - s / 2) * sinh(s / 2) / per) ** (a - 1))
-        worst[0] = max(worst[0], abs(v))
-        return v
+        return (cos(tau * (xi - s))
+                * (2 * sinh(xi - s / 2) * sinh(s / 2) / per) ** (a - 1))
 
     def f_u(u):
         s = u ** (1 / a)
         return f(s, s)
 
-    head, err_h, n_h = _quad(f_u, [mpf(0), s1 ** a], _TanhSinh)
-    rest, err, n_r = _quad(f, _panels(s1, xi, pi / tau), _GaussLegendre)
+    head, err_h, n_h, peak_h = _quad(f_u, [mpf(0), s1 ** a], _TanhSinh)
+    rest, err, n_r, peak = _quad(f, _panels(s1, xi, pi / tau), _GaussLegendre)
     # the value falls far below the integral of |f| as tau grows: add
     # the rounding of a sum of nodes as large as the largest
-    err += err_h / a + _ROUNDING * _eps() * (s1 ** a / a + xi - s1) * worst[0]
+    err += (err_h / a + _ROUNDING * _eps() * (s1 ** a / a + xi - s1)
+            * max(peak_h, peak))
     pref = sqrt(2 / pi) * (2 * x) ** -mu * exp(-ln_gamma(a).real)
     return QuadResult(pref * (head / a + rest), pref * err, n_h + n_r)
 
@@ -257,16 +261,11 @@ def product_kernel_quad(tau, x):
 
     Finite part on [0, U] on panels of up to four J_0 periods (_j_quad);
     the tail is rotated into the upper half-plane where the outgoing
-    Hankel factor decays exponentially.  Trusted for tau <=
-    PRODUCT_QUAD_TAU_CAP: the cos(2 tau asinh u) factor grows along the
-    rotated ray."""
+    Hankel factor decays exponentially, and the cos(2 tau asinh u)
+    factor grows: to about 1e32 at tau = 60, x = 1/2."""
     tau, x = mpf(tau), mpf(x)
     if x <= 0 or tau < 0:
         raise DomainError("product_kernel_quad requires x > 0, tau >= 0")
-    if tau > PRODUCT_QUAD_TAU_CAP:
-        raise NonconvergenceError(
-            "oscillatory cancellation beyond the trusted tau range",
-            partial=None, tail_estimate=None)
 
     U = max(mpf(25), 25 / (2 * x))
     head, err_h, n_h = _j_quad(
@@ -296,15 +295,18 @@ def _product_tail(tau, x, U):
     # (value, error estimate, nodes) of the tail ray on [0, S].  With 2xU >=
     # 25, |P + iQ| < 2, |cos(2 tau log(w + r))| <= e^{pi tau} (0 <= arg(w +
     # r) < pi/2) and |sqrt(w) r| >= U^{3/2}, so |tail_ray| <= 2x bound
-    # e^{-2xs}: past S it adds under 2^-prec e^{-10} bound, and the rounding
-    # of its prefactors, tens of eps, under eps bound.  Panels of length 3U
+    # e^{-2xs}: past S it adds under 2^-prec e^{-10} bound; the rounding of
+    # its prefactors, tens of eps a node, under 10 eps S times the largest.
+    # Panels of 3U, shorter past tau = 4 where the cos factor grows faster,
     # keep the singularities at w = 0, +-i, at height U over s = 0, far
     # enough for a degree-6 panel to converge
     bound = exp(pi * tau) / (x * sqrt(pi * x) * U ** 1.5)
     S = (mp.prec * log(2) + pi * tau + 10) / (2 * x)
-    tail, err, nodes = _quad(_tail_ray(tau, x, U), _panels(mpf(0), S, 3 * U),
-                             _GaussLegendre)
-    return tail, err + bound * (exp(-2 * x * S) + _ROUNDING * _eps()), nodes
+    tail, err, nodes, peak = _quad(
+        _tail_ray(tau, x, U), _panels(mpf(0), S, 3 * U / max(1, tau / 4)),
+        _GaussLegendre)
+    err += bound * exp(-2 * x * S) + _ROUNDING * _eps() * S * peak
+    return tail, err, nodes
 
 
 def whittaker_quad(mu, tau, x):
@@ -313,11 +315,9 @@ def whittaker_quad(mu, tau, x):
     h(y) = e^{-xy} (y+1)^{-mu-1/2} K_{i tau}(x(y+1)).  On [0, 1] the
     substitution s = y^mu turns the y^{mu-1} endpoint singularity into
     (1/mu) int_0^1 h(s^{1/mu}) ds."""
-    mu = mpf(mu)
-    tau = mpf(tau)
-    x = mpf(x)
+    mu, tau, x = mpf(mu), mpf(tau), mpf(x)
     if mu <= 0:
-        raise DomainError("whittaker_quad requires mu > 0")
+        raise DomainError("whittaker_quad requires rho = -mu < 0")
     if tau <= 0 or x <= 0:
         raise DomainError("whittaker_quad requires tau > 0, x > 0")
     if 2 * x + _k_cutoff() > K_X_MAX - 1:  # bounds x(Y + 1) below
@@ -331,8 +331,9 @@ def whittaker_quad(mu, tau, x):
     # keep the K argument x(y+1) inside series_safe_x, past which every
     # node takes guard bits; Y > 1
     Y = min(_k_cutoff() / x + 1, max(series_safe_x(tau) / x - 1, mpf(2)))
-    head, err_h, n_h = _quad(lambda s: h(s ** (1 / mu)), [0, 1], _TanhSinh)
-    tail, err, n_t = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y], _TanhSinh)
+    head, err_h, n_h, _ = _quad(lambda s: h(s ** (1 / mu)), [0, 1], _TanhSinh)
+    tail, err, n_t, _ = _quad(lambda y: y ** (mu - 1) * h(y), [1, Y],
+                              _TanhSinh)
     err += err_h / mu + Y ** max(mu - 1, mpf(0)) * exp(-2 * x * Y) / x
     pref = sqrt(2 * x / pi) * exp(-ln_gamma(mu).real)
     return QuadResult(pref * (head / mu + tail), pref * err, n_h + n_t)
@@ -351,19 +352,17 @@ def olevskii_quad(mu, nu, tau, x):
         raise DomainError("olevskii_quad requires 0 < mu < 3/2")
     if tau <= 0 or x <= 0:
         raise DomainError("olevskii_quad requires tau > 0, x > 0")
-    if x > OLEVSKII_QUAD_X_CAP:
-        raise NonconvergenceError(
-            "oscillatory tail beyond the trusted x range",
-            partial=None, tail_estimate=None)
 
-    # split at y = 1: the tail by _j_quad up to Y, where K has decayed,
-    # then the head termwise (_head_vs_k), whose rounding joins the
-    # estimate.  Y keeps K's argument inside series_safe_x, past which
-    # every node takes guard bits; the K_0 envelope bounds the cut tail
+    # split at y = 1: the tail by _j_quad up to Y, where K has decayed, and
+    # the head termwise (_head_vs_k), with guard bits for J's coefficients,
+    # which grow to about e^x and cancel in its sum.  Y keeps K's argument
+    # inside series_safe_x, past which every node takes guard bits; the K_0
+    # envelope bounds the cut tail
     Y = min(_k_cutoff(), series_safe_x(2 * tau))
     tail, err, nodes = _j_quad(
         nu, x, lambda y: y ** (mu - 1) * _k_node(2 * tau, y), [], Y)
-    head, head_err = _head_vs_k(mu, nu, _j_coeffs(nu, x), 2 * tau)
+    with workprec(mp.prec + int(x / math.log(2)) + 16):
+        head, head_err = _head_vs_k(mu, nu, _j_coeffs(nu, x), 2 * tau)
     err += head_err + 2 * Y ** max(mu - 1, mpf(0)) * exp(-Y)
     lg2 = 2 * ln_gamma((mu + nu) / 2 + 1j * tau).real
     pref = 2 ** (2 - mu) * x ** (-nu) * exp(ln_gamma(nu + 1).real - lg2)

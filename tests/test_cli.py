@@ -113,6 +113,16 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "olevskii_quad requires nu > -1" in err
 
+    @pytest.mark.parametrize("rho", ["0.3", "0"])
+    def test_whittaker_quadrature_names_rho(self, capsys, rho):
+        # the route computes W_{rho} as W_{-mu}: its refusal names the
+        # --rho the user passed, not the mu of the integral
+        code, out, err = run(["eval", "--kernel", "whittaker", "--route",
+                              "quadrature", "--rho", rho, "--x", "0.5",
+                              "--tau", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert "requires rho = -mu < 0" in err
+
     def test_near_one_limit(self, capsys):
         code, out, _ = run(["eval", "--kernel", "olevskii", "--mu", "1.3",
                             "--nu", "0.2", "--x", "1e-4", "--tau", "1"],

@@ -62,6 +62,9 @@ COMMANDS = {
     "sweep-product-quadrature-cap": ("sweep --kernel lebedev-product "
                                      "--route quadrature --grid tau=3:3:1 "
                                      "--grid x=1:1:1"),
+    "sweep-product-quadrature-nonconvergence": (
+        "sweep --kernel lebedev-product --route quadrature "
+        "--grid tau=100:100:1 --grid x=0.5:0.5:1"),
     "sweep-product-asymptotic": ("sweep --kernel lebedev-product "
                                  "--route asymptotic " + SWEEP),
     "sweep-whittaker-series": "sweep --kernel whittaker --rho -0.3 " + SWEEP,

@@ -5,7 +5,9 @@ top-level name is used somewhere in the package or re-exported, every
 library module imports `config`: only the CLI reads the configuration,
 so the library's values and reports are functions of their arguments
 and mpmath's working precision alone.  Every `quad` call in the package
-names its rule, which keeps its nodes off mpmath's global rules.
+names its rule, which keeps its nodes off mpmath's global rules, and
+`quadrature.py` calls `quad` only inside `_quad`, which counts the nodes
+and refuses a saturated estimate.
 
 `__init__.py` is left out: its imports are the public re-exports, and it
 defines no function.
@@ -222,14 +224,29 @@ def test_leaf_imports_no_config(path):
     assert config_imports(path.read_text()) == []
 
 
-def quad_calls_without_method(source):
-    """The lines of the calls to a function named `quad` (`quad(...)`,
-    `mpmath.quad(...)`, `mp.quad(...)`) that pass no `method=`."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
+def _quad_calls(tree):
+    # the calls to a function named `quad`: `quad(...)`, `mpmath.quad(...)`,
+    # `mp.quad(...)`
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None))
-            == "quad"
-            and "method" not in [kw.arg for kw in node.keywords]]
+            == "quad"]
+
+
+def quad_calls_without_method(source):
+    """The lines of the `quad` calls that pass no `method=`."""
+    return [node.lineno for node in _quad_calls(ast.parse(source))
+            if "method" not in [kw.arg for kw in node.keywords]]
+
+
+def quad_calls_outside(source, name):
+    """The lines of the `quad` calls that no top-level function `name`
+    holds, in order."""
+    tree = ast.parse(source)
+    inside = {id(call) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == name
+              for call in _quad_calls(fn)}
+    return sorted(call.lineno for call in _quad_calls(tree)
+                  if id(call) not in inside)
 
 
 def test_detects_quad_without_method():
@@ -242,3 +259,20 @@ def test_detects_quad_without_method():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_quad_names_its_rule(path):
     assert quad_calls_without_method(path.read_text()) == []
+
+
+def test_detects_quad_outside_its_wrapper():
+    src = ("from mpmath import mp, quad\n"
+           "def _quad(f, pts):\n    def g(t):\n        return quad(f, t)\n"
+           "    return quad(g, pts, method=R)\n"
+           "def route(f):\n    return mp.quad(f, [0, 1], method=R)\n"
+           "class C:\n    def _quad(self, f):\n        return quad(f, [0])\n"
+           "quad(f, [0, 1], method=R)\n_quad(f, [0, 1])\n")
+    assert quad_calls_outside(src, "_quad") == [7, 10, 11]
+
+
+def test_quadrature_calls_quad_in_its_wrapper_alone():
+    # every panel of the four routes is refused where its estimate
+    # saturates, and its nodes are counted
+    source = (PACKAGE / "quadrature.py").read_text()
+    assert quad_calls_outside(source, "_quad") == []

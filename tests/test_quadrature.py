@@ -14,11 +14,11 @@ from indexkernels import bessel, quadrature, special
 from indexkernels.bessel import bessel_k_real, k_itau_quad
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  OverflowGuardError)
-from indexkernels.quadrature import (OLEVSKII_QUAD_X_CAP, PRODUCT_QUAD_TAU_CAP,
-                                     QuadResult, _GaussLegendre, _head_vs_k,
-                                     _j_coeffs, _product_tail, _tail_ray,
-                                     mehler_fock_quad, olevskii_quad,
-                                     product_kernel_quad, whittaker_quad)
+from indexkernels.quadrature import (QuadResult, _GaussLegendre, _head_vs_k,
+                                     _j_coeffs, _product_tail, _quad,
+                                     _tail_ray, mehler_fock_quad,
+                                     olevskii_quad, product_kernel_quad,
+                                     whittaker_quad)
 from indexkernels.special import ln_gamma
 
 PROD_15_08 = mpf("0.39963824944900481601009080283")
@@ -39,23 +39,44 @@ class TestProductKernelQuad:
         r = product_kernel_quad(mpf("1.5"), mpf("0.8"))
         assert abs(r.value - PROD_15_08) <= r.abs_error_estimate * 10
 
-    def test_large_index_refused(self):
-        with pytest.raises(NonconvergenceError):
-            product_kernel_quad(mpf(PRODUCT_QUAD_TAU_CAP) + 1, mpf(1))
-
     @pytest.mark.parametrize("tau", ["0.25", "1", "2"])
     @pytest.mark.parametrize("x", ["0.2", "1", "3"])
     def test_estimate_covers_error(self, tau, x):
         # the estimate carries J_0's own error, which jumps where J_0
         # switches to its asymptotic series and dominates at x = 3
         for dps in (25, 40):
-            with mpmath.workdps(dps):
-                r = product_kernel_quad(mpf(tau), mpf(x))
-            with mpmath.workdps(dps + 30):
-                it = 1j * mpf(tau)
-                ref = (2 * mpmath.besseli(it, mpf(x)).real
-                       * mpmath.besselk(it, mpf(x)).real)
-            assert abs(r.value - ref) <= r.abs_error_estimate, dps
+            self.check_estimate(tau, x, dps)
+
+    def test_large_index_within_estimate(self):
+        # tau = 3 was refused while the route had a trusted tau range
+        for dps in (25, 40):
+            self.check_estimate("3", "1", dps)
+
+    @pytest.mark.parametrize("tau", ["16", "45", "60"])
+    @pytest.mark.parametrize("x", ["0.2", "1"])
+    def test_estimate_covers_error_at_large_index(self, tau, x):
+        # the tail ray's cos factor grows to 1e32 at tau = 60: its
+        # rounding, from the largest node, joins the estimate, which the
+        # e^(pi tau) envelope put at 1.5e2 for tau = 30
+        r, ref = self.check_estimate(tau, x, 40)
+        assert tau == "60" or r.abs_error_estimate <= mpf("1e-10") * abs(ref)
+
+    def test_nonconvergence_refused(self):
+        # at tau = 100, x = 1/2 the head's panels do not converge at
+        # degree 6, and _quad reads that from quad's estimate
+        with pytest.raises(NonconvergenceError, match="did not converge"):
+            product_kernel_quad(mpf(100), mpf("0.5"))
+
+    @staticmethod
+    def check_estimate(tau, x, dps):
+        with mpmath.workdps(dps):
+            r = product_kernel_quad(mpf(tau), mpf(x))
+        with mpmath.workdps(dps + 30):
+            it = 1j * mpf(tau)
+            ref = (2 * mpmath.besseli(it, mpf(x)).real
+                   * mpmath.besselk(it, mpf(x)).real)
+        assert abs(r.value - ref) <= r.abs_error_estimate, (tau, x, dps)
+        return r, ref
 
     def test_node_count(self):
         assert product_kernel_quad(mpf("0.5"), mpf(1)).nodes_used <= 750
@@ -99,9 +120,9 @@ def _recorded_quads(monkeypatch):
     quad = quadrature._quad
 
     def spy(f, pts, method):
-        v, err, nodes = quad(f, pts, method)
+        v, err, nodes, peak = quad(f, pts, method)
         calls.append((pts, err))
-        return v, err, nodes
+        return v, err, nodes, peak
 
     monkeypatch.setattr(quadrature, "_quad", spy)
     return calls
@@ -133,6 +154,21 @@ class TestPanelsBreakAtJSwitch:
             cut = bessel._j_plan(nu, mp.prec)[0] / x
         pts, _ = calls[0]
         assert pts[0] < cut < pts[-1] and cut in pts
+
+
+class TestQuad:
+    def test_saturated_estimate_refused(self):
+        # quad caps each panel's estimate at 1, which bounds nothing for
+        # an integrand of size 1e6 that no degree-6 panel resolves
+        with pytest.raises(NonconvergenceError,
+                           match="did not converge at degree 6"):
+            _quad(lambda t: 10 ** 6 * mpmath.sin(1000 * t), [0, 1],
+                  _GaussLegendre)
+
+    def test_peak_is_largest_node(self):
+        v, err, nodes, peak = _quad(lambda t: -3 * t, [0, 1], _GaussLegendre)
+        assert abs(v + mpf(3) / 2) <= err + mp.eps
+        assert 0 < 3 - peak < 1 and nodes > 0
 
 
 class TestRouteContract:
@@ -233,6 +269,12 @@ class TestWhittakerQuad:
         r = whittaker_quad(mpf("0.3"), mpf(3), mpf(1))
         assert r.nodes_used <= 600
 
+    @pytest.mark.parametrize("mu", ["0", "-0.3"])
+    def test_refuses_rho_at_or_above_zero(self, mu):
+        # the route computes W_{rho} with rho = -mu
+        with pytest.raises(DomainError, match="rho = -mu < 0"):
+            whittaker_quad(mpf(mu), mpf(1), mpf(1))
+
     def test_refuses_where_k_would_pass_its_cap(self, monkeypatch):
         # the K argument reaches 2x + _k_cutoff() (760 at x = 330, dps 40),
         # past the x = 700 every K route refuses; no node is evaluated
@@ -268,10 +310,28 @@ class TestOlevskiiQuad:
                 ref = mpmath.hyp2f1(a, mpmath.conj(a), nu + 1, -x ** 2).real
             assert abs(r.value - ref) <= r.abs_error_estimate, (x, r)
 
-    def test_large_argument_refused(self):
-        with pytest.raises(NonconvergenceError):
-            olevskii_quad(mpf("1.3"), mpf("0.2"), mpf(1),
-                          mpf(OLEVSKII_QUAD_X_CAP) + 5)
+    def test_large_argument_within_estimate(self):
+        # x = 15 was refused while the route had a trusted x range
+        self.check_estimate("1.3", "0.2", "1", "15", mp.dps)
+
+    @pytest.mark.parametrize("dps, tol", [(25, "1e-9"), (40, "1e-17")])
+    @pytest.mark.parametrize("x", ["20", "80"])
+    def test_head_guard_bits(self, dps, tol, x):
+        # J's coefficients grow to about e^x and cancel in the head's
+        # sum: at x = 80, dps 25 the head without guard bits erred 2.8e5
+        r, ref = self.check_estimate("0.5", "0.5", "0.5", x, dps)
+        assert abs(r.value - ref) <= mpf(tol) * abs(ref)
+
+    @staticmethod
+    def check_estimate(mu, nu, tau, x, dps):
+        mu, nu, tau, x = map(mpf, (mu, nu, tau, x))
+        with mpmath.workdps(dps):
+            r = olevskii_quad(mu, nu, tau, x)
+        with mpmath.workdps(dps + 30):
+            a = (mu + nu) / 2 + 1j * tau
+            ref = mpmath.hyp2f1(a, mpmath.conj(a), nu + 1, -x ** 2).real
+        assert abs(r.value - ref) <= r.abs_error_estimate, (x, dps)
+        return r, ref
 
     @pytest.mark.parametrize("mu, nu, tau, x, message", [
         ("0.2", "-0.3", "1", "0.5", r"mu \+ nu > 0"),
