@@ -17,13 +17,14 @@ The I and J series are summed in fixed point, each term the last times
 a ratio from a per-(order, precision) table grown to the terms used; the
 guard bits also absorb the cancellation of the alternating J sum.
 bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
-orders give exactly conjugate values.  The I prefactor and the K_{i tau}
-assembly (_i_series, _k_series) make the libmp calls of the mpc/mpf
-operators on raw tuples, so the values are the operators' bit for bit.
-The series read mp.prec alone: the plans carry the stop and eps.  The
-memos (I and J plans, K constants), which the quadrature nodes (_k_node,
-_j_point) read too, share mp's global precision and, like mpmath itself,
-assume one thread.
+orders give exactly conjugate values.  bessel_i's prefactor (_i_series)
+makes the libmp calls of the mpc/mpf operators on raw tuples, so its
+values are the operators' bit for bit; K_{i tau} (_k_sum) takes its
+phase in fixed point from one log and one cosine and sine, and rounds
+once.  The series read mp.prec alone: the plans carry the stop and eps.
+The memos (I and J plans, K constants), which the quadrature nodes
+(_k_node, _j_point) read too, share mp's global precision and, like
+mpmath itself, assume one thread.
 """
 
 import functools
@@ -33,25 +34,24 @@ from dataclasses import dataclass
 from mpmath import isfinite, mp, mpf, mpc, workprec
 from mpmath import acosh, cos, cosh, exp, log, pi, sinh, sqrt
 from mpmath.calculus.quadrature import QuadratureRule
-from mpmath.libmp import (fone, from_float, fzero, from_int, from_man_exp,
+from mpmath.libmp import (from_float, fzero, from_int, from_man_exp,
                           from_rational, mpc_conjugate, mpc_div_mpf, mpc_exp,
-                          mpc_mul, mpc_mul_mpf, mpc_neg, mpc_sub, mpf_abs,
-                          mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_gt,
-                          mpf_hypot, mpf_log, mpf_mul, mpf_neg, mpf_pi,
-                          mpf_sign, mpf_sin_pi, mpf_sub, round_nearest,
-                          to_fixed)
+                          mpc_mul, mpc_mul_mpf, mpc_neg, mpc_sub, mpf_add,
+                          mpf_cos_sin, mpf_exp, mpf_gt, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_pi, mpf_shift, mpf_sign, mpf_sin_pi,
+                          mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp.libelefun import cos_sin_fixed
 
 from . import special
 from .errors import (DomainError, NonconvergenceError, OverflowGuardError,
                      PrecisionLossError)
 from .special import _GUARD, _eps, ln_gamma
 
-_CANC_FLAG = mpf(10 ** 6)
+_CANC_FLAG = 10 ** 6
 # the relative-error estimate above which the K_{i tau} routes raise
 # PrecisionLossError, as a libmp value (the float 1e-6 exactly)
 _LOSS = from_float(1e-6)
-_NO_IMAG_RATIO = mpf(10 ** 30, prec=70)  # exact: 10^30 needs 70 bits
-_TWO = from_int(2)
+_NO_IMAG_RATIO = 10 ** 30
 _RND = round_nearest  # the rounding of mp's operators
 # eps = 10^-dps is 8-13 units in the last place; the prefactors (a power,
 # exp(-ln_gamma), the reduced phase) round to tens of them
@@ -106,24 +106,17 @@ def bessel_i(nu, x):
     conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
     if conj:
         nu = nu.conjugate()
-    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, conj)[0])
+    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, conj))
 
 
-def _i_exponent(plan, x):
-    # the prefactor's exponent e = nu log(x/2) - lg at mp.prec, as a libmp
-    # pair, by the libmp calls of the mpc/mpf operators
-    prec = mp.prec
-    lx = mpf_log(mpf_div(x._mpf_, _TWO, prec, _RND), prec, _RND)
-    return mpc_sub(mpc_mul_mpf(plan[4], lx, prec, _RND), plan[5], prec, _RND)
-
-
-def _i_series(plan, x, conj=False):
-    # (I_nu(x), conjugated if conj, e) at Im nu >= 0, x > 0 from nu's plan
-    # at mp.prec, as libmp pairs, by the libmp calls of the mpc/mpf
-    # operators that formed c0 = exp(e) and c0 times the sum
+def _i_series(plan, x, conj):
+    # I_nu(x), conjugated if conj, at Im nu >= 0, x > 0 from nu's plan at
+    # mp.prec, as a libmp pair, by the libmp calls of the mpc/mpf operators
+    # that formed e = nu log(x/2) - lg, c0 = exp(e) and c0 times the sum
     nu, mag = plan[4], plan[6]
     prec = mp.prec
-    e = _i_exponent(plan, x)
+    lx = mpf_log(mpf_shift(x._mpf_, -1), prec, _RND)
+    e = mpc_sub(mpc_mul_mpf(nu, lx, prec, _RND), plan[5], prec, _RND)
     if mag is None or e[1] == fzero:
         c0 = mpc_exp(e, prec, _RND)
     else:  # mpc_exp, with the e^{Re e} of the plan (at Re nu = 0 no x in it)
@@ -144,7 +137,7 @@ def _i_series(plan, x, conj=False):
         raise NonconvergenceError(
             "bessel_i series stalled", partial=mp.make_mpc(v),
             tail_estimate=abs(mp.make_mpc(c0)) * sqrt(mpf((tail, -2 * wp))))
-    return v, e
+    return v
 
 
 @functools.lru_cache(maxsize=128)
@@ -412,15 +405,14 @@ def k_itau_quad(tau, x):
     return _checked(res, "k_itau_quad", tau)
 
 
-def k_itau_series(tau, x, i_tau=None):
+def k_itau_series(tau, x):
     """K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau), from one
-    ascending I-series, or from i_tau when the caller has already summed
-    bessel_i(1j * tau, x).
-
-    This is pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) with
-    I_{-i tau}(x) = conj I_{i tau}(x) for real x, so the second series
-    is never summed.  Im I is a small part of |I| for x > tau, and exp(e),
-    e = i tau log(x/2) - ln Gamma(1 + i tau), rounds by about eps |e|;
+    ascending I-series: with I_{-i tau}(x) = conj I_{i tau}(x) for real
+    x, pi [I_{-i tau} - I_{i tau}] / (2 i sinh(pi tau)) needs one sum S.
+    I = M e^{i theta} S with M = e^{-Re lg}, theta = tau log(x/2) - Im lg
+    and lg = ln Gamma(1 + i tau), so K = P Im(e^{i theta} S) with P = -pi
+    M / sinh(pi tau).  Im I is a small part of |I| for x > tau, and the
+    exponent e = i theta - Re lg carries lg's rounding, about eps |e|;
     the estimate is eps (c + |Re e| + |Im e|) (1 + |I| / |Im I|).  Where
     that loss is a priori above _PLAIN_DIGITS digits, the sum runs with
     guard bits, and a call raises if the estimate still crosses the loss
@@ -429,18 +421,18 @@ def k_itau_series(tau, x, i_tau=None):
     key = (tau._mpf_, x._mpf_, mp.prec)
     res = _ks_cache.get(key)
     if res is None:
-        res = _k_point(x, None if i_tau is None else i_tau._mpc_, tau,
-                       _PLAIN_DIGITS)
+        res = _k_point(x, tau, _PLAIN_DIGITS)[0]
         _cache_put(_ks_cache, key, res)
     return _checked(res, "k_itau_series", tau)
 
 
-def _k_point(x, i_tau, tau, digits):
-    # k_itau_series and _k_node from tau's _k_plan: the series (i_tau: a
-    # libmp pair, or None) where _loss_bits keeps to min(digits, dps - 10)
-    # digits and the estimate to _LOSS, else summed with guard bits,
-    # rounded back (eps more on the estimate).  x, tau > 0 finite: sign 0,
-    # a mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
+def _k_point(x, tau, digits):
+    # (K_{i tau}(x) as a KernelValue, M, n) with Re I_{i tau}(x) = M n for
+    # k_itau_series, _k_node and the product oracle, from tau's _k_plan:
+    # summed at mp.prec where _loss_bits keeps to min(digits, dps - 10)
+    # digits and the estimate to _LOSS, else with guard bits and rounded
+    # back (eps more on the estimate).  x, tau > 0 finite: sign 0, a
+    # mantissa; x <= _K_X_MAX (guard ~2.9 x bits)
     if x._mpf_[0] or not x._mpf_[1] or tau._mpf_[0] or not tau._mpf_[1]:
         raise DomainError("k_itau_series requires finite x > 0, tau > 0")
     if mpf_gt(x._mpf_, _K_X_MAX):
@@ -448,17 +440,15 @@ def _k_point(x, i_tau, tau, digits):
     kp = _k_plan(tau, mp.prec)
     bits = _loss_bits(kp, x)
     if bits <= min(digits, mp.dps - 10) * _LOG2_10:
-        i_tau, e = (_i_series(kp[0], x) if i_tau is None
-                    else (i_tau, _i_exponent(kp[0], x)))
-        res = _k_series(i_tau, e, kp)
-        if not mpf_gt(res.rel_error._mpf_, _LOSS):
+        res = _k_sum(kp, x)
+        if not mpf_gt(res[0].rel_error._mpf_, _LOSS):
             return res
     # 10 bits over the a-priori loss, in steps of 32 so that nearby x
     # share plans
     with workprec(mp.prec + 32 * (int(bits + 10) // 32 + 1)):
-        up = _k_plan(tau, mp.prec)
-        res = _k_series(*_i_series(up[0], x), up)
-    return KernelValue(+res.value, res.rel_error + kp[5], res.cancellation)
+        res, m, n = _k_sum(_k_plan(tau, mp.prec), x)
+    return (KernelValue(+res.value, res.rel_error + kp[-1], res.cancellation),
+            m, n)
 
 
 def _k_node(tau, y):
@@ -466,7 +456,7 @@ def _k_node(tau, y):
     # uncached, guarded where it would keep under 10 digits, not where it
     # would lose _PLAIN_DIGITS: the tails run to series_safe_x, and a guard
     # costs 1.5-2 sums per node
-    return _checked(_k_point(mpf(y), None, tau, math.inf), "k_itau_series",
+    return _checked(_k_point(mpf(y), tau, math.inf)[0], "k_itau_series",
                     tau).value
 
 
@@ -482,9 +472,9 @@ def _loss_bits(kp, x):
     # of a ratio near 1 / q.  In floats, on logs where tau may pass them
     _, man, ex, _ = x._mpf_
     lx = abs(math.log(man) + (ex - 1) * _LN2)  # |log(x/2)|
-    a, b = kp[3], kp[2] + math.log2(lx) if lx else -math.inf
+    a, b = kp[8], kp[7] + math.log2(lx) if lx else -math.inf
     bits = max(a, b) + math.log2(1 + 2.0 ** -abs(a - b))
-    t, xf = kp[4], float(x)
+    t, xf = kp[9], float(x)
     r = 2 * (math.sqrt(xf * xf - t * t) - t * math.acos(t / xf)) if xf > t \
         else 0
     q = xf * xf / 4
@@ -495,23 +485,34 @@ def _loss_bits(kp, x):
     return bits + r / _LN2
 
 
-def _k_series(i_tau, e, plan):
-    # K_{i tau}(x) = -pi Im I_{i tau}(x) / sinh(pi tau) with its error
-    # model, from I and the prefactor's exponent e as libmp pairs and tau's
-    # _k_plan, by the libmp calls of the mpf operators
-    prec, (re, im) = mp.prec, i_tau
-    v = mpf_div(mpf_mul(mpf_neg(mpf_pi(prec, _RND), prec, _RND), im, prec,
-                        _RND), plan[1], prec, _RND)
-    canc_ratio = (mpf_div(mpf_hypot(re, im, prec, _RND),
-                          mpf_abs(im, prec, _RND), prec, _RND)
-                  if im != fzero else _NO_IMAG_RATIO._mpf_)
-    scale = mpf_add(mpf_add(mpf_abs(e[0]), mpf_abs(e[1]), 30, _RND),
-                    _ROUNDING_MPF, 30, _RND)  # >= c + |e|, to 30 bits
-    rel_error = mpf_mul(mpf_mul(plan[5]._mpf_, scale, prec, _RND),
-                        mpf_add(canc_ratio, fone, prec, _RND), prec, _RND)
-    return KernelValue(value=mp.make_mpf(v),
-                       rel_error=mp.make_mpf(rel_error),
-                       cancellation=mpf_gt(canc_ratio, _CANC_FLAG._mpf_))
+def _k_sum(kp, x):
+    # (K, M, n) at mp.prec from tau's _k_plan, Re I = M n: the integers of
+    # the I sum S at 2^wp, theta at 2^w (w - wp bits absorb tau's factor
+    # on log(x/2) and the quarter turns that cos_sin_fixed takes off), Im
+    # and Re of e^{i theta} S at 2^(w + wp), Im rounded once by its factor
+    # P from the plan, which holds P and M at 2^-(w + wp)
+    ip, w, t, img, p, m, re_lg = kp[:7]
+    prec = mp.prec
+    sr, si, _, _, tail = _i_sum(ip, x)
+    lx = mpf_log(mpf_shift(x._mpf_, -1), w, _RND)
+    th = (t * to_fixed(lx, w) >> w) - img
+    c, s = cos_sin_fixed(th, w)
+    z = s * sr + c * si
+    v = mpf_mul_int(p, z, prec, _RND)
+    if tail is not None:
+        raise NonconvergenceError(
+            "bessel_i series stalled", partial=mp.make_mpf(v),
+            tail_estimate=abs(mp.make_mpf(p)) * sqrt(mpf((tail, 2 * w))))
+    # |I| / |Im I| = |S| / |Im(e^{i theta} S)| at 2^prec
+    n2 = (sr * sr + si * si) << 2 * (w + prec)
+    ratio = math.isqrt(n2 // (z * z)) if z else _NO_IMAG_RATIO << prec
+    _, c_man, c_exp, _ = mpf_add(from_man_exp(re_lg + abs(th), -w, 30, _RND),
+                                 _ROUNDING_MPF, 30, _RND)  # >= c + |e|
+    _, e_man, e_exp, _ = kp[-1]._mpf_
+    rel_error = from_man_exp(e_man * c_man * (ratio + (1 << prec)),
+                             e_exp + c_exp - prec, prec, _RND)
+    return (KernelValue(mp.make_mpf(v), mp.make_mpf(rel_error),
+                        ratio > _CANC_FLAG << prec), m, c * sr - s * si)
 
 
 def series_safe_x(index):
@@ -524,20 +525,29 @@ def series_safe_x(index):
 
 @functools.lru_cache(maxsize=128)
 def _k_plan(tau, prec):
-    # K_{i tau}'s needs of tau alone: I plan, sinh(pi tau), for _loss_bits
-    # log2 tau, log2(c + |lg|) and tau as floats, and eps = 10^-dps
+    # K_{i tau}'s needs of tau alone: the I plan of i tau; w; tau and Im lg
+    # at 2^w; P = -pi e^{-Re lg} / sinh(pi tau) and M = e^{-Re lg} (an
+    # mpf) times 2^-(w + wp) at wp bits, floating, as P falls like
+    # e^{-pi tau / 2};
+    # |Re lg| at 2^w; for _loss_bits log2 tau, log2(c + |lg|) and tau as
+    # floats; and eps = 10^-dps.  lg is the I plan's, at prec
     ip = _i_plan(mpc(0, tau), prec)
-    return (ip, sinh(pi * tau)._mpf_, float(log(tau, 2)),
-            float(log(_ROUNDING + abs(mpc(*ip[5])), 2)), float(tau), _eps())
+    wp, lg = ip[0], ip[5]
+    w = wp + int(tau).bit_length() + 4
+    with workprec(wp):
+        m = exp(-mp.make_mpf(lg[0]))
+        p = -pi * m / sinh(pi * tau)
+    return (ip, w, to_fixed(tau._mpf_, w), to_fixed(lg[1], w),
+            mpf_shift(p._mpf_, -w - wp), mp.ldexp(m, -w - wp),
+            abs(to_fixed(lg[0], w)), float(log(tau, 2)),
+            float(log(_ROUNDING + abs(mpc(*lg)), 2)), float(tau), _eps())
 
 
-def k_index(index, x, i_tau=None):
+def k_index(index, x):
     """K_{i*index}(x): K_0 by bessel_k_real, every other index by
-    k_itau_series, which is handed i_tau.  K is even in the index, so
-    both see |index|; both refuse x > 700 with OverflowGuardError."""
-    index = mpf(index)
-    if index < 0:  # with I_{-i t}(x) = conj I_{i t}(x) for real x
-        index, i_tau = -index, i_tau and i_tau.conjugate()
+    k_itau_series.  K is even in the index, so both see |index|; both
+    refuse x > 700 with OverflowGuardError."""
+    index = abs(mpf(index))
     if index == 0:
         return bessel_k_real(0, x)
-    return k_itau_series(index, x, i_tau=i_tau).value
+    return k_itau_series(index, x).value

