@@ -17,11 +17,10 @@ The I and J series are summed in fixed point, each term the last times
 a ratio from a per-(order, precision) table grown to the terms used; the
 guard bits also absorb the cancellation of the alternating J sum.
 bessel_i sums at Im nu >= 0 and conjugates for Im nu < 0, so conjugate
-orders give exactly conjugate values.  bessel_i's prefactor (_i_series)
-makes the libmp calls of the mpc/mpf operators on raw tuples, so its
-values are the operators' bit for bit; K_{i tau} (_k_sum) takes its
-phase in fixed point from one log and one cosine and sine, and rounds
-once.  The series read mp.prec alone: the plans carry the stop and eps.
+orders give exactly conjugate values; it scales the sum by mpmath's
+operators.  K_{i tau} (_k_sum) takes its phase in fixed point from one
+log and one cosine and sine, and rounds once.  The series read mp.prec
+alone: the plans carry the stop and eps.
 The memos (I and J plans, K constants), which the quadrature nodes
 (_k_node, _j_point) read too, share mp's global precision and, like
 mpmath itself, assume one thread.
@@ -32,14 +31,11 @@ import math
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpf, mpc, workprec
-from mpmath import acosh, cos, cosh, exp, log, pi, sinh, sqrt
+from mpmath import acosh, cos, cosh, exp, log, pi, sinh, sinpi, sqrt
 from mpmath.calculus.quadrature import QuadratureRule
-from mpmath.libmp import (from_float, fzero, from_int, from_man_exp,
-                          from_rational, mpc_conjugate, mpc_div_mpf, mpc_exp,
-                          mpc_mul, mpc_mul_mpf, mpc_neg, mpc_sub, mpf_add,
-                          mpf_cos_sin, mpf_exp, mpf_gt, mpf_log, mpf_mul,
-                          mpf_mul_int, mpf_pi, mpf_shift, mpf_sign, mpf_sin_pi,
-                          mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (from_float, from_int, from_man_exp, from_rational,
+                          mpf_add, mpf_gt, mpf_log, mpf_mul_int, mpf_shift,
+                          round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed
 
 from . import special
@@ -106,56 +102,34 @@ def bessel_i(nu, x):
     conj = nu.imag < 0  # I_{conj nu}(x) = conj I_nu(x) for real x
     if conj:
         nu = nu.conjugate()
-    return mp.make_mpc(_i_series(_i_plan(nu, mp.prec), x, conj))
-
-
-def _i_series(plan, x, conj):
-    # I_nu(x), conjugated if conj, at Im nu >= 0, x > 0 from nu's plan at
-    # mp.prec, as a libmp pair, by the libmp calls of the mpc/mpf operators
-    # that formed e = nu log(x/2) - lg, c0 = exp(e) and c0 times the sum
-    nu, mag = plan[4], plan[6]
-    prec = mp.prec
-    lx = mpf_log(mpf_shift(x._mpf_, -1), prec, _RND)
-    e = mpc_sub(mpc_mul_mpf(nu, lx, prec, _RND), plan[5], prec, _RND)
-    if mag is None or e[1] == fzero:
-        c0 = mpc_exp(e, prec, _RND)
-    else:  # mpc_exp, with the e^{Re e} of the plan (at Re nu = 0 no x in it)
-        c, s = mpf_cos_sin(e[1], prec + 4, _RND)
-        c0 = mpf_mul(mag, c, prec, _RND), mpf_mul(mag, s, prec, _RND)
-    if nu[1] == fzero and mpf_sign(nu[0]) < 0:
+    if nu.imag == 0 and nu.real < 0:
         # reflection 1/Gamma(nu+1) = -Gamma(-nu) sin(pi nu)/pi keeps the
         # log-gamma argument off the negative real axis; sinpi stays fully
         # accurate near the removable zeros at integer order
-        c0 = mpc_div_mpf(mpc_mul_mpf(mpc_neg(c0, prec, _RND), mpf_sin_pi(
-            nu[0], prec, _RND), prec, _RND), mpf_pi(prec, _RND), prec, _RND)
-    sr, si, wp, _, tail = _i_sum(plan, x)
-    v = mpc_mul(c0, (from_man_exp(sr, -wp, prec, _RND),
-                     from_man_exp(si, -wp, prec, _RND)), prec, _RND)
+        c0 = -exp(nu * log(x / 2) + ln_gamma(-nu)) * sinpi(nu.real) / pi
+    else:
+        c0 = exp(nu * log(x / 2) - ln_gamma(nu + 1))
+    sr, si, wp, _, tail = _i_sum(_i_plan(nu, mp.prec), x)
+    v = c0 * mpc(mpf((sr, -wp)), mpf((si, -wp)))
     if conj:
-        v = mpc_conjugate(v, prec, _RND)
+        v = v.conjugate()
     if tail is not None:
         raise NonconvergenceError(
-            "bessel_i series stalled", partial=mp.make_mpc(v),
-            tail_estimate=abs(mp.make_mpc(c0)) * sqrt(mpf((tail, -2 * wp))))
+            "bessel_i series stalled", partial=v,
+            tail_estimate=abs(c0) * sqrt(mpf((tail, -2 * wp))))
     return v
 
 
 @functools.lru_cache(maxsize=128)
 def _i_plan(nu, prec):
     # nu = a + ib at 2^wp (k + nu can be as small as ib, so b keeps prec
-    # bits of its own) and at index k the ratio (k + a - ib) / (k |k +
-    # nu|^2) at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used;
-    # then as libmp pairs nu and lg = ln Gamma(nu + 1), or -ln Gamma(-nu)
-    # on the reflection branch (subtracting it adds ln Gamma(-nu), bit for
-    # bit), at Re nu = 0 mpc_exp's e^{-Re lg} at prec + 4, else None, and
-    # the stop
+    # bits of its own), at index k the ratio (k + a - ib) / (k |k + nu|^2)
+    # at 2^(wp + _RATIO_BITS), appended by _i_sum as terms are used, and
+    # _stop()'s (n, k) as the sum compares it, (n^2, 2k)
     wp = prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
-    lg = (mpc_neg(ln_gamma(-nu)._mpc_) if nu.imag == 0 and nu.real < 0
-          else ln_gamma(nu + 1)._mpc_)
-    a = mpf_sub(fzero, lg[0], prec, _RND)
-    mag = mpf_exp(a, prec + 4, _RND) if nu.real == 0 and a != fzero else None
+    tol_n, tol_k = _stop()
     return (wp, to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp),
-            [0], nu._mpc_, lg, mag, _stop())
+            [0], (tol_n * tol_n, 2 * tol_k))
 
 
 def _stop():
@@ -168,7 +142,7 @@ def _stop():
 def _i_sum(plan, x):
     # I_nu(x) / c0 = sum_k t_k, t_k = t_{k-1} (x/2)^2 rho_k, at 2^wp: (Re,
     # Im, wp, terms past t_0, None or, if they ran out, |t_k|^2 at 2^2wp)
-    wp, a, b, rho, _, _, _, (tol_n, tol_k) = plan
+    wp, a, b, rho, (tol_n2, tol_k2) = plan
     sh = 2 * wp + _RATIO_BITS
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
     tr = sr = 1 << wp
@@ -187,8 +161,8 @@ def _i_sum(plan, x):
         mag = tr * tr + ti * ti
         # a term within one unit of 0 meets any tolerance: floored, a
         # negative part stays at -1 however far the terms fall
-        if mag <= prev and (mag <= 2 or mag << 2 * tol_k
-                            < tol_n * tol_n * (sr * sr + si * si)):
+        if mag <= prev and (mag <= 2 or mag << tol_k2
+                            < tol_n2 * (sr * sr + si * si)):
             streak += 1
             if streak >= 3:
                 return sr, si, wp, k, None
@@ -530,9 +504,9 @@ def _k_plan(tau, prec):
     # mpf) times 2^-(w + wp) at wp bits, floating, as P falls like
     # e^{-pi tau / 2};
     # |Re lg| at 2^w; for _loss_bits log2 tau, log2(c + |lg|) and tau as
-    # floats; and eps = 10^-dps.  lg is the I plan's, at prec
+    # floats; and eps = 10^-dps.  lg is ln_gamma's, at prec
     ip = _i_plan(mpc(0, tau), prec)
-    wp, lg = ip[0], ip[5]
+    wp, lg = ip[0], ln_gamma(mpc(1, tau))._mpc_
     w = wp + int(tau).bit_length() + 4
     with workprec(wp):
         m = exp(-mp.make_mpf(lg[0]))

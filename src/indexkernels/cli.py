@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import os
 import sys
 import time
 from fractions import Fraction
@@ -80,6 +81,16 @@ def _positive(text):
     if mpf(_finite(text)) > 0:
         return text
     raise argparse.ArgumentTypeError("%r is not positive" % text)
+
+
+def _writable(path):
+    """argparse type of --out: a path the CSV can be written to, so that a
+    bad one is a usage error before any point is computed."""
+    if os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else os.path.dirname(path) or ".",
+            os.W_OK):
+        raise argparse.ArgumentTypeError("cannot write %r" % path)
+    return path
 
 
 def _grids(args, *defaults):
@@ -208,11 +219,15 @@ def cmd_crossover(args, cfg):
     point_kw = dict(mu=args.mu, nu=args.nu, rho=args.rho)
     x, tol = mpf(args.x), mpf(args.tol)
     taus = _grids(args, "tau=2:20:0.5")["tau"]
+    times = {}  # tau: the times of its series and asymptotic evaluations
 
     def rel_diff(tau):
         p = kernels.KernelPoint(kernel=args.kernel, x=x, tau=tau, **point_kw)
+        t0 = time.perf_counter()
         direct = kernels.eval(p, "series").value
+        t1 = time.perf_counter()
         asym = kernels.eval(p, "asymptotic").value
+        times[tau] = t1 - t0, time.perf_counter() - t1
         if direct == 0:
             return mpf("inf")
         return abs(asym - direct) / abs(direct)
@@ -225,11 +240,8 @@ def cmd_crossover(args, cfg):
             print("numerical failure at tau=%s: %s" % (tau, exc),
                   file=sys.stderr)
             return EXIT_NUMERICAL
-    star_idx = None
-    for i in range(len(taus)):
-        if all(d < tol for d in diffs[i:]):
-            star_idx = i
-            break
+    star_idx = next((i for i in range(len(taus))
+                     if all(d < tol for d in diffs[i:])), None)
     if star_idx is None:
         print("no crossover: min tail rel diff %s vs tol %s"
               % (nstr(min(diffs), 3), nstr(tol, 3)), file=sys.stderr)
@@ -244,13 +256,7 @@ def cmd_crossover(args, cfg):
             else:
                 lo = mid
         tau_star = hi
-    p = kernels.KernelPoint(kernel=args.kernel, x=x, tau=tau_star, **point_kw)
-    t0 = time.perf_counter()
-    kernels.eval(p, "series")
-    t_direct = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    kernels.eval(p, "asymptotic")
-    t_asym = time.perf_counter() - t0
+    t_direct, t_asym = times[tau_star]
     print("tau_star =", nstr(tau_star, 8))
     # wall times vary from run to run, so they stay off stdout
     print("direct_time_s = %.6f" % t_direct, file=sys.stderr)
@@ -329,7 +335,7 @@ def build_parser():
     add(sp, "--mu", "--nu", type=_finite)
     add(sp, "--rho", default="0", type=_finite)
     add(sp, "--grid", **grid)
-    add(sp, "--out")
+    add(sp, "--out", type=_writable)
     add(sp, "--slack", type=float)
 
     sp = command("expand", cmd_expand)
@@ -340,7 +346,7 @@ def build_parser():
     add(sp, "--rho", default="0", type=_finite)
     add(sp, "--x0", default="0.5", type=_finite)
     add(sp, "--grid", **grid)
-    add(sp, "--out")
+    add(sp, "--out", type=_writable)
     add(sp, "--slack", type=float)
 
     sp = command("crossover", cmd_crossover)
@@ -355,13 +361,13 @@ def build_parser():
     add(sp, "--route", default="series")
     add(sp, "--mu", "--nu", "--rho", type=_finite)
     add(sp, "--grid", **grid)
-    add(sp, "--out")
+    add(sp, "--out", type=_writable)
 
     sp = command("fit-constants", cmd_fit_constants)
     add(sp, "--T", default="1", type=_finite)
     add(sp, "--nx", "--ntau", type=int, default=50)
     add(sp, "--X", default="20", type=_finite)
-    add(sp, "--out")
+    add(sp, "--out", type=_writable)
     return p
 
 

@@ -68,7 +68,6 @@ class TestBesselI:
         # floor division is not odd, so it could round apart from the
         # conjugate (rarely enough that the guard bits hide it above)
         seen = []
-        bessel._i_plan.cache_clear()  # the plan holds the ln Gamma value
         monkeypatch.setattr(bessel, "ln_gamma",
                             lambda z: seen.append(z) or ln_gamma(z))
         v = bessel_i(mpc("0.5", "-2.5"), mpf(3))
@@ -338,7 +337,7 @@ def _exact_i_sum(nu, x):
     wp = mp.prec + _GUARD + (max(0, -mp.mag(nu.imag)) if nu.imag else 0)
     a, b = to_fixed(nu.real._mpf_, wp), to_fixed(nu.imag._mpf_, wp)
     q = to_fixed(x._mpf_, wp) ** 2 >> (wp + 2)
-    tol_n, tol_k = bessel._i_plan(nu, mp.prec)[7]
+    tol_n, tol_k = bessel._stop()
     tr = sr = 1 << wp
     ti = si = 0
     prev = top = tr * tr
@@ -654,7 +653,8 @@ class TestISeriesLowDps:
                                                 max_terms)
                             assert bessel._i_sum(plan, x) \
                                 == _tolerance_stop_i_sum(
-                                    plan, x, plan[7], max_terms), (dps, tau, x)
+                                    plan, x, bessel._stop(), max_terms), \
+                                (dps, tau, x)
 
 
 class TestBesselKReal:
@@ -719,14 +719,14 @@ def _within_estimate(r, tau, x):
 
 def _exact_k(tau, x):
     # (K, Re I) of the series at mp.prec assembled exactly from its own
-    # inputs, the fixed-point sum of _i_sum and ln Gamma(1 + i tau) as the
-    # I plan holds it, the rest at mp.prec + 100 bits; a stall raises
+    # inputs, the fixed-point sum of _i_sum and ln Gamma(1 + i tau) as
+    # ln_gamma returns it, the rest at mp.prec + 100 bits; a stall raises
     tau, x = mpf(tau), mpf(x)  # rounded as k_itau_series rounds them
     plan = bessel._i_plan(mpc(0, tau), mp.prec)
     sr, si, wp, _, tail = bessel._i_sum(plan, x)
     if tail is not None:
         raise NonconvergenceError("bessel_i series stalled")
-    lg = mpc(*plan[5])
+    lg = ln_gamma(mpc(1, tau))
     with mpmath.workprec(mp.prec + 100):
         i = (mpmath.exp(1j * tau * mpmath.log(x / 2) - lg)
              * mpc(mpf((sr, -wp)), mpf((si, -wp))))
@@ -1418,10 +1418,11 @@ class TestOneAssembly:
 
     def test_one_log_and_one_cosine_per_point(self, monkeypatch):
         # an unguarded K point: one integer sum, one log, one fixed-point
-        # cosine and sine, no complex exponential or product
+        # cosine and sine; bessel has no complex exponential or product
+        for name in ("mpf_cos_sin", "mpc_exp", "mpc_mul"):
+            assert not hasattr(bessel, name), name
         calls = []
-        for name in ("_i_sum", "mpf_log", "cos_sin_fixed", "mpf_cos_sin",
-                     "mpc_exp", "mpc_mul"):
+        for name in ("_i_sum", "mpf_log", "cos_sin_fixed"):
             run = getattr(bessel, name)
             monkeypatch.setattr(bessel, name, lambda *a, name=name, run=run:
                                 calls.append(name) or run(*a))

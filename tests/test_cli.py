@@ -2,14 +2,16 @@
 
 import importlib.util
 import random
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, nstr, workdps
 
-from indexkernels import bessel, bounds, config, kernels, special
+from indexkernels import bessel, bounds, cli, config, kernels, special
 from indexkernels.cli import EXPANSIONS, build_parser, main, parse_grid
 from indexkernels.errors import DomainError
 
@@ -243,6 +245,54 @@ class TestCrossover:
                               "--grid", "tau=2:6:1"], capsys)
         assert (code, out) == (3, "")
         assert "numerical failure at tau=2.0: bessel_i series stalled" in err
+
+    def test_times_the_one_series_run_at_tau_star(self, capsys, monkeypatch):
+        # the search bisects, and each tau, tau* too, takes one run of
+        # each route; a fake clock moves by a distinct step within each
+        # run, so the time printed names the run it timed
+        now, runs, run_eval = [0], [], kernels.eval
+
+        def spy(point, route):
+            step = (len(runs) + 1) / 1024
+            runs.append((point.tau, route, step))
+            now[0] += step
+            return run_eval(point, route)
+        monkeypatch.setattr(cli, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(kernels, "eval", spy)
+        code, out, err = run(["crossover", "--kernel", "kl", "--x", "1",
+                              "--tol", "1e-5", "--grid", "tau=2:8:1"], capsys)
+        assert code == 0
+        series = [(tau, step) for tau, route, step in runs
+                  if route == "series"]
+        assert len(series) == len({tau for tau, _ in series}) > 7
+        printed = re.search(r"direct_time_s = (\S+)", err).group(1)
+        (tau,) = [tau for tau, step in series if "%.6f" % step == printed]
+        assert out == "tau_star = %s\n" % nstr(tau, 8)
+        assert tau not in (2, 3, 4, 5, 6, 7, 8)  # a bisection point
+
+
+class TestUnwritableOut:
+    # a path the CSV cannot be written to is a usage error that names it,
+    # raised before any point is evaluated
+    @pytest.mark.parametrize("argv, evaluator", [
+        (["verify", "--bound", "kl", "--n", "1"], (bounds, "evaluate_bound")),
+        (["expand"], (cli, "_expansion_report")),
+        (["sweep"], (kernels, "eval")),
+        (["fit-constants"], (bounds, "fit_lebedev_constants"))],
+        ids=["verify", "expand", "sweep", "fit-constants"])
+    @pytest.mark.parametrize("name", ["missing/x.csv", "."])
+    def test_usage_error_before_any_point(self, capsys, monkeypatch,
+                                          tmp_path, argv, evaluator, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(*evaluator, refuse)
+        path = str(tmp_path / name)
+        code, out, err = run(argv + ["--out", path], capsys)
+        assert (code, out) == (2, "")
+        assert "cannot write %r" % path in err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSweepDeterminism:
